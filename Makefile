@@ -16,8 +16,11 @@ all: build test
 build:
 	$(GO) build ./...
 
+# perfbench is a separate module that `./...` skips; vetting and testing it
+# here catches a root API change that would break the benchmark's replay.
 test:
 	$(GO) test ./...
+	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 
 race:
 	$(GO) test -race ./...

@@ -12,6 +12,7 @@
 package dcs_test
 
 import (
+	"context"
 	"testing"
 
 	dcs "github.com/dcslib/dcs"
@@ -81,7 +82,7 @@ func BenchmarkCoreTopK10(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = dcs.TopKAverageDegreeDCSOn(gd, 10)
+		_, _ = dcs.TopKAverageDegreeDCSOnParCtx(context.Background(), gd, 10, 1)
 	}
 }
 

@@ -192,7 +192,7 @@ func BenchmarkSEAFullInit(b *testing.B) {
 func BenchmarkEgoScan(b *testing.B) {
 	gd := benchGD(b)
 	for i := 0; i < b.N; i++ {
-		egoscan.Scan(gd, egoscan.Options{})
+		egoscan.Scan(gd)
 	}
 }
 

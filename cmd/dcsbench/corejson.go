@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"runtime"
@@ -88,7 +89,7 @@ func runCoreJSON(w io.Writer, quick bool, seed int64) error {
 		{"CoreTopK10", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = dcs.TopKAverageDegreeDCSOn(gd, 10)
+				_, _ = dcs.TopKAverageDegreeDCSOnParCtx(context.Background(), gd, 10, 1)
 			}
 		}},
 		{"CoreCollectCliques", func(b *testing.B) {

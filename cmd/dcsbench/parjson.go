@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -84,18 +85,20 @@ func runParJSON(w io.Writer, quick bool, seed int64) error {
 	dSmall := datagen.CoauthorPair(datagen.CoauthorConfig{Seed: seed, N: cliquesN})
 	gdSmall := dcs.Difference(dSmall.G1, dSmall.G2)
 
+	ctx := context.Background()
 	workloads := []struct {
 		name string
 		run  func(deg int) any
 	}{
 		{"ParDCSGreedy", func(deg int) any {
-			return core.DCSGreedyPar(gd, deg)
+			return core.DCSGreedyCtx(ctx, gd, deg)
 		}},
 		{"ParTopK5", func(deg int) any {
-			return dcs.TopKAverageDegreeDCSOnPar(gd, 5, deg)
+			rs, _ := dcs.TopKAverageDegreeDCSOnParCtx(ctx, gd, 5, deg)
+			return rs
 		}},
 		{"ParRatio", func(deg int) any {
-			return dcs.FindMaxRatioContrastPar(dSmall.G1, dSmall.G2, deg)
+			return dcs.FindMaxRatioContrastParCtx(ctx, dSmall.G1, dSmall.G2, deg)
 		}},
 		{"ParNewSEA", func(deg int) any {
 			return core.NewSEA(gdSmall, core.GAOptions{Parallelism: deg})

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -125,20 +126,21 @@ func verifyWatchEquivalence(base *dcs.Graph, cfgInc, cfgScr evolve.Config, seed 
 	if err != nil {
 		return err
 	}
-	if _, err := inc.Observe(base); err != nil {
+	ctx := context.Background()
+	if _, err := inc.ObserveCtx(ctx, base); err != nil {
 		return err
 	}
-	if _, err := scr.Observe(base); err != nil {
+	if _, err := scr.ObserveCtx(ctx, base); err != nil {
 		return err
 	}
 	gen := newWatchStreamGen(seed, base, k, true)
 	for i := 0; i < ticks; i++ {
 		delta := gen.next()
-		ri, err := inc.ObserveDelta(delta)
+		ri, err := inc.ObserveDeltaCtx(ctx, delta)
 		if err != nil {
 			return err
 		}
-		rs, err := scr.ObserveDelta(delta)
+		rs, err := scr.ObserveDeltaCtx(ctx, delta)
 		if err != nil {
 			return err
 		}
@@ -181,12 +183,13 @@ func timeWatchEngine(base *dcs.Graph, cfg evolve.Config, seed int64, k int) (wat
 	if err != nil {
 		return watchBenchEntry{}, err
 	}
-	if _, err := tr.Observe(base); err != nil {
+	ctx := context.Background()
+	if _, err := tr.ObserveCtx(ctx, base); err != nil {
 		return watchBenchEntry{}, err
 	}
 	gen := newWatchStreamGen(seed+1, base, k, false)
 	for i := 0; i < 4; i++ { // warm up: seed the maintainer and the prior
-		if _, err := tr.ObserveDelta(gen.next()); err != nil {
+		if _, err := tr.ObserveDeltaCtx(ctx, gen.next()); err != nil {
 			return watchBenchEntry{}, err
 		}
 	}
@@ -194,7 +197,7 @@ func timeWatchEngine(base *dcs.Graph, cfg evolve.Config, seed int64, k int) (wat
 	var tickErr error
 	res := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := tr.ObserveDelta(gen.next()); err != nil && tickErr == nil {
+			if _, err := tr.ObserveDeltaCtx(ctx, gen.next()); err != nil && tickErr == nil {
 				tickErr = err
 			}
 		}

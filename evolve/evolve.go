@@ -8,7 +8,7 @@
 //	tr, err := evolve.New(nSensors, evolve.Config{Lambda: 0.3, MinDensity: 2})
 //	...
 //	for snapshot := range snapshots {
-//	    rep, err := tr.Observe(snapshot)
+//	    rep, err := tr.ObserveCtx(ctx, snapshot)
 //	    ...
 //	    if rep.Anomalous() {
 //	        alert(rep.S, rep.Contrast)
@@ -25,7 +25,7 @@
 // the mining at its next checkpoint and the report carries the best-so-far
 // partial subgraph with Interrupted set.
 //
-// Streams that arrive as edge deltas should use ObserveDelta instead of
+// Streams that arrive as edge deltas should use ObserveDeltaCtx instead of
 // rebuilding snapshots: the tracker then maintains the difference graph
 // incrementally (O(k) per k-edge delta) and warm-starts each tick's mining
 // from the previous subgraph, re-solving from scratch every

@@ -1,6 +1,7 @@
 package evolve_test
 
 import (
+	"context"
 	"fmt"
 
 	dcs "github.com/dcslib/dcs"
@@ -40,7 +41,7 @@ func Example() {
 		if step == 3 {
 			g = anomalous()
 		}
-		rep, err := tr.Observe(g)
+		rep, err := tr.ObserveCtx(context.Background(), g)
 		if err != nil {
 			panic(err)
 		}

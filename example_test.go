@@ -1,6 +1,7 @@
 package dcs_test
 
 import (
+	"context"
 	"fmt"
 
 	dcs "github.com/dcslib/dcs"
@@ -24,12 +25,13 @@ func Example() {
 	b2.AddEdge(2, 3, 4)
 	b2.AddEdge(2, 4, 2)
 	b2.AddEdge(1, 4, 3)
-	g1, g2 := b1.Build(), b2.Build()
+	gd := dcs.Difference(b1.Build(), b2.Build())
+	ctx := context.Background()
 
-	ad := dcs.FindAverageDegreeDCS(g1, g2)
+	ad := dcs.FindAverageDegreeDCSOnParCtx(ctx, gd, 1)
 	fmt.Printf("average degree: S=%v density=%.3f\n", ad.S, ad.Density)
 
-	ga := dcs.FindGraphAffinityDCS(g1, g2, nil)
+	ga := dcs.FindGraphAffinityDCSOnCtx(ctx, gd, nil)
 	fmt.Printf("graph affinity: S=%v f=%.3f clique=%v\n", ga.S, ga.Affinity, ga.PositiveClique)
 	// Output:
 	// average degree: S=[0 2 3] density=6.667
@@ -45,16 +47,16 @@ func ExampleDifferenceAlpha() {
 	b2.AddEdge(0, 1, 3)
 	b2.AddEdge(1, 2, 1)
 	gd := dcs.DifferenceAlpha(b1.Build(), b2.Build(), 2)
-	res := dcs.FindAverageDegreeDCSOn(gd)
+	res := dcs.FindAverageDegreeDCSOnParCtx(context.Background(), gd, 1)
 	fmt.Printf("S=%v density=%.2f\n", res.S, res.Density)
 	// Output:
 	// S=[1 2] density=1.00
 }
 
-// ExampleTopKAverageDegreeDCS mines several vertex-disjoint contrast
+// ExampleTopKAverageDegreeDCSOnParCtx mines several vertex-disjoint contrast
 // subgraphs at once: two groups tightened between the snapshots, and top-k
 // mining reports both, strongest first.
-func ExampleTopKAverageDegreeDCS() {
+func ExampleTopKAverageDegreeDCSOnParCtx() {
 	g1 := dcs.NewBuilder(8).Build() // no relations yesterday
 	b2 := dcs.NewBuilder(8)         // two new cliques today
 	b2.AddEdge(0, 1, 5)
@@ -64,7 +66,9 @@ func ExampleTopKAverageDegreeDCS() {
 	b2.AddEdge(4, 6, 3)
 	b2.AddEdge(5, 6, 3)
 
-	for i, res := range dcs.TopKAverageDegreeDCS(g1, b2.Build(), 3) {
+	gd := dcs.Difference(g1, b2.Build())
+	results, _ := dcs.TopKAverageDegreeDCSOnParCtx(context.Background(), gd, 3, 1)
+	for i, res := range results {
 		fmt.Printf("#%d S=%v density=%.0f\n", i+1, res.S, res.Density)
 	}
 	// Output:
@@ -72,10 +76,10 @@ func ExampleTopKAverageDegreeDCS() {
 	// #2 S=[4 5 6] density=6
 }
 
-// ExampleFindMaxRatioContrast certifies the largest α such that some
+// ExampleFindMaxRatioContrastParCtx certifies the largest α such that some
 // subgraph is α times denser in the new snapshot: the triangle tripled its
 // weights, so α = 3 with the triangle as witness.
-func ExampleFindMaxRatioContrast() {
+func ExampleFindMaxRatioContrastParCtx() {
 	b1 := dcs.NewBuilder(4)
 	b1.AddEdge(0, 1, 1)
 	b1.AddEdge(1, 2, 1)
@@ -87,7 +91,7 @@ func ExampleFindMaxRatioContrast() {
 	b2.AddEdge(0, 2, 3)
 	b2.AddEdge(2, 3, 4) // unchanged
 
-	res := dcs.FindMaxRatioContrast(b1.Build(), b2.Build())
+	res := dcs.FindMaxRatioContrastParCtx(context.Background(), b1.Build(), b2.Build(), 1)
 	fmt.Printf("alpha=%.2f S=%v rho2=%.0f rho1=%.0f\n",
 		res.Alpha, res.S, res.Density2, res.Density1)
 	// Output:

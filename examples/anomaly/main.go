@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -66,8 +67,8 @@ func main() {
 		}
 	}
 
-	g1, g2 := hist.Build(), today.Build()
-	res := dcs.FindAverageDegreeDCS(g1, g2)
+	gd := dcs.Difference(hist.Build(), today.Build())
+	res := dcs.FindAverageDegreeDCSOnParCtx(context.Background(), gd, 1)
 	fmt.Printf("anomalous cluster: %d sensors, congestion-contrast %.2f\n", len(res.S), res.Density)
 	inBlock := 0
 	for _, v := range res.S {

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	dcs "github.com/dcslib/dcs"
@@ -20,14 +21,16 @@ func main() {
 	g1, g2 := data.G1, data.G2
 	fmt.Printf("co-author snapshots: n=%d, m1=%d, m2=%d\n\n", g1.N(), g1.M(), g2.M())
 
+	ctx := context.Background()
 	report := func(dir string, a, b *dcs.Graph) {
-		ad := dcs.FindAverageDegreeDCS(a, b)
+		gd := dcs.Difference(a, b)
+		ad := dcs.FindAverageDegreeDCSOnParCtx(ctx, gd, 1)
 		fmt.Printf("%s group (average degree): %d authors, density diff %.1f, ratio %.2f, clique=%v\n",
 			dir, len(ad.S), ad.Density, ad.Ratio, ad.PositiveClique)
 		for _, v := range ad.S {
 			fmt.Printf("    %s\n", data.Labels[v])
 		}
-		ga := dcs.FindGraphAffinityDCS(a, b, nil)
+		ga := dcs.FindGraphAffinityDCSOnCtx(ctx, gd, nil)
 		fmt.Printf("%s group (graph affinity): %d authors, affinity diff %.1f\n",
 			dir, len(ga.S), ga.Affinity)
 		for _, v := range ga.S {

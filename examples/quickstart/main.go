@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	dcs "github.com/dcslib/dcs"
@@ -31,20 +32,24 @@ func main() {
 	g2 := b2.Build()
 
 	// The difference graph G2 − G1 has both positive and negative weights.
+	// Every solver mines it, so build it once.
 	gd := dcs.Difference(g1, g2)
 	st := gd.ComputeStats()
 	fmt.Printf("difference graph: n=%d, %d positive and %d negative edges\n",
 		st.N, st.MPos, st.MNeg)
 
 	// Average-degree DCS: the subgraph whose average degree grew the most.
-	ad := dcs.FindAverageDegreeDCS(g1, g2)
+	// Solvers take a context (for cancellation) and the average-degree
+	// solver a worker count; 1 is the sequential path.
+	ctx := context.Background()
+	ad := dcs.FindAverageDegreeDCSOnParCtx(ctx, gd, 1)
 	fmt.Printf("\naverage-degree DCS: S=%v\n", ad.S)
 	fmt.Printf("  density difference %.3f (approx ratio %.2f, connected=%v)\n",
 		ad.Density, ad.Ratio, ad.Connected)
 
 	// Graph-affinity DCS: always a positive clique — every pair inside
 	// strengthened its connection.
-	ga := dcs.FindGraphAffinityDCS(g1, g2, nil)
+	ga := dcs.FindGraphAffinityDCSOnCtx(ctx, gd, nil)
 	fmt.Printf("\ngraph-affinity DCS: S=%v (positive clique: %v)\n", ga.S, ga.PositiveClique)
 	fmt.Printf("  affinity difference %.3f; member weights:", ga.Affinity)
 	for _, v := range ga.S {
@@ -52,7 +57,8 @@ func main() {
 	}
 	fmt.Println()
 
-	// The opposite direction: what became *less* dense? Swap the arguments.
-	dis := dcs.FindAverageDegreeDCS(g2, g1)
+	// The opposite direction: what became *less* dense? Swap the arguments
+	// of Difference.
+	dis := dcs.FindAverageDegreeDCSOnParCtx(ctx, dcs.Difference(g2, g1), 1)
 	fmt.Printf("\ndisappearing DCS: S=%v, density drop %.3f\n", dis.S, dis.Density)
 }

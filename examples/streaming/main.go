@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -61,7 +62,7 @@ func main() {
 		if step >= 7 {
 			extra = mobEdges
 		}
-		rep, err := tr.Observe(snapshot(extra))
+		rep, err := tr.ObserveCtx(context.Background(), snapshot(extra))
 		if err != nil {
 			panic(err)
 		}

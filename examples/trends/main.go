@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -134,6 +135,9 @@ func main() {
 		}
 		fmt.Println()
 	}
-	show("emerging", dcs.TopContrastCliques(g1, g2, nil))
-	show("disappearing", dcs.TopContrastCliques(g2, g1, nil))
+	ctx := context.Background()
+	emerging, _ := dcs.TopContrastCliquesOnCtx(ctx, dcs.Difference(g1, g2), nil)
+	disappearing, _ := dcs.TopContrastCliquesOnCtx(ctx, dcs.Difference(g2, g1), nil)
+	show("emerging", emerging)
+	show("disappearing", disappearing)
 }

@@ -30,7 +30,7 @@ func (s *Suite) TableVIII(w io.Writer) []TableVIIIRow {
 		"DBLP/Discrete/Emerging", "DBLP/Discrete/Disappearing",
 	} {
 		d := s.Get(name)
-		res := egoscan.Scan(d.GD, egoscan.Options{})
+		res := egoscan.Scan(d.GD)
 		edges := 0
 		sub, _ := d.GD.Induced(res.S)
 		edges = sub.M()
@@ -76,7 +76,7 @@ func (s *Suite) TableIX(w io.Writer) []TableIXRow {
 		d := s.Get(name)
 		ad := core.DCSGreedy(d.GD)
 		ga := core.NewSEA(d.GD, s.Opt)
-		eg := egoscan.Scan(d.GD, egoscan.Options{})
+		eg := egoscan.Scan(d.GD)
 		rows = append(rows, TableIXRow{
 			Setting: d.Setting, GDType: d.GDType,
 			DCSGreedy: ad.TotalWeight, NewSEA: ga.TotalWeight, EgoScan: eg.TotalWeight,

@@ -34,7 +34,7 @@ func cancelledCtx() context.Context {
 func TestDCSGreedyCtxBackgroundMatches(t *testing.T) {
 	gd := randomDiffGraph(200, 0.1, 1)
 	plain := DCSGreedy(gd)
-	ctxed := DCSGreedyCtx(context.Background(), gd)
+	ctxed := DCSGreedyCtx(context.Background(), gd, 1)
 	if ctxed.Interrupted {
 		t.Fatal("background run tagged Interrupted")
 	}
@@ -45,7 +45,7 @@ func TestDCSGreedyCtxBackgroundMatches(t *testing.T) {
 
 func TestDCSGreedyCtxCancelledReturnsValidPartial(t *testing.T) {
 	gd := randomDiffGraph(400, 0.05, 2)
-	res := DCSGreedyCtx(cancelledCtx(), gd)
+	res := DCSGreedyCtx(cancelledCtx(), gd, 1)
 	if !res.Interrupted {
 		t.Fatal("pre-cancelled run not tagged Interrupted")
 	}
@@ -120,7 +120,7 @@ func TestCollectCliquesCtxParallelCancel(t *testing.T) {
 
 func TestTopKAverageDegreeCtxCancelled(t *testing.T) {
 	gd := randomDiffGraph(300, 0.05, 6)
-	results, interrupted := TopKAverageDegreeCtx(cancelledCtx(), gd, 5)
+	results, interrupted := TopKAverageDegreeCtx(cancelledCtx(), gd, 5, 1)
 	if !interrupted {
 		t.Fatal("pre-cancelled run not reported interrupted")
 	}
@@ -138,7 +138,7 @@ func TestTopKAverageDegreeCtxCancelled(t *testing.T) {
 			t.Fatalf("truncated pick fails validation: %v", err)
 		}
 	}
-	full, interrupted := TopKAverageDegreeCtx(context.Background(), gd, 5)
+	full, interrupted := TopKAverageDegreeCtx(context.Background(), gd, 5, 1)
 	if interrupted {
 		t.Fatal("background run reported interrupted")
 	}
@@ -162,11 +162,11 @@ func TestMaxRatioContrastCtxCancelled(t *testing.T) {
 		}
 	}
 	g1, g2 := b1.Build(), b2.Build()
-	res := MaxRatioContrastCtx(cancelledCtx(), g1, g2, 0)
+	res := MaxRatioContrastCtx(cancelledCtx(), g1, g2, 1)
 	if !res.Interrupted {
 		t.Fatal("pre-cancelled run not tagged Interrupted")
 	}
-	full := MaxRatioContrast(g1, g2, 0)
+	full := MaxRatioContrast(g1, g2)
 	if full.Interrupted {
 		t.Fatal("uncancelled run tagged Interrupted")
 	}
@@ -187,7 +187,7 @@ func TestCancellationLatency(t *testing.T) {
 		close(started)
 		// k is far more subgraphs than the fixture contains, so only the
 		// cancellation can end the loop early.
-		TopKAverageDegreeCtx(ctx, gd, 1<<30)
+		TopKAverageDegreeCtx(ctx, gd, 1<<30, 1)
 		close(finished)
 	}()
 	<-started

@@ -65,38 +65,24 @@ func newADResult(gd *graph.Graph, S []int, ratio float64) ADResult {
 //
 // Total cost is O((m+n) log n).
 func DCSGreedy(gd *graph.Graph) ADResult {
-	return dcsGreedyRS(gd, runstate.New(nil))
+	return dcsGreedyRS(gd, runstate.New(nil), 1)
 }
 
-// DCSGreedyCtx is DCSGreedy with cooperative cancellation: when ctx is done
-// the peeling stops within one checkpoint interval and the best subgraph seen
-// so far is returned, tagged Interrupted (with no approximation certificate).
-func DCSGreedyCtx(ctx context.Context, gd *graph.Graph) ADResult {
-	return dcsGreedyRS(gd, runstate.New(ctx))
+// DCSGreedyCtx is DCSGreedy with cooperative cancellation and the expensive
+// parts spread over at most workers goroutines: the Greedy(GD) and
+// Greedy(GD+) peels run concurrently, and each peel fans its connected
+// components out on the worker pool (see densest.GreedyParRS). The
+// candidate comparison, component refinement and certificate arithmetic
+// stay sequential, so the result is bitwise identical to DCSGreedy at every
+// degree; workers ≤ 1 is exactly DCSGreedy. When ctx is done the peeling
+// stops within one checkpoint interval and the best subgraph assembled from
+// the completed peel prefixes is returned, tagged Interrupted (with no
+// approximation certificate).
+func DCSGreedyCtx(ctx context.Context, gd *graph.Graph, workers int) ADResult {
+	return dcsGreedyRS(gd, runstate.New(ctx), workers)
 }
 
-// DCSGreedyPar is DCSGreedy with the expensive parts spread over at most
-// workers goroutines: the Greedy(GD) and Greedy(GD+) peels run concurrently,
-// and each peel fans its connected components out on the worker pool (see
-// densest.GreedyParRS). The candidate comparison, component refinement and
-// certificate arithmetic stay sequential, so the result is bitwise identical
-// to DCSGreedy at every degree; workers ≤ 1 is exactly DCSGreedy.
-func DCSGreedyPar(gd *graph.Graph, workers int) ADResult {
-	return dcsGreedyParRS(gd, runstate.New(nil), workers)
-}
-
-// DCSGreedyParCtx is DCSGreedyPar with cooperative cancellation, combining
-// the contracts of DCSGreedyCtx and DCSGreedyPar: a cancelled parallel solve
-// still returns the best subgraph assembled from the completed peel prefixes.
-func DCSGreedyParCtx(ctx context.Context, gd *graph.Graph, workers int) ADResult {
-	return dcsGreedyParRS(gd, runstate.New(ctx), workers)
-}
-
-func dcsGreedyRS(gd *graph.Graph, rs *runstate.State) ADResult {
-	return dcsGreedyParRS(gd, rs, 1)
-}
-
-func dcsGreedyParRS(gd *graph.Graph, rs *runstate.State, workers int) ADResult {
+func dcsGreedyRS(gd *graph.Graph, rs *runstate.State, workers int) ADResult {
 	maxEdge, ok := gd.MaxEdge()
 	if !ok || maxEdge.W <= 0 {
 		// No positive edge: any single vertex is optimal with density 0.

@@ -17,7 +17,7 @@ func TestMaxRatioContrastUnbounded(t *testing.T) {
 	b2 := graph.NewBuilder(3)
 	b2.AddEdge(0, 1, 5)
 	b2.AddEdge(1, 2, 1)
-	res := MaxRatioContrast(b1.Build(), b2.Build(), 0)
+	res := MaxRatioContrast(b1.Build(), b2.Build())
 	if !math.IsInf(res.Alpha, 1) {
 		t.Fatalf("alpha = %v, want +Inf", res.Alpha)
 	}
@@ -35,7 +35,7 @@ func TestMaxRatioContrastSimple(t *testing.T) {
 	b2 := graph.NewBuilder(3)
 	b2.AddEdge(0, 1, 6)
 	b2.AddEdge(1, 2, 2)
-	res := MaxRatioContrast(b1.Build(), b2.Build(), 0)
+	res := MaxRatioContrast(b1.Build(), b2.Build())
 	if math.Abs(res.Alpha-3) > 1e-6 {
 		t.Fatalf("alpha = %v, want 3", res.Alpha)
 	}
@@ -57,7 +57,7 @@ func TestMaxRatioContrastNoGrowth(t *testing.T) {
 			b2.AddEdge(u, v, 1)
 		}
 	}
-	res := MaxRatioContrast(b1.Build(), b2.Build(), 0)
+	res := MaxRatioContrast(b1.Build(), b2.Build())
 	if math.Abs(res.Alpha-0.5) > 1e-6 {
 		t.Fatalf("alpha = %v, want 0.5", res.Alpha)
 	}
@@ -66,7 +66,7 @@ func TestMaxRatioContrastNoGrowth(t *testing.T) {
 func TestMaxRatioContrastEmptyG2(t *testing.T) {
 	b1 := graph.NewBuilder(3)
 	b1.AddEdge(0, 1, 1)
-	res := MaxRatioContrast(b1.Build(), graph.NewBuilder(3).Build(), 0)
+	res := MaxRatioContrast(b1.Build(), graph.NewBuilder(3).Build())
 	if res.Alpha != 0 {
 		t.Fatalf("alpha = %v, want 0 for edgeless G2", res.Alpha)
 	}
@@ -92,7 +92,7 @@ func TestMaxRatioContrastCertified(t *testing.T) {
 			}
 		}
 		g1, g2 := b1.Build(), b2.Build()
-		res := MaxRatioContrast(g1, g2, 0)
+		res := MaxRatioContrast(g1, g2)
 		if math.IsInf(res.Alpha, 1) {
 			// Witness must be a G2-only edge.
 			return len(res.S) == 2 && g1.Weight(res.S[0], res.S[1]) == 0 &&

@@ -21,45 +21,28 @@ import (
 // (removal changes the peeling order); results are reported in discovery
 // order.
 func TopKAverageDegree(gd *graph.Graph, k int) []ADResult {
-	out, _ := topKAverageDegreeRS(gd, k, runstate.New(nil))
+	out, _ := topKAverageDegreeRS(gd, k, runstate.New(nil), 1)
 	return out
 }
 
-// TopKAverageDegreeCtx is TopKAverageDegree with cooperative cancellation:
-// when ctx is done, the subgraphs already mined are returned and interrupted
-// reports the early stop. A DCSGreedy iteration cut mid-peel is discarded
-// rather than reported (its partial pick is not comparable to the completed
-// ones).
-func TopKAverageDegreeCtx(ctx context.Context, gd *graph.Graph, k int) (results []ADResult, interrupted bool) {
-	return topKAverageDegreeRS(gd, k, runstate.New(ctx))
+// TopKAverageDegreeCtx is TopKAverageDegree with cooperative cancellation and
+// each DCSGreedy iteration run on at most workers goroutines (see
+// DCSGreedyCtx). The outer loop is inherently sequential — every pick
+// depends on the previous strip — so the parallelism lives inside the per-k
+// solve; results are bitwise identical to the sequential path at every
+// degree. When ctx is done, the subgraphs already mined are returned and
+// interrupted reports the early stop. A DCSGreedy iteration cut mid-peel is
+// discarded rather than reported (its partial pick is not comparable to the
+// completed ones).
+func TopKAverageDegreeCtx(ctx context.Context, gd *graph.Graph, k, workers int) (results []ADResult, interrupted bool) {
+	return topKAverageDegreeRS(gd, k, runstate.New(ctx), workers)
 }
 
-// TopKAverageDegreePar is TopKAverageDegree with each DCSGreedy iteration run
-// on at most workers goroutines (see DCSGreedyPar). The outer loop is
-// inherently sequential — every pick depends on the previous strip — so the
-// parallelism lives inside the per-k solve; results are bitwise identical to
-// the sequential path at every degree.
-func TopKAverageDegreePar(gd *graph.Graph, k, workers int) []ADResult {
-	out, _ := topKAverageDegreeParRS(gd, k, runstate.New(nil), workers)
-	return out
-}
-
-// TopKAverageDegreeParCtx is TopKAverageDegreePar with cooperative
-// cancellation, with the same partial-result contract as
-// TopKAverageDegreeCtx.
-func TopKAverageDegreeParCtx(ctx context.Context, gd *graph.Graph, k, workers int) (results []ADResult, interrupted bool) {
-	return topKAverageDegreeParRS(gd, k, runstate.New(ctx), workers)
-}
-
-func topKAverageDegreeRS(gd *graph.Graph, k int, rs *runstate.State) ([]ADResult, bool) {
-	return topKAverageDegreeParRS(gd, k, rs, 1)
-}
-
-func topKAverageDegreeParRS(gd *graph.Graph, k int, rs *runstate.State, workers int) ([]ADResult, bool) {
+func topKAverageDegreeRS(gd *graph.Graph, k int, rs *runstate.State, workers int) ([]ADResult, bool) {
 	var out []ADResult
 	work := gd
 	for len(out) < k {
-		res := dcsGreedyParRS(work, rs, workers)
+		res := dcsGreedyRS(work, rs, workers)
 		if res.Interrupted {
 			// With completed picks in hand, the truncated pick is discarded
 			// (not comparable to them). With none, it *is* the best-so-far

@@ -20,7 +20,7 @@ import (
 // certificate, so Ratio is 0 when it wins. An empty prior is exactly
 // DCSGreedyCtx.
 func DCSGreedyWarmCtx(ctx context.Context, gd *graph.Graph, prior []int) (res ADResult, warmHit bool) {
-	res = DCSGreedyCtx(ctx, gd)
+	res = DCSGreedyCtx(ctx, gd, 1)
 	if len(prior) == 0 {
 		return res, false
 	}

@@ -35,37 +35,24 @@ type Result struct {
 	Interrupted bool
 }
 
-// Options tunes the scan.
-type Options struct {
-	// MaxSeeds bounds how many ego nets are scanned (the highest-degree
-	// vertices are tried first). 0 means all vertices.
-	MaxSeeds int
-	// MaxGrowRounds bounds grow/prune alternations per seed. 0 means 8.
-	MaxGrowRounds int
-}
-
-func (o Options) withDefaults() Options {
-	if o.MaxGrowRounds == 0 {
-		o.MaxGrowRounds = 8
-	}
-	return o
-}
+// maxGrowRounds bounds grow/prune alternations per seed.
+const maxGrowRounds = 8
 
 // Scan runs the ego-net scan on a difference graph and returns the best
-// total-weight subgraph found.
-func Scan(gd *graph.Graph, opt Options) Result {
-	return scanRS(gd, opt, runstate.New(nil))
+// total-weight subgraph found. Seeds are tried in decreasing positive
+// weighted degree, skipping vertices absorbed into an earlier candidate.
+func Scan(gd *graph.Graph) Result {
+	return scanRS(gd, runstate.New(nil))
 }
 
 // ScanCtx is Scan with cooperative cancellation: when ctx is done the scan
 // stops within one checkpoint interval and returns the best candidate found
 // so far, tagged Interrupted.
-func ScanCtx(ctx context.Context, gd *graph.Graph, opt Options) Result {
-	return scanRS(gd, opt, runstate.New(ctx))
+func ScanCtx(ctx context.Context, gd *graph.Graph) Result {
+	return scanRS(gd, runstate.New(ctx))
 }
 
-func scanRS(gd *graph.Graph, opt Options, rs *runstate.State) Result {
-	opt = opt.withDefaults()
+func scanRS(gd *graph.Graph, rs *runstate.State) Result {
 	n := gd.N()
 	if n == 0 {
 		return Result{}
@@ -93,9 +80,6 @@ func scanRS(gd *graph.Graph, opt Options, rs *runstate.State) Result {
 		}
 		return seeds[i] < seeds[j]
 	})
-	if opt.MaxSeeds > 0 && opt.MaxSeeds < len(seeds) {
-		seeds = seeds[:opt.MaxSeeds]
-	}
 
 	var bestS []int
 	bestW := 0.0
@@ -110,7 +94,7 @@ func scanRS(gd *graph.Graph, opt Options, rs *runstate.State) Result {
 		if seenSeed[s] {
 			continue // already absorbed into an earlier candidate
 		}
-		S := growPrune(gd, s, opt.MaxGrowRounds, rs)
+		S := growPrune(gd, s, rs)
 		for _, v := range S {
 			seenSeed[v] = true
 		}
@@ -139,14 +123,14 @@ func scanRS(gd *graph.Graph, opt Options, rs *runstate.State) Result {
 // in-set degree is negative, until a fixed point or the round budget runs
 // out. Every step strictly increases W_D(S), so termination is guaranteed
 // even without the budget; the budget just caps worst-case work per seed.
-func growPrune(gd *graph.Graph, s int, maxRounds int, rs *runstate.State) []int {
+func growPrune(gd *graph.Graph, s int, rs *runstate.State) []int {
 	in := map[int]bool{s: true}
 	gd.VisitNeighbors(s, func(v int, w float64) {
 		if w > 0 {
 			in[v] = true
 		}
 	})
-	for round := 0; round < maxRounds; round++ {
+	for round := 0; round < maxGrowRounds; round++ {
 		changed := false
 		// Grow: marginal gain of adding v is 2·Σ_{u∈S} w(v,u).
 		gain := make(map[int]float64)

@@ -57,7 +57,7 @@ func TestScanFindsPositiveCluster(t *testing.T) {
 	b.AddEdge(5, 6, 1)
 	b.AddEdge(6, 7, -2)
 	gd := b.Build()
-	res := Scan(gd, Options{})
+	res := Scan(gd)
 	if math.Abs(res.TotalWeight-24) > 1e-9 {
 		t.Fatalf("W = %v S=%v, want 24 on the K4", res.TotalWeight, res.S)
 	}
@@ -67,14 +67,14 @@ func TestScanAllNegative(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1, -1)
 	b.AddEdge(2, 3, -2)
-	res := Scan(b.Build(), Options{})
+	res := Scan(b.Build())
 	if res.TotalWeight != 0 || len(res.S) != 1 {
 		t.Fatalf("all-negative scan: %+v, want single vertex W=0", res)
 	}
 }
 
 func TestScanEmpty(t *testing.T) {
-	res := Scan(graph.NewBuilder(0).Build(), Options{})
+	res := Scan(graph.NewBuilder(0).Build())
 	if len(res.S) != 0 {
 		t.Fatalf("empty graph: %+v", res)
 	}
@@ -87,7 +87,7 @@ func TestScanBoundedByBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(10)
 		gd := randomSignedGraph(rng, n, 0.5, 4)
-		res := Scan(gd, Options{})
+		res := Scan(gd)
 		if len(res.S) == 0 {
 			return false
 		}
@@ -116,7 +116,7 @@ func TestScanPrefersLargeSets(t *testing.T) {
 		}
 	}
 	gd := b.Build()
-	res := Scan(gd, Options{})
+	res := Scan(gd)
 	// Adding any positive-degree vertex helps total weight, so the result
 	// should cover most of the graph's positive component.
 	if len(res.S) < 20 {
@@ -131,7 +131,7 @@ func TestGrowPruneMonotone(t *testing.T) {
 		n := 3 + rng.Intn(12)
 		gd := randomSignedGraph(rng, n, 0.5, 3)
 		seed2 := rng.Intn(n)
-		S := growPrune(gd, seed2, 8, runstate.New(nil))
+		S := growPrune(gd, seed2, runstate.New(nil))
 		if len(S) == 0 {
 			return false
 		}
@@ -147,15 +147,5 @@ func TestGrowPruneMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMaxSeedsLimit(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	gd := randomSignedGraph(rng, 40, 0.2, 3)
-	limited := Scan(gd, Options{MaxSeeds: 1})
-	full := Scan(gd, Options{})
-	if limited.TotalWeight > full.TotalWeight+1e-9 {
-		t.Fatal("limiting seeds cannot improve the result")
 	}
 }

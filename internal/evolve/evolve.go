@@ -6,18 +6,17 @@
 // ... and apply DCS on these two weighted graphs."
 //
 // A Tracker maintains an exponentially-weighted moving average (EWMA) of the
-// observed graphs as the expectation; each Observe call mines the DCS of the
-// fresh observation against that expectation, then folds the observation into
-// it. Persistent structure is absorbed into the expectation within a few
+// observed graphs as the expectation; each ObserveCtx call mines the DCS of
+// the fresh observation against that expectation, then folds the observation
+// into it. Persistent structure is absorbed into the expectation within a few
 // steps and stops being reported; genuinely new dense structure surfaces the
 // moment it appears.
 //
-// Observations arrive two ways. Observe/ObserveCtx takes a full snapshot and
-// mines from scratch. ObserveDelta/ObserveDeltaCtx takes an edge delta
-// against the previous observation and runs the incremental engine: a
-// graph.Maintainer keeps the difference graph alive across ticks (EWMA decay
-// as a lazy scalar, O(k) sparse corrections per k-edge delta), and mining is
-// warm-started from the previous tick's subgraph on the delta's
+// Observations arrive two ways. ObserveCtx takes a full snapshot and mines
+// from scratch. ObserveDeltaCtx takes an edge delta against the previous
+// observation and runs the incremental engine: a graph.Maintainer keeps the
+// difference graph alive across ticks (EWMA decay as a lazy scalar, O(k)
+// sparse corrections per k-edge delta), and mining is warm-started from the previous tick's subgraph on the delta's
 // neighborhood, falling back to a full from-scratch solve every
 // Config.ResyncEvery ticks, when the anomaly verdict flips, or when the
 // delta's reach stops being local.
@@ -142,7 +141,7 @@ type Tracker struct {
 	cfg Config
 	n   int
 
-	// obsMu serializes Observe/ObserveDelta ticks end to end, so the
+	// obsMu serializes ObserveCtx/ObserveDeltaCtx ticks end to end, so the
 	// EWMA folds in stream order and the maintainer sees one tick at a
 	// time. It is the only lock held across a mining solve.
 	obsMu sync.Mutex
@@ -291,7 +290,7 @@ func (t *Tracker) mineFull(ctx context.Context, gd *graph.Graph) (rep Report, so
 		}
 		return rep, res.S
 	}
-	res := core.DCSGreedyCtx(ctx, gd)
+	res := core.DCSGreedyCtx(ctx, gd, 1)
 	rep.Interrupted = res.Interrupted
 	if res.Density > t.cfg.MinDensity {
 		rep.S = res.S
@@ -326,19 +325,14 @@ func (t *Tracker) finishTickLocked(rep *Report, solved []int, scratch bool) {
 	}
 }
 
-// Observe mines the DCS of the observation against the current expectation
-// and then updates the expectation. It returns an error (and leaves the
-// tracker untouched) when the observation's vertex count does not match the
-// tracker's.
+// ObserveCtx mines the DCS of the observation against the current
+// expectation and then updates the expectation. It returns an error (and
+// leaves the tracker untouched) when the observation's vertex count does not
+// match the tracker's.
 //
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context, matching the public dcs wrappers' contract
-func (t *Tracker) Observe(observed *graph.Graph) (Report, error) {
-	return t.ObserveCtx(context.Background(), observed)
-}
-
-// ObserveCtx is Observe with cooperative cancellation: when ctx is cancelled
-// or its deadline expires, the mining solver stops at its next checkpoint and
-// the report carries its best-so-far partial subgraph with Interrupted set.
+// When ctx is cancelled or its deadline expires, the mining solver stops at
+// its next checkpoint and the report carries its best-so-far partial
+// subgraph with Interrupted set.
 // The observation is folded into the expectation either way — an interrupted
 // mining step must not desynchronize the EWMA from the stream.
 //

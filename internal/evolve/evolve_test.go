@@ -23,9 +23,9 @@ func mustNew(t *testing.T, n int, cfg Config) *Tracker {
 // observe runs one step, failing the test on errors.
 func observe(t *testing.T, tr *Tracker, g *graph.Graph) Report {
 	t.Helper()
-	rep, err := tr.Observe(g)
+	rep, err := tr.ObserveCtx(context.Background(), g)
 	if err != nil {
-		t.Fatalf("Observe: %v", err)
+		t.Fatalf("ObserveCtx: %v", err)
 	}
 	return rep
 }
@@ -162,10 +162,10 @@ func TestNewRejectsCorruptingConfig(t *testing.T) {
 
 func TestObserveErrorsOnSizeMismatch(t *testing.T) {
 	tr := mustNew(t, 5, Config{})
-	if _, err := tr.Observe(graph.NewBuilder(4).Build()); err == nil {
+	if _, err := tr.ObserveCtx(context.Background(), graph.NewBuilder(4).Build()); err == nil {
 		t.Fatal("size mismatch accepted")
 	}
-	if _, err := tr.Observe(nil); err == nil {
+	if _, err := tr.ObserveCtx(context.Background(), nil); err == nil {
 		t.Fatal("nil observation accepted")
 	}
 	// The failed observation must leave the tracker untouched.
@@ -208,8 +208,8 @@ func TestConcurrentObserves(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if _, err := tr.Observe(base); err != nil {
-					t.Errorf("Observe: %v", err)
+				if _, err := tr.ObserveCtx(context.Background(), base); err != nil {
+					t.Errorf("ObserveCtx: %v", err)
 				}
 				tr.Expectation() // concurrent reads race-check the swap
 			}

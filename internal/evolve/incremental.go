@@ -37,18 +37,12 @@ func validateDelta(n int, delta []graph.Edge) error {
 	return nil
 }
 
-// ObserveDelta applies an edge delta to the previous observation (ApplyDelta
-// semantics: each entry sets an edge's weight, 0 removes, last duplicate
-// wins) and runs one tick of the incremental engine. See ObserveDeltaCtx.
-//
-//lint:allow ctxflow -- non-Ctx shim: never-cancelled root context, matching the public dcs wrappers' contract
-func (t *Tracker) ObserveDelta(delta []graph.Edge) (Report, error) {
-	return t.ObserveDeltaCtx(context.Background(), delta)
-}
-
-// ObserveDeltaCtx is the delta-native observation path. Instead of rebuilding
-// the difference graph, it advances the maintained one in O(k) for a k-edge
-// delta, then mines it one of two ways:
+// ObserveDeltaCtx applies an edge delta to the previous observation
+// (ApplyDelta semantics: each entry sets an edge's weight, 0 removes, last
+// duplicate wins) and runs one tick of the incremental engine, the
+// delta-native observation path. Instead of rebuilding the difference graph,
+// it advances the maintained one in O(k) for a k-edge delta, then mines it
+// one of two ways:
 //
 //   - Incremental (the common case): only the region the delta can have
 //     moved the answer through — the previous subgraph, the delta's

@@ -1,6 +1,7 @@
 package evolve
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -33,18 +34,18 @@ func benchDeltaTicks(b *testing.B, n, k, resync int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := tr.Observe(base); err != nil {
+	if _, err := tr.ObserveCtx(context.Background(), base); err != nil {
 		b.Fatal(err)
 	}
 	next := churnStream(11, base, k)
 	for i := 0; i < 4; i++ {
-		if _, err := tr.ObserveDelta(next()); err != nil {
+		if _, err := tr.ObserveDeltaCtx(context.Background(), next()); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := tr.ObserveDelta(next()); err != nil {
+		if _, err := tr.ObserveDeltaCtx(context.Background(), next()); err != nil {
 			b.Fatal(err)
 		}
 	}

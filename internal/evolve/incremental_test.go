@@ -1,6 +1,7 @@
 package evolve
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
@@ -140,11 +141,11 @@ func TestIncrementalMatchesScratchStreams(t *testing.T) {
 				delta := randomStreamDelta(rng, n, live)
 				cur = graph.ApplyDelta(cur, delta)
 
-				repInc, err := inc.ObserveDelta(delta)
+				repInc, err := inc.ObserveDeltaCtx(context.Background(), delta)
 				if err != nil {
 					t.Fatalf("inc tick %d: %v", step, err)
 				}
-				repOr, err := oracle.ObserveDelta(delta)
+				repOr, err := oracle.ObserveDeltaCtx(context.Background(), delta)
 				if err != nil {
 					t.Fatalf("oracle tick %d: %v", step, err)
 				}
@@ -223,9 +224,9 @@ func TestSnapshotResetsIncrementalEngine(t *testing.T) {
 	tick := func() Report {
 		delta := randomStreamDelta(rng, n, live)
 		cur = graph.ApplyDelta(cur, delta)
-		rep, err := inc.ObserveDelta(delta)
+		rep, err := inc.ObserveDeltaCtx(context.Background(), delta)
 		if err != nil {
-			t.Fatalf("ObserveDelta: %v", err)
+			t.Fatalf("ObserveDeltaCtx: %v", err)
 		}
 		observe(t, snap, cur)
 		return rep
@@ -280,7 +281,7 @@ func TestRestoreMidStream(t *testing.T) {
 
 	live := map[[2]int]float64{}
 	for i := 0; i < 10; i++ {
-		if _, err := orig.ObserveDelta(randomStreamDelta(rng, n, live)); err != nil {
+		if _, err := orig.ObserveDeltaCtx(context.Background(), randomStreamDelta(rng, n, live)); err != nil {
 			t.Fatalf("warmup tick: %v", err)
 		}
 	}
@@ -292,11 +293,11 @@ func TestRestoreMidStream(t *testing.T) {
 
 	for i := 0; i < 10; i++ {
 		delta := randomStreamDelta(rng, n, live)
-		repO, err := orig.ObserveDelta(delta)
+		repO, err := orig.ObserveDeltaCtx(context.Background(), delta)
 		if err != nil {
 			t.Fatalf("orig tick: %v", err)
 		}
-		repR, err := restored.ObserveDelta(delta)
+		repR, err := restored.ObserveDeltaCtx(context.Background(), delta)
 		if err != nil {
 			t.Fatalf("restored tick: %v", err)
 		}
@@ -325,7 +326,7 @@ func TestObserveDeltaRejectsBadInput(t *testing.T) {
 		"NaN weight":   {{U: 0, V: 1, W: math.NaN()}},
 		"Inf weight":   {{U: 0, V: 1, W: math.Inf(1)}},
 	} {
-		if _, err := tr.ObserveDelta(delta); err == nil {
+		if _, err := tr.ObserveDeltaCtx(context.Background(), delta); err == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
@@ -333,7 +334,7 @@ func TestObserveDeltaRejectsBadInput(t *testing.T) {
 		t.Fatalf("failed deltas advanced step to %d", tr.Step())
 	}
 	// An empty delta is a legal decay-only tick.
-	if rep, err := tr.ObserveDelta(nil); err != nil || rep.Step != 1 {
+	if rep, err := tr.ObserveDeltaCtx(context.Background(), nil); err != nil || rep.Step != 1 {
 		t.Fatalf("empty delta tick: %+v, %v", rep, err)
 	}
 	// Negative resync intervals are config corruption.
@@ -386,8 +387,8 @@ func TestConcurrentDeltaObserves(t *testing.T) {
 				mu.Lock()
 				delta := randomStreamDelta(rng, n, live)
 				mu.Unlock()
-				if _, err := tr.ObserveDelta(delta); err != nil {
-					t.Errorf("ObserveDelta: %v", err)
+				if _, err := tr.ObserveDeltaCtx(context.Background(), delta); err != nil {
+					t.Errorf("ObserveDeltaCtx: %v", err)
 				}
 			}
 		}()

@@ -6,14 +6,11 @@
 // context.TODO() silently severs that chain: everything downstream of it
 // becomes uncancellable no matter what the caller passed. So:
 //
-//   - Library code — every package except cmd/* (binary entry points own
-//     their root context) — must not call context.Background or
-//     context.TODO. The sanctioned exception is the public non-Ctx
-//     convenience shims (dcs.Densest and friends), which are annotated
-//     with a function-level `//lint:allow ctxflow -- ...` directive; the
-//     driver both suppresses them and exports the AllowFact that documents
-//     the contract (the non-Ctx wrappers discard the interrupted flag —
-//     see dcs.go).
+//   - Library code — every package except package main (binary entry
+//     points under cmd/ and examples/ own their root context) — must not
+//     call context.Background or context.TODO. A deliberate exception
+//     carries a `//lint:allow ctxflow -- ...` directive with its reason
+//     (the one in the module is serve's detached async jobs).
 //
 //   - A function that has a ctx in scope must thread it: every same-module
 //     callee that has a Ctx-variant sibling (a function named <F>Ctx whose
@@ -47,7 +44,7 @@ type CtxVariantFact struct {
 func (*CtxVariantFact) AFact() {}
 
 func runCtxflow(pass *Pass) error {
-	if isCmdPackage(pass.Pkg.Path()) {
+	if isMainPackage(pass.Pkg) {
 		return nil
 	}
 	variants := exportCtxVariants(pass)
@@ -64,7 +61,7 @@ func runCtxflow(pass *Pass) error {
 					return true
 				}
 				if name, made := contextConstructor(pass, call); made {
-					pass.Reportf(call.Pos(), "context.%s() in library code severs the caller's cancellation chain: accept a ctx parameter and pass it through (binary entry points in cmd/ own root contexts; sanctioned shims carry a function-level lint:allow)", name)
+					pass.Reportf(call.Pos(), "context.%s() in library code severs the caller's cancellation chain: accept a ctx parameter and pass it through (binary entry points, package main, own root contexts; a deliberate exception carries a function-level lint:allow)", name)
 					return true
 				}
 				if !hasCtx {

@@ -47,8 +47,8 @@
 //   - ctxflow (error): library code must not mint root contexts — the
 //     cancellation capability flows down from the caller (PR 3/9) — and a
 //     function holding a ctx must call the Ctx variant of any callee that
-//     has one. The documented context-free delegation shims carry a
-//     function-level allow in their doc comment.
+//     has one. Binary entry points (package main) own their root
+//     contexts.
 //
 // The framework below deliberately mirrors the golang.org/x/tools
 // go/analysis API (Analyzer, Pass, object Facts, Reportf, an
@@ -71,8 +71,8 @@
 // machine-enforced: an allow comment without one is itself a diagnostic.
 // The same directive in a function's doc comment suppresses the analyzer
 // for the whole function and is exported as an allow-fact on the function
-// object — the sanctioned way to tag a documented contract (e.g. the
-// context-free delegation shims) rather than sprinkling per-line allows.
+// object — the sanctioned way to tag a documented whole-function contract
+// rather than sprinkling per-line allows.
 package lint
 
 import (
@@ -281,10 +281,9 @@ const allowPrefix = "//lint:allow"
 
 // AllowFact marks a function carrying a function-level
 // `//lint:allow <analyzer> -- <reason>` directive in its doc comment: the
-// documented, reviewable contract exempting the whole function (e.g. the
-// context-free delegation shims under ctxflow). It is exported on the
-// function object under the named analyzer so dependent packages and tools
-// can see the exemption.
+// documented, reviewable contract exempting the whole function. It is
+// exported on the function object under the named analyzer so dependent
+// packages and tools can see the exemption.
 type AllowFact struct {
 	Reason string `json:"reason"`
 }
@@ -485,14 +484,9 @@ func isGraphPackage(path string) bool {
 	return pathMatch(path, "internal/graph")
 }
 
-// isCmdPackage reports whether path is a main-command package (under a
-// cmd/ element): binaries own their process lifetime and may mint root
-// contexts, so ctxflow exempts them.
-func isCmdPackage(path string) bool {
-	for _, seg := range strings.Split(path, "/") {
-		if seg == "cmd" {
-			return true
-		}
-	}
-	return false
+// isMainPackage reports whether pkg is a binary entry point (package main,
+// under cmd/ or examples/): binaries own their process lifetime and may mint
+// root contexts, so ctxflow exempts them.
+func isMainPackage(pkg *types.Package) bool {
+	return pkg.Name() == "main"
 }

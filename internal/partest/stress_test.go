@@ -24,7 +24,7 @@ func TestConcurrentSolvesSharedGraph(t *testing.T) {
 
 	wantAD := core.DCSGreedy(gd)
 	wantTopK := core.TopKAverageDegree(gd, 3)
-	wantRatio := core.MaxRatioContrast(g1, g2, 0)
+	wantRatio := core.MaxRatioContrast(g1, g2)
 	wantGA := core.NewSEA(gd, core.GAOptions{})
 
 	const goroutines = 8
@@ -35,14 +35,14 @@ func TestConcurrentSolvesSharedGraph(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := core.DCSGreedyPar(gd, deg); !reflect.DeepEqual(got, wantAD) {
-				errs <- "DCSGreedyPar diverged under concurrency"
+			if got := core.DCSGreedyCtx(context.Background(), gd, deg); !reflect.DeepEqual(got, wantAD) {
+				errs <- "DCSGreedyCtx diverged under concurrency"
 			}
-			if got := core.TopKAverageDegreePar(gd, 3, deg); !reflect.DeepEqual(got, wantTopK) {
-				errs <- "TopKAverageDegreePar diverged under concurrency"
+			if got, _ := core.TopKAverageDegreeCtx(context.Background(), gd, 3, deg); !reflect.DeepEqual(got, wantTopK) {
+				errs <- "TopKAverageDegreeCtx diverged under concurrency"
 			}
-			if got := core.MaxRatioContrastPar(g1, g2, 0, deg); !reflect.DeepEqual(got, wantRatio) {
-				errs <- "MaxRatioContrastPar diverged under concurrency"
+			if got := core.MaxRatioContrastCtx(context.Background(), g1, g2, deg); !reflect.DeepEqual(got, wantRatio) {
+				errs <- "MaxRatioContrastCtx diverged under concurrency"
 			}
 			if got := core.NewSEA(gd, core.GAOptions{Parallelism: deg}); !reflect.DeepEqual(got, wantGA) {
 				errs <- "NewSEA diverged under concurrency"
@@ -68,7 +68,7 @@ func TestCancelBeforeSolve(t *testing.T) {
 	cancel()
 	for _, deg := range Degrees {
 		start := time.Now()
-		res := core.DCSGreedyParCtx(ctx, gd, deg)
+		res := core.DCSGreedyCtx(ctx, gd, deg)
 		if elapsed := time.Since(start); elapsed > 10*time.Second {
 			t.Fatalf("degree %d: cancelled solve took %v", deg, elapsed)
 		}
@@ -98,7 +98,7 @@ func TestCancelMidRound(t *testing.T) {
 	for _, deg := range Degrees {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		start := time.Now()
-		res := core.DCSGreedyParCtx(ctx, gd, deg)
+		res := core.DCSGreedyCtx(ctx, gd, deg)
 		elapsed := time.Since(start)
 		cancel()
 		if elapsed > 10*time.Second {

@@ -13,7 +13,7 @@
 //	POST /v1/dcs         mine one contrast: measure avgdeg | affinity |
 //	                     totalweight | ratio, against two named snapshots or
 //	                     inline edge lists, optional top-k and alpha
-//	GET  /v1/topics      the TopContrastCliques pipeline over two named
+//	GET  /v1/topics      the TopContrastCliquesOnCtx pipeline over two named
 //	                     snapshots (the paper's emerging/disappearing topics)
 //	POST /v1/jobs        submit a /v1/dcs request as an asynchronous job;
 //	                     returns a job id immediately

@@ -281,7 +281,7 @@ func (reg *watchRegistry) stats() WatchStats {
 // entries within either graph sum first (Builder semantics), so feeding the
 // returned delta is equivalent to feeding cur as a full snapshot — up to
 // floating-point tolerance: the server feeds deltas to the tracker's
-// incremental engine (evolve.Tracker.ObserveDelta), which maintains the
+// incremental engine (evolve.Tracker.ObserveDeltaCtx), which maintains the
 // difference graph with a lazily-scaled accumulator instead of rebuilding it.
 // This is the client-side encoder watch clients (cmd/dcswatch, the tests)
 // share.
