@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race lint lint-fast fmt vet dcsvet staticcheck vulncheck cross
+.PHONY: all build test race allocs lint lint-fast fmt vet dcsvet staticcheck vulncheck cross
 
 all: build test
 
@@ -24,6 +24,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Allocation guards (testing.AllocsPerRun; !race build tag, so `make race`
+# skips them): the peel engine and the average-degree solvers allocate per
+# solve, not per component or per ratio probe.
+allocs:
+	$(GO) test -count=1 -run 'Allocs' ./internal/densest/ ./internal/core/
 
 # The single lint gate: formatting, go vet, the repo's own analyzers, and
 # staticcheck. dcsvet is the part generic linters cannot replace — it

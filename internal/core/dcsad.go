@@ -65,24 +65,44 @@ func newADResult(gd *graph.Graph, S []int, ratio float64) ADResult {
 //
 // Total cost is O((m+n) log n).
 func DCSGreedy(gd *graph.Graph) ADResult {
-	return dcsGreedyRS(gd, runstate.New(nil), 1)
+	return dcsGreedyRS(gd, nil, runstate.New(nil), 1, new(adScratch))
 }
 
 // DCSGreedyCtx is DCSGreedy with cooperative cancellation and the expensive
 // parts spread over at most workers goroutines: the Greedy(GD) and
 // Greedy(GD+) peels run concurrently, and each peel fans its connected
-// components out on the worker pool (see densest.GreedyParRS). The
-// candidate comparison, component refinement and certificate arithmetic
-// stay sequential, so the result is bitwise identical to DCSGreedy at every
+// components out on the worker pool (see densest.Peeler). The candidate
+// comparison, component refinement and certificate arithmetic stay
+// sequential, so the result is bitwise identical to DCSGreedy at every
 // degree; workers ≤ 1 is exactly DCSGreedy. When ctx is done the peeling
 // stops within one checkpoint interval and the best subgraph assembled from
 // the completed peel prefixes is returned, tagged Interrupted (with no
 // approximation certificate).
 func DCSGreedyCtx(ctx context.Context, gd *graph.Graph, workers int) ADResult {
-	return dcsGreedyRS(gd, runstate.New(ctx), workers)
+	return dcsGreedyRS(gd, nil, runstate.New(ctx), workers, new(adScratch))
 }
 
-func dcsGreedyRS(gd *graph.Graph, rs *runstate.State, workers int) ADResult {
+// adScratch is the per-solve workspace of the average-degree solvers: the
+// peel engines, the candidate buffers they fill, and the storage a GD+ that
+// cannot be memoized is rebuilt into. One is allocated per solve and reused
+// by every Algorithm 2 run in it — both candidate peels, every top-k pick,
+// every ratio probe — so those allocate nothing graph-sized after the first.
+// Parallel paths give each concurrent task its own adScratch or Peeler.
+type adScratch struct {
+	peel   [2]densest.Peeler // [1] serves only the concurrent GD+ peel
+	s1, s2 []int             // the Greedy(GD) and Greedy(GD+) candidates
+	edge   [2]int            // the maximum-edge candidate
+	gdp    graph.Graph       // GD+ of a view or of a reused GD
+	gd     graph.Graph       // the ratio search's probe GD
+	sorted []int             // a probe's winner, sorted
+}
+
+// dcsGreedyRS runs Algorithm 2 on ws. gdp is GD's positive part when the
+// caller maintains one (top-k masks it alongside GD), nil to derive it.
+func dcsGreedyRS(gd, gdp *graph.Graph, rs *runstate.State, workers int, ws *adScratch) ADResult {
+	if gd.Backed() {
+		gd = gd.Materialize() // once per solve, not once per peel
+	}
 	maxEdge, ok := gd.MaxEdge()
 	if !ok || maxEdge.W <= 0 {
 		// No positive edge: any single vertex is optimal with density 0.
@@ -91,23 +111,36 @@ func dcsGreedyRS(gd *graph.Graph, rs *runstate.State, workers int) ADResult {
 		}
 		return newADResult(gd, []int{0}, 1)
 	}
-	// Materialize GD+ once (single pass): Greedy makes several full passes
-	// over it, which a plain CSR serves without per-edge filtering.
-	gdp := gd.PositivePartCompact()
+	if gdp == nil {
+		// Materialize GD+ once (single pass): Greedy makes several full
+		// passes over it, which a plain CSR serves without per-edge filtering.
+		gdp = gd.PositivePartInto(&ws.gdp)
+	}
+	best, ratio := ws.pick(gd, gdp, maxEdge, rs, workers)
+	res := newADResult(gd, best, ratio)
+	res.Interrupted = rs.Interrupted()
+	return res
+}
 
-	S := []int{maxEdge.U, maxEdge.V}
+// pick runs Algorithm 2 on a GD with a positive maximum edge, given its
+// positive part gdp, up to the winner: the best of the three candidates,
+// refined to its best connected component, and the Theorem 2 certificate (0
+// when interrupted). best aliases ws's buffers, valid until ws's next use.
+func (ws *adScratch) pick(gd, gdp *graph.Graph, maxEdge graph.Edge, rs *runstate.State, workers int) (best []int, ratio float64) {
+	ws.edge = [2]int{maxEdge.U, maxEdge.V}
 	var s1, s2 densest.Result
 	workers = par.Workers(workers)
 	if workers <= 1 {
-		s1 = densest.GreedyRS(gd, rs)
-		s2 = densest.GreedyRS(gdp, rs)
+		s1 = ws.peel[0].Peel(gd, rs, 1, ws.s1)
+		s2 = ws.peel[0].Peel(gdp, rs, 1, ws.s2)
 	} else {
 		graphs := [2]*graph.Graph{gd, gdp}
+		bufs := [2][]int{ws.s1, ws.s2}
 		var out [2]densest.Result
 		var cut [2]bool
 		par.Run(2, 2, func(i int) {
 			wrs := rs.Fork()
-			out[i] = densest.GreedyParRS(graphs[i], wrs, workers)
+			out[i] = ws.peel[i].Peel(graphs[i], wrs, workers, bufs[i])
 			cut[i] = wrs.Interrupted()
 		})
 		if cut[0] || cut[1] {
@@ -115,9 +148,10 @@ func dcsGreedyRS(gd *graph.Graph, rs *runstate.State, workers int) ADResult {
 		}
 		s1, s2 = out[0], out[1]
 	}
+	ws.s1, ws.s2 = s1.S, s2.S
 
-	best := S
-	bestRho := gd.AverageDegreeOf(S)
+	best = ws.edge[:]
+	bestRho := gd.AverageDegreeOf(best)
 	if rho := gd.AverageDegreeOf(s1.S); len(s1.S) > 0 && rho > bestRho {
 		best, bestRho = s1.S, rho
 	}
@@ -127,15 +161,13 @@ func dcsGreedyRS(gd *graph.Graph, rs *runstate.State, workers int) ADResult {
 	if !gd.IsConnected(best) {
 		best, bestRho = gd.BestComponent(best)
 	}
-	ratio := 2 * s2.Density / bestRho // ρ_{D+}(S2) is s2's density in GD+
+	ratio = 2 * s2.Density / bestRho // ρ_{D+}(S2) is s2's density in GD+
 	if rs.Interrupted() {
 		// A truncated greedy pass voids the Theorem 2 certificate: s2 may
 		// stop short of the density a full peel would certify against.
 		ratio = 0
 	}
-	res := newADResult(gd, best, ratio)
-	res.Interrupted = rs.Interrupted()
-	return res
+	return best, ratio
 }
 
 // GreedyGDOnly runs plain greedy peeling (Algorithm 1) on GD alone and

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 
 	"github.com/dcslib/dcs/internal/graph"
 	"github.com/dcslib/dcs/internal/par"
@@ -100,24 +101,43 @@ func maxRatioContrastRS(g1, g2 *graph.Graph, rs *runstate.State, workers int) Ra
 	if hi == 0 {
 		return RatioResult{Alpha: 0}
 	}
-	feasible := func(alpha float64, frs *runstate.State) ([]int, bool) {
-		gd := graph.DifferenceAlpha(g1, g2, alpha)
-		res := dcsGreedyRS(gd, frs, 1)
+	// The union topology of (G1, G2) is merged once; each probe re-weights
+	// it into its workspace's GD storage (bitwise DifferenceAlpha's graph)
+	// and runs Algorithm 2 on the same workspace, so a probe allocates
+	// nothing graph-sized.
+	union := graph.NewUnion(g1, g2)
+	feasible := func(alpha float64, frs *runstate.State, ws *adScratch) ([]int, bool) {
+		gd := union.DifferenceAlphaInto(alpha, &ws.gd)
+		maxEdge, ok := gd.MaxEdge()
+		if !ok || maxEdge.W <= 0 {
+			return nil, false // Algorithm 2's single vertex: density 0
+		}
+		best, _ := ws.pick(gd, gd.PositivePartInto(&ws.gdp), maxEdge, frs, 1)
+		// Sorted, as the ADResult the witness used to come from: the density
+		// below sums in that order.
+		ws.sorted = append(ws.sorted[:0], best...)
+		slices.Sort(ws.sorted)
 		// An interrupted probe with positive density is still a valid
 		// certificate — any S with ρ_D(S) > 0 proves ρ2(S) > α·ρ1(S), no
 		// matter how early the greedy was cut — so the witness is kept (the
 		// search itself stops at the next Cancelled poll). Only an
 		// interrupted probe *without* such a witness is treated as
 		// infeasible.
-		if res.Density > 1e-12 {
-			return res.S, true
+		if gd.AverageDegreeOf(ws.sorted) > 1e-12 {
+			return ws.sorted, true
 		}
 		return nil, false
 	}
-	var bestS []int
+	// bestS holds a copy of the last committed witness: probe witnesses
+	// live in workspaces the next probe overwrites.
+	bestS := make([]int, 0, g2.N())
 	lo := 0.0
-	if S, ok := feasible(0, rs); ok {
-		bestS = S
+	// One workspace per concurrent probe: batch slot i always probes on
+	// wss[i]; the sequential search uses wss[0] throughout.
+	workers = par.Workers(workers)
+	wss := make([]adScratch, workers)
+	if S, ok := feasible(0, rs, &wss[0]); ok {
+		bestS = append(bestS, S...)
 	} else {
 		if rs.Interrupted() {
 			return RatioResult{Interrupted: true}
@@ -125,15 +145,14 @@ func maxRatioContrastRS(g1, g2 *graph.Graph, rs *runstate.State, workers int) Ra
 		return RatioResult{Alpha: 0}
 	}
 	hiBound := hi * (1 + 1e-9)
-	workers = par.Workers(workers)
 	if workers <= 1 {
 		for it := 0; it < ratioRounds && hiBound-lo > 1e-12*(1+hiBound); it++ {
 			if rs.Cancelled() {
 				break // keep the last certified witness
 			}
 			mid := (lo + hiBound) / 2
-			if S, ok := feasible(mid, rs); ok {
-				bestS, lo = S, mid
+			if S, ok := feasible(mid, rs, &wss[0]); ok {
+				bestS, lo = append(bestS[:0], S...), mid
 			} else {
 				hiBound = mid
 			}
@@ -148,12 +167,20 @@ func maxRatioContrastRS(g1, g2 *graph.Graph, rs *runstate.State, workers int) Ra
 		// so their verdicts are not trustworthy) and the last committed
 		// witness survives.
 		type node struct{ l, h float64 }
+		type verdict struct {
+			S  []int
+			ok bool
+		}
+		batch := make([]node, 0, workers)
+		verdicts := make([]verdict, workers)
+		cut := make([]bool, workers)
+		probed := make(map[node]int, workers)
 		it := 0
 		for it < ratioRounds && hiBound-lo > 1e-12*(1+hiBound) {
 			if rs.Cancelled() {
 				break
 			}
-			batch := []node{{lo, hiBound}}
+			batch = append(batch[:0], node{lo, hiBound})
 			for i := 0; i < len(batch) && len(batch) < workers; i++ {
 				m := (batch[i].l + batch[i].h) / 2
 				batch = append(batch, node{m, batch[i].h})
@@ -161,15 +188,10 @@ func maxRatioContrastRS(g1, g2 *graph.Graph, rs *runstate.State, workers int) Ra
 					batch = append(batch, node{batch[i].l, m})
 				}
 			}
-			type verdict struct {
-				S  []int
-				ok bool
-			}
-			verdicts := make([]verdict, len(batch))
-			cut := make([]bool, len(batch))
+			clear(cut)
 			par.Run(workers, len(batch), func(i int) {
 				wrs := rs.Fork()
-				verdicts[i].S, verdicts[i].ok = feasible((batch[i].l+batch[i].h)/2, wrs)
+				verdicts[i].S, verdicts[i].ok = feasible((batch[i].l+batch[i].h)/2, wrs, &wss[i])
 				cut[i] = wrs.Interrupted()
 			})
 			for _, c := range cut {
@@ -178,7 +200,7 @@ func maxRatioContrastRS(g1, g2 *graph.Graph, rs *runstate.State, workers int) Ra
 					break
 				}
 			}
-			probed := make(map[node]int, len(batch))
+			clear(probed)
 			for i, nd := range batch {
 				probed[nd] = i
 			}
@@ -192,7 +214,7 @@ func maxRatioContrastRS(g1, g2 *graph.Graph, rs *runstate.State, workers int) Ra
 				}
 				mid := (lo + hiBound) / 2
 				if verdicts[i].ok {
-					bestS, lo = verdicts[i].S, mid
+					bestS, lo = append(bestS[:0], verdicts[i].S...), mid
 				} else {
 					hiBound = mid
 				}

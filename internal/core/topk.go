@@ -40,9 +40,16 @@ func TopKAverageDegreeCtx(ctx context.Context, gd *graph.Graph, k, workers int) 
 
 func topKAverageDegreeRS(gd *graph.Graph, k int, rs *runstate.State, workers int) ([]ADResult, bool) {
 	var out []ADResult
-	work := gd
+	if gd.Backed() {
+		gd = gd.Materialize() // once, not once per pick
+	}
+	// GD+ is derived once; each pick masks it alongside GD (the positive
+	// part of a masked GD is the masked positive part), so a pick costs no
+	// O(m) rebuild. ws is shared by every pick.
+	ws := new(adScratch)
+	work, workp := gd, gd.PositivePartInto(&ws.gdp)
 	for len(out) < k {
-		res := dcsGreedyRS(work, rs, workers)
+		res := dcsGreedyRS(work, workp, rs, workers, ws)
 		if res.Interrupted {
 			// With completed picks in hand, the truncated pick is discarded
 			// (not comparable to them). With none, it *is* the best-so-far
@@ -60,7 +67,7 @@ func topKAverageDegreeRS(gd *graph.Graph, k int, rs *runstate.State, workers int
 		// the vertices are disjoint from earlier picks, so the induced
 		// subgraph (and hence every metric) is identical — asserted in tests.
 		out = append(out, newADResult(gd, res.S, res.Ratio))
-		work = work.WithoutVertices(res.S)
+		work, workp = work.WithoutVertices(res.S), workp.WithoutVertices(res.S)
 	}
 	// Interrupted() (the latch), not a fresh poll: a cancellation landing
 	// after the k-th subgraph completed must not mislabel a full answer.

@@ -39,27 +39,56 @@ type Result struct {
 // The empty graph yields an empty result; an edgeless graph yields a single
 // vertex with density 0.
 func Greedy(g *graph.Graph) Result {
-	return GreedyParRS(g, runstate.New(nil), 1)
-}
-
-// GreedyRS is Greedy with a cancellation checkpoint per peeling step. When rs
-// reports cancellation the peel stops early and the best prefix evaluated so
-// far is returned — a valid (if possibly suboptimal) subgraph, since every
-// prefix of the removal order is a candidate of the full algorithm. The
-// current prefix is always evaluated before the checkpoint, so the result is
-// never empty on a non-empty graph.
-func GreedyRS(g *graph.Graph, rs *runstate.State) Result {
-	return GreedyParRS(g, rs, 1)
+	return GreedyPar(g, 1)
 }
 
 // GreedyPar is Greedy with the peel distributed over at most workers
-// goroutines; see GreedyParRS for the parallel round design. Results are
-// bitwise identical at every degree.
+// goroutines, on a fresh Peeler; see Peeler.Peel for the engine, its
+// parallel round design and cancellation. Results are bitwise identical at
+// every degree.
 func GreedyPar(g *graph.Graph, workers int) Result {
-	return GreedyParRS(g, runstate.New(nil), workers)
+	var p Peeler
+	return p.Peel(g, runstate.New(nil), workers, nil)
 }
 
-// GreedyParRS is the parallel peeling engine behind every Greedy variant.
+// Peeler is the peel engine with its workspace: component arenas, the
+// per-component removal records, one indexed heap and the merge buffers. A
+// solver that peels many graphs in a row (G_D then G_D⁺, every top-k pick,
+// every ratio probe) keeps one Peeler and allocates the arrays once, growing
+// them only for a larger graph. The zero value is ready to use; a Peeler is
+// not safe for concurrent use.
+type Peeler struct {
+	// The graph of the current (or last) peel, as HeapCSR returned it.
+	off     []int
+	nbr     []graph.Neighbor
+	drop    []bool
+	posOnly bool
+
+	heap  vheap.Heap
+	cid   []int32   // component id per vertex
+	stack []int32   // discovery stack
+	start []int32   // component c is verts[start[c]:start[c+1]]
+	verts []int32   // vertices grouped by component, ascending in each
+	loc   []int32   // loc[v] = index of v within its component
+	deg   []float64 // initial weighted degree per vertex
+
+	// Each component's recorded peel lives in the slots of order/popDeg
+	// that its vertices occupy in verts: the removal order, the weighted
+	// degree at each pop, the number of pops (short of the component size
+	// when cancelled) and the initial total degree.
+	order  []int32
+	popDeg []float64
+	popped []int32
+	td     []float64
+
+	next    []int32 // merge cursor: each component's next pop in order
+	removed []int32 // global removal order
+	keep    []bool
+}
+
+// Peel runs the greedy peel of g and returns the best prefix, with S built
+// in S's storage when its capacity suffices (nil allocates). Results are
+// bitwise identical at every worker count.
 //
 // A single global heap peel looks inherently sequential, but it decomposes
 // exactly along connected components: edges never cross components, so a
@@ -69,48 +98,65 @@ func GreedyPar(g *graph.Graph, workers int) Result {
 // front, and within a component both peels break degree ties by ascending
 // vertex id). The engine therefore
 //
-//  1. partitions the graph into connected components (one O(n+m) sweep);
-//  2. peels each component independently — these are the expensive
-//     O((m_C+n_C) log n_C) parts and run on the worker pool — recording each
-//     component's removal order, pop-time degrees and initial total degree;
+//  1. partitions the graph into connected components (one O(n+m) sweep over
+//     the CSR rows);
+//  2. peels each component independently over local indices with the
+//     indexed heap — these are the expensive O((m_C+n_C) log n_C) parts and
+//     run on the worker pool when workers > 1 — recording each component's
+//     removal order, pop-time degrees and initial total degree; a singleton
+//     has no visible edge, so it is recorded as one pop at degree 0 without
+//     a heap;
 //  3. replays the global peel as a k-way merge of the per-component pop
-//     sequences, keyed by (pop-time degree, vertex id) — the exact priority
-//     the global heap would use — evaluating the density of every global
-//     prefix with the same floating-point operations in the same order.
+//     sequences on the same heap, which holds each component's next pop
+//     keyed by (pop-time degree, vertex id) — the exact priority the global
+//     heap would use — evaluating the density of every global prefix with
+//     the same floating-point operations in the same order.
 //
 // Every arithmetic step is either per-component-sequential or performed in
-// the deterministic merge, so the result is bitwise identical for every
-// parallelism degree; degree 1 runs the same code path inline. Cancellation
-// is cooperative: each worker checkpoints once per pop, and a cancelled peel
+// the deterministic merge, so the result is the same at every parallelism
+// degree; degree 1 runs the same kernel inline on p's single heap, while
+// parallel workers each take a heap of their own. Rows are read straight
+// from the CSR arrays with the view masks applied inline, and a backed graph
+// is materialized once per call (see graph.HeapCSR). Cancellation is
+// cooperative: each peel checkpoints once per pop, and a cancelled peel
 // merges whatever prefixes completed — still a valid subgraph with an exact
 // density, never empty on a non-empty graph.
-func GreedyParRS(g *graph.Graph, rs *runstate.State, workers int) Result {
+func (p *Peeler) Peel(g *graph.Graph, rs *runstate.State, workers int, S []int) Result {
 	n := g.N()
 	if n == 0 {
-		return Result{}
+		return Result{S: S[:0]}
 	}
-	workers = par.Workers(workers)
-	comps, loc := componentLists(g, rs)
-	if comps == nil {
+	p.off, p.nbr, p.drop, p.posOnly = g.HeapCSR()
+	nc, ok := p.components(n, rs)
+	if !ok {
 		// Cancelled during component discovery: fall back to the degenerate
 		// single-vertex answer of Algorithm 2 (density 0), never empty.
-		return Result{S: []int{0}}
+		return Result{S: append(S[:0], 0)}
 	}
-	peels := make([]compPeel, len(comps))
-	if workers <= 1 || len(comps) < 2 {
+	workers = par.Workers(workers)
+	if workers <= 1 || nc < 2 {
 		// Inline: rs is used directly, preserving its amortization counter and
 		// latching interruption on the caller's state.
-		for i := range comps {
-			peels[i] = peelComponent(g, comps[i], loc, rs)
+		for c := 0; c < nc; c++ {
+			p.peelComponent(c, &p.heap, rs)
 		}
 	} else {
-		cut := make([]bool, len(comps))
-		par.Run(workers, len(comps), func(i int) {
+		// One heap per worker: tasks borrow one for the component's peel.
+		spare := make([]vheap.Heap, workers-1)
+		heaps := make(chan *vheap.Heap, workers)
+		heaps <- &p.heap
+		for i := range spare {
+			heaps <- &spare[i]
+		}
+		cut := make([]bool, nc)
+		par.Run(workers, nc, func(c int) {
 			// A State is single-goroutine; fork one per task. Fork only reads
 			// the immutable done channel, so concurrent forks are safe.
 			wrs := rs.Fork()
-			peels[i] = peelComponent(g, comps[i], loc, wrs)
-			cut[i] = wrs.Interrupted()
+			h := <-heaps
+			p.peelComponent(c, h, wrs)
+			heaps <- h
+			cut[c] = wrs.Interrupted()
 		})
 		for _, c := range cut {
 			if c {
@@ -121,169 +167,175 @@ func GreedyParRS(g *graph.Graph, rs *runstate.State, workers int) Result {
 			}
 		}
 	}
-	return mergePeels(n, peels, rs)
+	return p.merge(n, nc, rs, S)
 }
 
-// compPeel is one component's recorded peel: the removal order (global ids),
-// the weighted degree each vertex had at its pop, and the component's initial
-// total degree. order may be short of the component size when the peel was
-// cancelled mid-way.
-type compPeel struct {
-	order  []int
-	popDeg []float64
-	td     float64
+// visible reports whether a row entry survives the view masks.
+func (p *Peeler) visible(nb graph.Neighbor) bool {
+	return !(p.posOnly && nb.W <= 0) && (p.drop == nil || !p.drop[nb.To])
 }
 
-// componentLists partitions all vertices (masked and isolated ones form
-// singleton components) into connected components. Component lists are in
-// ascending vertex order and components are ordered by smallest member; loc
-// maps each vertex to its index within its component — both facts the peel
-// and merge rely on for deterministic tie-breaking. A run cancelled mid-BFS
-// returns (nil, nil): a partial partition would mis-route the peel.
-func componentLists(g *graph.Graph, rs *runstate.State) (comps [][]int, loc []int32) {
-	n := g.N()
-	cid := make([]int32, n)
+// grow returns s resliced to length n, reallocated only when too small.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// components partitions all vertices (masked and isolated ones form
+// singleton components) into connected components, returning their count,
+// and records each vertex's initial weighted degree from the same row walk.
+// Components are ordered by smallest member and list their vertices in
+// ascending order, and loc maps each vertex to its index within its
+// component — both facts the peel and merge rely on for deterministic
+// tie-breaking. A run cancelled mid-search reports !ok: a partial partition
+// would mis-route the peel.
+func (p *Peeler) components(n int, rs *runstate.State) (nc int, ok bool) {
+	cid := grow(p.cid, n)
 	for i := range cid {
 		cid[i] = -1
 	}
-	var stack []int
-	nc := int32(0)
+	p.cid = cid
+	p.deg = grow(p.deg, n)
+	clear(p.deg)
+	p.stack = p.stack[:0]
 	for v := 0; v < n; v++ {
 		if rs.Checkpoint() {
-			return nil, nil
+			return 0, false
 		}
 		if cid[v] >= 0 {
 			continue
 		}
-		id := nc
+		id := int32(nc)
 		nc++
 		cid[v] = id
-		stack = append(stack[:0], v)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			g.VisitNeighbors(u, func(w int, _ float64) {
-				if cid[w] < 0 {
-					cid[w] = id
-					stack = append(stack, w)
+		if p.drop != nil && p.drop[v] {
+			continue // a masked vertex has no visible edge
+		}
+		p.stack = append(p.stack, int32(v))
+		for len(p.stack) > 0 {
+			u := p.stack[len(p.stack)-1]
+			p.stack = p.stack[:len(p.stack)-1]
+			var d float64
+			for _, nb := range p.nbr[p.off[u]:p.off[u+1]] {
+				if !p.visible(nb) {
+					continue
 				}
-			})
+				d += nb.W
+				if cid[nb.To] < 0 {
+					cid[nb.To] = id
+					p.stack = append(p.stack, int32(nb.To))
+				}
+			}
+			p.deg[u] = d
 		}
 	}
-	counts := make([]int32, nc)
+	// Counting sort by component id; popped serves as the fill cursor and
+	// ends holding each component's size.
+	p.start = grow(p.start, nc+1)
+	p.popped = grow(p.popped, nc)
+	p.td = grow(p.td, nc)
+	clear(p.start)
+	clear(p.popped)
 	for _, id := range cid {
-		counts[id]++
+		p.start[id+1]++
 	}
-	arena := make([]int, n)
-	comps = make([][]int, nc)
-	pos := int32(0)
-	for i := range comps {
-		comps[i] = arena[pos:pos:(pos + counts[i])]
-		pos += counts[i]
+	for c := 0; c < nc; c++ {
+		p.start[c+1] += p.start[c]
 	}
-	loc = make([]int32, n)
-	for v := 0; v < n; v++ {
-		id := cid[v]
-		loc[v] = int32(len(comps[id]))
-		comps[id] = append(comps[id], v)
+	p.verts = grow(p.verts, n)
+	p.loc = grow(p.loc, n)
+	p.order = grow(p.order, n)
+	p.popDeg = grow(p.popDeg, n)
+	for v, id := range cid {
+		i := p.popped[id]
+		p.popped[id]++
+		p.verts[p.start[id]+i] = int32(v)
+		p.loc[v] = i
 	}
-	return comps, loc
+	return nc, true
 }
 
-// peelComponent runs the heap peel restricted to one component, over local
-// indices (vheap's tie-break by local index matches ascending global id,
-// since verts is sorted). One checkpoint per pop, exactly like the classic
-// single-heap loop.
-func peelComponent(g *graph.Graph, verts []int, loc []int32, rs *runstate.State) compPeel {
-	nc := len(verts)
-	deg := make([]float64, nc)
-	for i, v := range verts {
-		deg[i] = g.WeightedDegree(v)
+// peelComponent runs the heap peel restricted to component c, over local
+// indices (the heap's tie-break by local index matches ascending global id,
+// since the component's vertices are sorted). One checkpoint per pop,
+// exactly like the classic single-heap loop.
+func (p *Peeler) peelComponent(c int, h *vheap.Heap, rs *runstate.State) {
+	lo, hi := p.start[c], p.start[c+1]
+	verts, order, popDeg := p.verts[lo:hi], p.order[lo:hi], p.popDeg[lo:hi]
+	if len(verts) == 1 {
+		// No visible edge: one pop at degree 0, total degree 0.
+		p.td[c], p.popped[c] = 0, 0
+		if !rs.Checkpoint() {
+			order[0], popDeg[0], p.popped[c] = verts[0], 0, 1
+		}
+		return
 	}
+	// The local degrees are staged in popDeg: Reset copies them into the
+	// heap before the first pop overwrites a slot.
 	var td float64
-	for _, d := range deg {
+	for i, v := range verts {
+		d := p.deg[v]
+		popDeg[i] = d
 		td += d
 	}
-	h := vheap.New(deg)
-	order := make([]int, 0, nc)
-	popDeg := make([]float64, 0, nc)
+	h.Reset(popDeg)
+	k := 0
 	for h.Len() > 0 {
 		if rs.Checkpoint() {
 			break
 		}
 		i, di := h.PopMin()
-		order = append(order, verts[i])
-		popDeg = append(popDeg, di)
-		g.VisitNeighbors(verts[i], func(u int, w float64) {
-			if j := int(loc[u]); h.Contains(j) {
-				h.Add(j, -w)
+		v := verts[i]
+		order[k], popDeg[k] = v, di
+		k++
+		for _, nb := range p.nbr[p.off[v]:p.off[v+1]] {
+			if !p.visible(nb) {
+				continue
 			}
-		})
+			if j := int(p.loc[nb.To]); h.Contains(j) {
+				h.Add(j, -nb.W)
+			}
+		}
 	}
-	return compPeel{order: order, popDeg: popDeg, td: td}
+	p.popped[c], p.td[c] = int32(k), td
 }
 
-// mergePeels replays the global peel from the per-component records: a k-way
+// merge replays the global peel from the per-component records: a k-way
 // merge by (pop-time degree, vertex id) — the global heap's priority — while
 // tracking W(S) and the best prefix density exactly as the classic loop did.
 // Cancellation stops the replay and keeps the best prefix evaluated so far —
 // the same contract as a peel cut short.
-func mergePeels(n int, peels []compPeel, rs *runstate.State) Result {
+func (p *Peeler) merge(n, nc int, rs *runstate.State, S []int) Result {
 	// W(S) in the paper convention is the sum of in-subgraph weighted degrees;
 	// summed in component order, deterministically at every degree.
 	var totalDeg float64
-	for i := range peels {
-		totalDeg += peels[i].td
+	for _, td := range p.td[:nc] {
+		totalDeg += td
 	}
-	// Min-heap of component indices keyed by their front pop.
-	cur := make([]int, len(peels))
-	heap := make([]int, 0, len(peels))
-	less := func(a, b int) bool {
-		da, db := peels[a].popDeg[cur[a]], peels[b].popDeg[cur[b]]
-		if da != db {
-			return da < db
+	// The heap, keyed by vertex id, holds each component's next pop at its
+	// pop-time degree: PopMin yields the global peel's next removal.
+	h := &p.heap
+	h.Clear(n)
+	p.next = grow(p.next, nc)
+	for c := 0; c < nc; c++ {
+		if rs.Checkpoint() {
+			// Any interleaving of component prefixes is a valid partial
+			// replay; the loop below stops at its first checkpoint.
+			break
 		}
-		return peels[a].order[cur[a]] < peels[b].order[cur[b]]
-	}
-	siftDown := func(i int) {
-		//lint:allow loopcheck -- heap sift: O(log #components) hops, not graph-scale
-		for {
-			l, r := 2*i+1, 2*i+2
-			small := i
-			if l < len(heap) && less(heap[l], heap[small]) {
-				small = l
-			}
-			if r < len(heap) && less(heap[r], heap[small]) {
-				small = r
-			}
-			if small == i {
-				return
-			}
-			heap[i], heap[small] = heap[small], heap[i]
-			i = small
-		}
-	}
-	siftUp := func(i int) {
-		//lint:allow loopcheck -- heap sift: O(log #components) hops, not graph-scale
-		for i > 0 {
-			p := (i - 1) / 2
-			if !less(heap[i], heap[p]) {
-				return
-			}
-			heap[i], heap[p] = heap[p], heap[i]
-			i = p
-		}
-	}
-	for c := range peels {
-		if len(peels[c].order) > 0 {
-			heap = append(heap, c)
-			siftUp(len(heap) - 1)
+		if p.popped[c] > 0 {
+			lo := p.start[c]
+			p.next[c] = lo
+			h.Push(int(p.order[lo]), p.popDeg[lo])
 		}
 	}
 
 	bestDensity := math.Inf(-1)
 	bestSize := 0
-	removeOrder := make([]int, 0, n)
+	p.removed = grow(p.removed, n)
+	removed := p.removed[:0]
 	size := n
 	for size >= 1 {
 		// ≥ so that ties prefer the smaller prefix: on a graph with no positive
@@ -293,38 +345,41 @@ func mergePeels(n int, peels []compPeel, rs *runstate.State) Result {
 			bestDensity = rho
 			bestSize = size
 		}
-		if len(heap) == 0 {
+		if h.Len() == 0 {
 			break // cancelled peels exhausted; keep the best evaluated prefix
 		}
 		if rs.Checkpoint() {
 			break // after ≥1 evaluation, so bestSize is set and the keep slice is consistent
 		}
-		c := heap[0]
-		v, dv := peels[c].order[cur[c]], peels[c].popDeg[cur[c]]
-		cur[c]++
-		removeOrder = append(removeOrder, v)
+		v, dv := h.Min()
+		removed = append(removed, int32(v))
 		// Removing v: v's degree leaves W once, and every remaining neighbor
 		// loses w(u,v) from its degree — so W(S) drops by 2·dv in total.
 		totalDeg -= 2 * dv
-		if cur[c] >= len(peels[c].order) {
-			heap[0] = heap[len(heap)-1]
-			heap = heap[:len(heap)-1]
+		if c := p.cid[v]; p.next[c]+1 < p.start[c]+p.popped[c] {
+			p.next[c]++
+			h.ReplaceMin(int(p.order[p.next[c]]), p.popDeg[p.next[c]])
+		} else {
+			h.PopMin()
 		}
-		siftDown(0)
 		size--
 	}
 	// The best prefix keeps the vertices *not yet removed* when |S| == bestSize,
 	// i.e. everything except the first n-bestSize removals.
-	keep := make([]bool, n)
+	p.keep = grow(p.keep, n)
+	keep := p.keep
 	for v := range keep {
 		keep[v] = true
 	}
-	for i := 0; i < n-bestSize; i++ {
-		keep[removeOrder[i]] = false
+	for _, v := range removed[:n-bestSize] {
+		keep[v] = false
 	}
-	S := make([]int, 0, bestSize)
-	for v := 0; v < n; v++ {
-		if keep[v] {
+	if cap(S) < bestSize {
+		S = make([]int, 0, bestSize)
+	}
+	S = S[:0]
+	for v, in := range keep {
+		if in {
 			S = append(S, v)
 		}
 	}

@@ -229,19 +229,3 @@ func (g *Graph) rowFn() func(u int) []Neighbor {
 		return buf
 	}
 }
-
-// visitRow calls fn for every base entry of u's row, masks not applied.
-// It is the storage-neutral primitive behind the one-pass materializers
-// (Compact, mapWeights, WithoutVertices' recount).
-func (g *Graph) visitRow(u int, fn func(to int, w float64)) {
-	lo, hi := g.off[u], g.off[u+1]
-	if g.backed() {
-		for i := lo; i < hi; i++ {
-			fn(int(g.ids[i]), g.ws[i])
-		}
-		return
-	}
-	for i := lo; i < hi; i++ {
-		fn(g.nbr[i].To, g.nbr[i].W)
-	}
-}

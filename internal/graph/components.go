@@ -44,12 +44,36 @@ func (g *Graph) ConnectedComponents(S []int) [][]int {
 }
 
 // IsConnected reports whether the subgraph induced by S is connected. The
-// empty set and singletons are connected by convention.
+// empty set and singletons are connected by convention. One search from
+// S[0] over pooled scratch: no allocation once the pools are warm.
 func (g *Graph) IsConnected(S []int) bool {
 	if len(S) <= 1 {
 		return true
 	}
-	return len(g.ConnectedComponents(S)) == 1
+	// unseen marks the members of S the search has not reached yet.
+	unseen := acquireMark(g.n)
+	for _, v := range S {
+		unseen.b[v] = true
+	}
+	st := stackPool.Get().(*idBuf)
+	stack := append(st.b[:0], S[0])
+	unseen.b[S[0]] = false
+	reached := 1
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		g.VisitNeighbors(u, func(v int, _ float64) {
+			if unseen.b[v] {
+				unseen.b[v] = false
+				reached++
+				stack = append(stack, v)
+			}
+		})
+	}
+	st.b = stack[:0]
+	stackPool.Put(st)
+	unseen.release(S)
+	return reached == len(S)
 }
 
 // BestComponent returns the connected component of G(S) with the highest

@@ -43,6 +43,91 @@ func merge2(g1, g2 *Graph, f func(w1, w2 float64) float64) *Graph {
 		func(w1, w2 float64, _, _ bool) float64 { return f(w1, w2) })
 }
 
+// Union is the merged topology of two graphs over one vertex set: each
+// vertex row lists the union of its neighbors in both graphs, in ascending
+// id order, with each side's weight (0 where the edge is absent). Built once
+// in O(m1 + m2 + n), it lets a caller rebuild G2 − αG1 at many α without
+// re-merging rows: the α-quasi-contrast search re-weights it at every probe.
+// A Union is read-only after construction and safe for concurrent use.
+type Union struct {
+	n   int
+	off []int
+	ent []unionEntry
+}
+
+type unionEntry struct {
+	to     int
+	w1, w2 float64
+}
+
+// NewUnion merges the rows of g1 and g2, which must have the same vertex
+// count. View inputs are compacted first, as in DifferenceAlpha.
+func NewUnion(g1, g2 *Graph) *Union {
+	if g1.N() != g2.N() {
+		panic(fmt.Sprintf("graph: combining graphs with different vertex counts %d vs %d", g1.N(), g2.N()))
+	}
+	g1, g2 = g1.Compact(), g2.Compact()
+	u := &Union{n: g1.n, off: make([]int, g1.n+1), ent: make([]unionEntry, 0, g1.entries()+g2.entries())}
+	row1, row2 := g1.rowFn(), g2.rowFn()
+	for v := 0; v < u.n; v++ {
+		u.off[v] = len(u.ent)
+		a1, a2 := row1(v), row2(v)
+		i, j := 0, 0
+		for i < len(a1) || j < len(a2) {
+			switch {
+			case j >= len(a2) || (i < len(a1) && a1[i].To < a2[j].To):
+				u.ent = append(u.ent, unionEntry{to: a1[i].To, w1: a1[i].W})
+				i++
+			case i >= len(a1) || a2[j].To < a1[i].To:
+				u.ent = append(u.ent, unionEntry{to: a2[j].To, w2: a2[j].W})
+				j++
+			default:
+				u.ent = append(u.ent, unionEntry{to: a1[i].To, w1: a1[i].W, w2: a2[j].W})
+				i++
+				j++
+			}
+		}
+	}
+	u.off[u.n] = len(u.ent)
+	return u
+}
+
+// DifferenceAlphaInto writes G2 − αG1 into dst's storage and returns dst.
+// The result is bitwise the graph DifferenceAlpha(g1, g2, alpha) builds —
+// the same w2 − α·w1 per entry, with absent sides read as 0 and exact zeros
+// dropped — but dst's arrays are reused, grown only when too small. dst must
+// be a fresh graph or one an earlier ...Into call produced; the result is
+// valid until dst is next overwritten.
+func (u *Union) DifferenceAlphaInto(alpha float64, dst *Graph) *Graph {
+	off, nbr := dst.off, dst.nbr[:0]
+	if cap(off) < u.n+1 {
+		off = make([]int, u.n+1)
+	}
+	if cap(nbr) < len(u.ent) {
+		nbr = make([]Neighbor, 0, len(u.ent))
+	}
+	off = off[:u.n+1]
+	m := 0
+	var tw float64
+	for v := 0; v < u.n; v++ {
+		off[v] = len(nbr)
+		for _, e := range u.ent[u.off[v]:u.off[v+1]] {
+			w := e.w2 - alpha*e.w1
+			if w == 0 {
+				continue
+			}
+			nbr = append(nbr, Neighbor{To: e.to, W: w})
+			if e.to > v {
+				m++
+				tw += w
+			}
+		}
+	}
+	off[u.n] = len(nbr)
+	dst.n, dst.m, dst.totalW, dst.off, dst.nbr, dst.reused = u.n, m, tw, off, nbr, true
+	return dst
+}
+
 // mergeRows is the linear-merge machinery behind Difference, Blend and
 // ApplyDelta: it walks two aligned sets of sorted adjacency rows in tandem and
 // builds the plain CSR graph whose edge weights are f(w1, w2, in1, in2) over

@@ -86,6 +86,12 @@ type Graph struct {
 	// View state. A plain graph has drop == nil and posOnly == false.
 	drop    []bool // drop[v] hides every edge incident to v; nil = none
 	posOnly bool   // hide edges with W ≤ 0
+
+	// reused marks a graph living in caller-owned storage that the next
+	// ...Into call overwrites (PositivePartInto, Union.DifferenceAlphaInto);
+	// such a graph never memoizes its positive part, since the memo would
+	// outlive the storage it describes.
+	reused bool
 }
 
 // backed reports whether adjacency lives in the parallel arrays ids/ws.
@@ -93,8 +99,17 @@ func (g *Graph) backed() bool { return g.ids != nil }
 
 // row returns u's base adjacency row, ignoring any masks. Interleaved
 // (heap) storage only — backed graphs have no []Neighbor array to slice;
-// storage-neutral callers go through rowFn or visitRow instead.
+// storage-neutral callers go through rowFn or entry instead.
 func (g *Graph) row(u int) []Neighbor { return g.nbr[g.off[u]:g.off[u+1]] }
+
+// entry returns base entry i (neighbor id and weight) from whichever
+// storage g uses. It is the storage-neutral read of the row loops.
+func (g *Graph) entry(i int) (to int, w float64) {
+	if g.ids != nil {
+		return int(g.ids[i]), g.ws[i]
+	}
+	return g.nbr[i].To, g.nbr[i].W
+}
 
 // plain reports whether g has no masks (storage = visible graph).
 func (g *Graph) plain() bool { return g.drop == nil && !g.posOnly }
@@ -137,14 +152,29 @@ func (g *Graph) Compact() *Graph {
 		if g.dropped(u) {
 			continue
 		}
-		g.visitRow(u, func(to int, w float64) {
-			if g.visibleTo(to, w) {
+		for i := g.off[u]; i < g.off[u+1]; i++ {
+			if to, w := g.entry(i); g.visibleTo(to, w) {
 				nbr = append(nbr, Neighbor{To: to, W: w})
 			}
-		})
+		}
 	}
 	off[g.n] = len(nbr)
 	return &Graph{n: g.n, m: g.m, totalW: g.totalW, off: off, nbr: nbr}
+}
+
+// HeapCSR exposes g's adjacency for read-only kernels that walk rows
+// directly instead of calling VisitNeighbors per vertex: row u is
+// nbr[off[u]:off[u+1]] over the base storage, and an entry (to, w) of row u
+// is visible iff drop is nil or neither drop[u] nor drop[to] is set, and
+// posOnly is false or w > 0 — the masks of a view, returned as they are.
+// The slices are g's own storage and must not be modified. A backed graph
+// has no heap rows, so it is materialized first: an O(n+m) copy that a
+// caller making several passes should pay once, by materializing up front.
+func (g *Graph) HeapCSR() (off []int, nbr []Neighbor, drop []bool, posOnly bool) {
+	if g.backed() {
+		g = g.Materialize()
+	}
+	return g.off, g.nbr, g.drop, g.posOnly
 }
 
 // Neighbors returns the adjacency list of u, sorted by neighbor id. On a
@@ -160,11 +190,11 @@ func (g *Graph) Neighbors(u int) []Neighbor {
 		return nil
 	}
 	out := make([]Neighbor, 0, g.off[u+1]-g.off[u])
-	g.visitRow(u, func(to int, w float64) {
-		if g.visibleTo(to, w) {
+	for i := g.off[u]; i < g.off[u+1]; i++ {
+		if to, w := g.entry(i); g.visibleTo(to, w) {
 			out = append(out, Neighbor{To: to, W: w})
 		}
-	})
+	}
 	return out
 }
 
@@ -223,11 +253,11 @@ func (g *Graph) OutDegree(u int) int {
 		return 0
 	}
 	d := 0
-	g.visitRow(u, func(to int, w float64) {
-		if g.visibleTo(to, w) {
+	for i := g.off[u]; i < g.off[u+1]; i++ {
+		if g.visibleTo(g.entry(i)) {
 			d++
 		}
-	})
+	}
 	return d
 }
 
@@ -244,11 +274,11 @@ func (g *Graph) WeightedDegree(u int) float64 {
 	if g.dropped(u) {
 		return 0
 	}
-	g.visitRow(u, func(to int, w float64) {
-		if g.visibleTo(to, w) {
+	for i := g.off[u]; i < g.off[u+1]; i++ {
+		if to, w := g.entry(i); g.visibleTo(to, w) {
 			s += w
 		}
-	})
+	}
 	return s
 }
 
@@ -482,16 +512,33 @@ func (g *Graph) PositivePartCompact() *Graph {
 	if p := g.pos.Load(); p != nil {
 		return p
 	}
-	p := g.mapWeights(func(w float64) float64 {
-		if w > 0 {
-			return w
-		}
-		return 0 // non-positive: dropped, like every zero mapWeights result
-	})
-	if g.plain() {
+	p := g.mapWeights(positiveWeight)
+	if g.plain() && !g.reused {
 		g.pos.Store(p)
 	}
 	return p
+}
+
+// PositivePartInto is PositivePartCompact for callers that derive GD+ once
+// per iteration of a loop. A plain graph returns its shared memo, exactly as
+// PositivePartCompact does. A view or a graph in reused storage (whose GD+
+// cannot be memoized) has GD+ materialized into dst's arrays, grown only
+// when too small; the result is dst, valid until dst is next overwritten.
+func (g *Graph) PositivePartInto(dst *Graph) *Graph {
+	if g.plain() && !g.reused {
+		return g.PositivePartCompact()
+	}
+	dst.reused = true
+	return g.mapWeightsInto(dst, positiveWeight)
+}
+
+// positiveWeight is the GD+ weight map: non-positive weights become 0 and
+// are dropped, like every zero mapWeights result.
+func positiveWeight(w float64) float64 {
+	if w > 0 {
+		return w
+	}
+	return 0
 }
 
 // WithoutVertices returns the graph with every vertex of S isolated (all its
@@ -518,16 +565,17 @@ func (g *Graph) WithoutVertices(S []int) *Graph {
 	// at least one endpoint newly dropped. An edge between two newly dropped
 	// vertices is walked from both rows; the smaller endpoint counts it.
 	for _, u := range newly {
-		g.visitRow(u, func(to int, w float64) {
+		for i := g.off[u]; i < g.off[u+1]; i++ {
+			to, w := g.entry(i)
 			if g.hides(w) || g.dropped(to) {
-				return // was not visible in g
+				continue // was not visible in g
 			}
 			if to < u && drop[to] && !g.dropped(to) {
-				return // both ends newly dropped: counted from to's row
+				continue // both ends newly dropped: counted from to's row
 			}
 			v.m--
 			v.totalW -= w
-		})
+		}
 	}
 	return v
 }
@@ -551,8 +599,21 @@ func (g *Graph) Scale(c float64) *Graph {
 // mapWeights materializes a plain graph applying f to every visible edge
 // weight; edges for which f returns 0 are dropped. One pass, two allocations.
 func (g *Graph) mapWeights(f func(w float64) float64) *Graph {
-	off := make([]int, g.n+1)
-	nbr := make([]Neighbor, 0, 2*g.m)
+	return g.mapWeightsInto(new(Graph), f)
+}
+
+// mapWeightsInto is mapWeights writing into dst's storage, which it grows
+// only when too small; dst is returned. dst must be a fresh graph or one an
+// earlier ...Into call produced.
+func (g *Graph) mapWeightsInto(dst *Graph, f func(w float64) float64) *Graph {
+	off, nbr := dst.off, dst.nbr[:0]
+	if cap(off) < g.n+1 {
+		off = make([]int, g.n+1)
+	}
+	if cap(nbr) < 2*g.m {
+		nbr = make([]Neighbor, 0, 2*g.m)
+	}
+	off = off[:g.n+1]
 	m := 0
 	var tw float64
 	for u := 0; u < g.n; u++ {
@@ -560,23 +621,25 @@ func (g *Graph) mapWeights(f func(w float64) float64) *Graph {
 		if g.dropped(u) {
 			continue
 		}
-		g.visitRow(u, func(to int, bw float64) {
+		for i := g.off[u]; i < g.off[u+1]; i++ {
+			to, bw := g.entry(i)
 			if !g.visibleTo(to, bw) {
-				return
+				continue
 			}
 			w := f(bw)
 			if w == 0 {
-				return
+				continue
 			}
 			nbr = append(nbr, Neighbor{To: to, W: w})
 			if to > u {
 				m++
 				tw += w
 			}
-		})
+		}
 	}
 	off[g.n] = len(nbr)
-	return &Graph{n: g.n, m: m, totalW: tw, off: off, nbr: nbr}
+	dst.n, dst.m, dst.totalW, dst.off, dst.nbr = g.n, m, tw, off, nbr
+	return dst
 }
 
 // Stats summarizes a (difference) graph the way Table II of the paper does.

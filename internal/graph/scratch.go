@@ -50,6 +50,9 @@ func acquireID(n int) *idBuf {
 	return ib
 }
 
+// stackPool holds search stacks (length 0, capacity kept) for IsConnected.
+var stackPool = sync.Pool{New: func() any { return new(idBuf) }}
+
 // release clears the indices listed in set and returns the buffer to the
 // pool.
 func (ib *idBuf) release(set []int) {

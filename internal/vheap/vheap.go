@@ -1,140 +1,208 @@
-// Package vheap implements an indexed binary min-heap keyed by vertex id.
+// Package vheap implements an indexed 4-ary min-heap keyed by vertex id.
 //
 // It is the priority structure behind greedy densest-subgraph peeling: every
 // vertex carries a float64 priority (its current weighted degree), the
 // algorithm repeatedly pops the minimum, and neighbors' priorities are
-// adjusted with DecreaseKey/IncreaseKey as vertices leave the subgraph. All
-// operations are O(log n); building from a priority slice is O(n).
+// adjusted with Update/Add as vertices leave the subgraph. Ties break by
+// ascending vertex id, so the pop order is the strict (priority, id) order.
+// All operations are O(log n); building from a priority slice is O(n).
+//
+// Each heap slot stores its priority and vertex inline, so a comparison
+// reads one slot rather than chasing a vertex id into a side array, and
+// sifts move a hole instead of swapping. Reset refills a heap in place, so
+// a peel loop over many components reuses one set of arrays; Clear, Push
+// and ReplaceMin serve a k-way merge keyed by vertex id on the same arrays.
 package vheap
 
-// Heap is an indexed min-heap over vertices 0..n−1. A vertex is either in the
-// heap or removed; priorities of removed vertices are no longer tracked.
+// arity is the heap's branching factor. Four children per slot halve the
+// depth a decrease-key climbs — the peel's dominant operation — at the cost
+// of more comparisons per level on the way down.
+const arity = 4
+
+// entry is one heap slot: a vertex and its current priority.
+type entry struct {
+	prio float64
+	v    int32
+}
+
+// less is the heap order: priority, then vertex id.
+func less(a, b entry) bool {
+	if a.prio != b.prio {
+		return a.prio < b.prio
+	}
+	return a.v < b.v // deterministic tie-break by vertex id
+}
+
+// Heap is an indexed min-heap over vertices 0..n−1 (n < 2³¹). A vertex is
+// either in the heap or removed; priorities of removed vertices are no
+// longer tracked. The zero value is an empty heap ready for Reset.
 type Heap struct {
-	prio []float64 // prio[v] is valid iff pos[v] >= 0
-	heap []int     // heap[i] = vertex at heap slot i
-	pos  []int     // pos[v] = slot of v in heap, or -1 if removed
+	slots []entry // heap order
+	pos   []int32 // pos[v] = slot of v, or -1 if removed
 }
 
 // New builds a heap containing all vertices 0..len(prio)−1 with the given
 // priorities, in O(n).
 func New(prio []float64) *Heap {
-	n := len(prio)
-	h := &Heap{
-		prio: make([]float64, n),
-		heap: make([]int, n),
-		pos:  make([]int, n),
-	}
-	copy(h.prio, prio)
-	for v := 0; v < n; v++ {
-		h.heap[v] = v
-		h.pos[v] = v
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		h.siftDown(i)
-	}
+	h := &Heap{}
+	h.Reset(prio)
 	return h
 }
 
+// Reset refills h with all vertices 0..len(prio)−1 at the given priorities,
+// in O(n), reusing h's storage when it is large enough.
+func (h *Heap) Reset(prio []float64) {
+	n := len(prio)
+	if cap(h.slots) < n {
+		h.slots = make([]entry, n)
+		h.pos = make([]int32, n)
+	}
+	h.slots, h.pos = h.slots[:n], h.pos[:n]
+	for v, p := range prio {
+		h.slots[v] = entry{prio: p, v: int32(v)}
+		h.pos[v] = int32(v)
+	}
+	if n < 2 {
+		return
+	}
+	for i := (n - 2) / arity; i >= 0; i-- { // from the last parent up
+		h.siftDown(i)
+	}
+}
+
+// Clear empties h, ready to Push vertices in [0, n), reusing h's storage
+// when it is large enough.
+func (h *Heap) Clear(n int) {
+	if cap(h.slots) < n {
+		h.slots = make([]entry, 0, n)
+		h.pos = make([]int32, n)
+	}
+	h.slots, h.pos = h.slots[:0], h.pos[:n]
+	for v := range h.pos {
+		h.pos[v] = -1
+	}
+}
+
+// Push inserts v, which must not be in the heap, at priority p.
+func (h *Heap) Push(v int, p float64) {
+	i := len(h.slots)
+	h.slots = append(h.slots, entry{prio: p, v: int32(v)})
+	h.pos[v] = int32(i)
+	h.siftUp(i)
+}
+
+// ReplaceMin removes the vertex with minimum priority and inserts v, which
+// must not be in the heap, at priority p — a PopMin and Push in one sift.
+// The heap must be non-empty.
+func (h *Heap) ReplaceMin(v int, p float64) {
+	h.pos[h.slots[0].v] = -1
+	h.slots[0] = entry{prio: p, v: int32(v)}
+	h.pos[v] = 0
+	h.siftDown(0)
+}
+
 // Len returns the number of vertices still in the heap.
-func (h *Heap) Len() int { return len(h.heap) }
+func (h *Heap) Len() int { return len(h.slots) }
 
 // Contains reports whether v is still in the heap.
 func (h *Heap) Contains(v int) bool { return h.pos[v] >= 0 }
 
 // Priority returns the current priority of v. It must still be in the heap.
-func (h *Heap) Priority(v int) float64 { return h.prio[v] }
+func (h *Heap) Priority(v int) float64 { return h.slots[h.pos[v]].prio }
 
 // Min returns the vertex with minimum priority without removing it. The heap
 // must be non-empty.
 func (h *Heap) Min() (v int, prio float64) {
-	v = h.heap[0]
-	return v, h.prio[v]
+	e := h.slots[0]
+	return int(e.v), e.prio
 }
 
 // PopMin removes and returns the vertex with minimum priority. The heap must
 // be non-empty.
 func (h *Heap) PopMin() (v int, prio float64) {
-	v = h.heap[0]
-	prio = h.prio[v]
+	e := h.slots[0]
 	h.removeAt(0)
-	return v, prio
+	return int(e.v), e.prio
 }
 
 // Remove deletes vertex v from the heap. It must still be in the heap.
 func (h *Heap) Remove(v int) {
-	h.removeAt(h.pos[v])
+	h.removeAt(int(h.pos[v]))
 }
 
 // Update sets v's priority to p, restoring heap order in O(log n). v must
 // still be in the heap.
 func (h *Heap) Update(v int, p float64) {
-	old := h.prio[v]
-	h.prio[v] = p
+	i := int(h.pos[v])
+	old := h.slots[i].prio
+	h.slots[i].prio = p
 	if p < old {
-		h.siftUp(h.pos[v])
+		h.siftUp(i)
 	} else if p > old {
-		h.siftDown(h.pos[v])
+		h.siftDown(i)
 	}
 }
 
 // Add increments v's priority by delta. v must still be in the heap.
 func (h *Heap) Add(v int, delta float64) {
-	h.Update(v, h.prio[v]+delta)
+	h.Update(v, h.slots[h.pos[v]].prio+delta)
 }
 
 func (h *Heap) removeAt(i int) {
-	v := h.heap[i]
-	last := len(h.heap) - 1
-	h.swap(i, last)
-	h.heap = h.heap[:last]
-	h.pos[v] = -1
+	last := len(h.slots) - 1
+	h.pos[h.slots[i].v] = -1
 	if i < last {
-		// The element moved into slot i may need to go either way.
+		// The last entry fills slot i and may need to go either way.
+		h.slots[i] = h.slots[last]
+		h.pos[h.slots[i].v] = int32(i)
+		h.slots = h.slots[:last]
 		h.siftDown(i)
 		h.siftUp(i)
+		return
 	}
+	h.slots = h.slots[:last]
 }
 
-func (h *Heap) less(i, j int) bool {
-	a, b := h.heap[i], h.heap[j]
-	if h.prio[a] != h.prio[b] {
-		return h.prio[a] < h.prio[b]
-	}
-	return a < b // deterministic tie-break by vertex id
-}
-
-func (h *Heap) swap(i, j int) {
-	h.heap[i], h.heap[j] = h.heap[j], h.heap[i]
-	h.pos[h.heap[i]] = i
-	h.pos[h.heap[j]] = j
-}
-
+// siftUp moves the entry at slot i toward the root, shifting each larger
+// parent down into the hole it leaves.
 func (h *Heap) siftUp(i int) {
+	e := h.slots[i]
 	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(i, p) {
-			return
+		p := (i - 1) / arity
+		if !less(e, h.slots[p]) {
+			break
 		}
-		h.swap(i, p)
+		h.slots[i] = h.slots[p]
+		h.pos[h.slots[i].v] = int32(i)
 		i = p
 	}
+	h.slots[i] = e
+	h.pos[e.v] = int32(i)
 }
 
+// siftDown moves the entry at slot i toward the leaves, lifting the smallest
+// child into the hole at each level.
 func (h *Heap) siftDown(i int) {
-	n := len(h.heap)
+	e := h.slots[i]
+	n := len(h.slots)
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.less(l, small) {
-			small = l
+		c := arity*i + 1
+		if c >= n {
+			break
 		}
-		if r < n && h.less(r, small) {
-			small = r
+		m, me := c, h.slots[c]
+		for k := c + 1; k < min(c+arity, n); k++ {
+			if less(h.slots[k], me) {
+				m, me = k, h.slots[k]
+			}
 		}
-		if small == i {
-			return
+		if !less(me, e) {
+			break
 		}
-		h.swap(i, small)
-		i = small
+		h.slots[i] = me
+		h.pos[me.v] = int32(i)
+		i = m
 	}
+	h.slots[i] = e
+	h.pos[e.v] = int32(i)
 }

@@ -148,3 +148,83 @@ func BenchmarkPeelSequence(b *testing.B) {
 		}
 	}
 }
+
+// TestResetReuse: one heap refilled at growing and shrinking sizes pops every
+// fill in exact (priority, id) order — Reset leaves nothing of the previous
+// contents behind.
+func TestResetReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var h Heap
+	for _, n := range []int{0, 1, 9, 64, 3, 130, 2, 0, 17} {
+		prio := make([]float64, n)
+		for i := range prio {
+			prio[i] = float64(rng.Intn(5)) // heavy ties
+		}
+		h.Reset(prio)
+		if h.Len() != n {
+			t.Fatalf("Reset(%d): Len = %d", n, h.Len())
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(a, b int) bool {
+			if prio[want[a]] != prio[want[b]] {
+				return prio[want[a]] < prio[want[b]]
+			}
+			return want[a] < want[b]
+		})
+		for _, w := range want {
+			if v, p := h.PopMin(); v != w || p != prio[w] {
+				t.Fatalf("n=%d: popped (%d, %v), want (%d, %v)", n, v, p, w, prio[w])
+			}
+		}
+	}
+}
+
+// TestPushReplaceMin: a heap filled by Push after Clear, with ReplaceMin
+// swapping in new vertices at arbitrary priorities — the k-way merge
+// pattern of the component peel — always yields the (priority, id) minimum
+// of its current contents.
+func TestPushReplaceMin(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	var h Heap
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(80)
+		h.Clear(n)
+		prio := make([]float64, n)
+		in := map[int]bool{}
+		ids := rng.Perm(n)
+		half := (n + 1) / 2
+		for _, v := range ids[:half] {
+			prio[v] = float64(rng.Intn(6))
+			h.Push(v, prio[v])
+			in[v] = true
+		}
+		rest := ids[half:]
+		for h.Len() > 0 {
+			want := -1
+			for v := range in {
+				if want < 0 || prio[v] < prio[want] || (prio[v] == prio[want] && v < want) {
+					want = v
+				}
+			}
+			if v, p := h.Min(); v != want || p != prio[want] {
+				t.Fatalf("Min = (%d, %v), want (%d, %v)", v, p, want, prio[want])
+			}
+			delete(in, want)
+			if len(rest) > 0 && rng.Intn(2) == 0 {
+				w := rest[0]
+				rest = rest[1:]
+				prio[w] = float64(rng.Intn(6))
+				h.ReplaceMin(w, prio[w])
+				in[w] = true
+			} else {
+				h.PopMin()
+			}
+			if h.Contains(want) || h.Len() != len(in) {
+				t.Fatalf("after removing %d: Contains %v, Len %d, want %d", want, h.Contains(want), h.Len(), len(in))
+			}
+		}
+	}
+}
