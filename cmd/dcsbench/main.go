@@ -7,7 +7,7 @@
 //	dcsbench [-quick] [-seed N] [table2|table4|table5|table6|table7|fig2|
 //	                             table8|table9|table10|table11|table12|
 //	                             table13|fig3|table14|all]
-//	dcsbench -json [-par | -watch | -load] [-quick]
+//	dcsbench -json [-par | -watch] [-quick]
 //
 // With no experiment argument it runs everything except the slow timing
 // experiments (table7, fig2); "all" includes those too. With -json it
@@ -20,10 +20,7 @@
 // -json -watch runs the streaming tick sweep (the BENCH_watch.json payload):
 // graph sizes × delta sizes, the incremental watch engine versus a
 // forced-scratch twin on identical delta streams, with report equivalence
-// verified before any timing. -json -load runs the snapshot load-path sweep
-// (the BENCH_load.json payload): heap TSV parse vs heap binary v1 vs the
-// mmap-backed v2 layout (raw and compressed), cold and warm, across graph
-// sizes, with every path's graph checked against the TSV baseline first.
+// verified before any timing.
 package main
 
 import (
@@ -44,11 +41,9 @@ func main() {
 		"with -json: run the parallelism sweep (degrees 1/2/4/NumCPU) instead of the core suite")
 	watchSweep := flag.Bool("watch", false,
 		"with -json: run the streaming watch tick sweep (incremental vs scratch) instead of the core suite")
-	loadSweep := flag.Bool("load", false,
-		"with -json: run the snapshot load-path sweep (heap TSV vs binary v1 vs mmap v2, cold and warm) instead of the core suite")
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dcsbench [-quick] [-seed N] [experiment ...]\n")
-		fmt.Fprintf(os.Stderr, "       dcsbench -json [-par | -watch | -load] [-quick]\n\n")
+		fmt.Fprintf(os.Stderr, "       dcsbench -json [-par | -watch] [-quick]\n\n")
 		fmt.Fprintf(os.Stderr, "experiments: table2 table4 table5 table6 table7 fig2 table8 table9\n")
 		fmt.Fprintf(os.Stderr, "             table10 table11 table12 table13 fig3 table14 all\n")
 		flag.PrintDefaults()
@@ -60,14 +55,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "dcsbench: -json takes no experiment arguments")
 			os.Exit(2)
 		}
-		sweeps := 0
-		for _, on := range []bool{*parSweep, *watchSweep, *loadSweep} {
-			if on {
-				sweeps++
-			}
-		}
-		if sweeps > 1 {
-			fmt.Fprintln(os.Stderr, "dcsbench: -par, -watch and -load are mutually exclusive")
+		if *parSweep && *watchSweep {
+			fmt.Fprintln(os.Stderr, "dcsbench: -par and -watch are mutually exclusive")
 			os.Exit(2)
 		}
 		run := runCoreJSON
@@ -77,17 +66,14 @@ func main() {
 		if *watchSweep {
 			run = runWatchJSON
 		}
-		if *loadSweep {
-			run = runLoadJSON
-		}
 		if err := run(os.Stdout, *quick, *seed); err != nil {
 			fmt.Fprintf(os.Stderr, "dcsbench: %v\n", err)
 			os.Exit(1)
 		}
 		return
 	}
-	if *parSweep || *watchSweep || *loadSweep {
-		fmt.Fprintln(os.Stderr, "dcsbench: -par, -watch and -load require -json")
+	if *parSweep || *watchSweep {
+		fmt.Fprintln(os.Stderr, "dcsbench: -par and -watch require -json")
 		os.Exit(2)
 	}
 

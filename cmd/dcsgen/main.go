@@ -3,21 +3,19 @@
 //
 // Usage:
 //
-//	dcsgen -out DIR [-seed N] [-scale 1] [-binary | -v2 [-compress]] [dataset ...]
+//	dcsgen -out DIR [-seed N] [-scale 1] [-binary [-compress]] [dataset ...]
 //
 // Datasets: dblp, dm, wiki, movie, book, dblpc, actor (default: all). Each
 // dataset produces <name>-g1.tsv, <name>-g2.tsv and <name>-labels.txt
 // (actor produces a single actor-gd.tsv). With -binary the graphs are
-// written in the binary .dcsg format instead of TSV — an order of magnitude
-// faster to load back through dcsd -load, dcsfind and the persistence
-// layer.
-//
-// -v2 writes the page-aligned v2 binary layout instead: the format dcsd
-// memory-maps and serves in place (see dcsd -memlimit), streamed to disk
-// row-by-row — the encoder never materializes a second copy of the CSR, so
-// generating graphs much larger than memory headroom works. -compress adds
-// varint-delta neighbor ids and palette weights for 2–4× smaller files (a
-// compressed file is decoded on open rather than aliased in place).
+// written in the binary .dcsg format (v2) instead of TSV: an order of
+// magnitude faster to load back through dcsd -load and dcsfind, and the
+// page-aligned layout dcsd memory-maps and serves in place (see dcsd
+// -memlimit). Files are streamed to disk row by row — the encoder never
+// materializes a second copy of the CSR, so generating graphs much larger
+// than memory headroom works. -compress adds varint-delta neighbor ids and
+// palette weights for 2–4× smaller files (a compressed file is decoded on
+// open rather than aliased in place).
 package main
 
 import (
@@ -39,18 +37,16 @@ func main() {
 	seed := flag.Int64("seed", 20180618, "generator seed")
 	scale := flag.Float64("scale", 1, "size multiplier for all datasets")
 	binary := flag.Bool("binary", false,
-		"write graphs in the binary "+dataio.BinaryExt+" format instead of TSV")
-	v2 := flag.Bool("v2", false,
-		"write graphs in the mmap-friendly v2 binary layout (streamed row-by-row)")
+		"write graphs in the binary "+dataio.BinaryExt+" format (v2, streamed row-by-row) instead of TSV")
 	compress := flag.Bool("compress", false,
-		"with -v2: varint-delta ids and palette weights (2-4x smaller, decoded on open)")
+		"with -binary: varint-delta ids and palette weights (2-4x smaller, decoded on open)")
 	flag.Parse()
 	if *out == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *compress && !*v2 {
-		log.Fatal("-compress requires -v2")
+	if *compress && !*binary {
+		log.Fatal("-compress requires -binary")
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		log.Fatal(err)
@@ -67,17 +63,17 @@ func main() {
 		return v
 	}
 	gext := ".tsv"
-	if *binary || *v2 {
+	if *binary {
 		gext = dataio.BinaryExt
 	}
-	// The v2 path streams each row straight to the output file (the encoder
-	// seeks back for the header afterwards): no second in-memory copy of the
-	// CSR is built, however large the generated graph.
+	// The binary path streams each row straight to the output file (the
+	// encoder seeks back for the header afterwards): no second in-memory
+	// copy of the CSR is built, however large the generated graph.
 	writeGraph := func(path string, g *graph.Graph) error {
-		if *v2 {
+		if *binary {
 			return dataio.WriteBinaryV2File(path, g, *compress)
 		}
-		return dataio.WriteGraphFileAuto(path, g)
+		return dataio.WriteGraphFile(path, g)
 	}
 	writePair := func(name string, g1, g2 *graph.Graph, labels []string) {
 		must(writeGraph(filepath.Join(*out, name+"-g1"+gext), g1))

@@ -121,26 +121,23 @@ func ApplyDelta(base *Graph, delta []Edge) *Graph {
 	return graph.ApplyDelta(base, delta)
 }
 
-// WriteGraphBinary writes g in the versioned binary CSR format (magic,
-// format version, trailing CRC32-C): the graph's CSR arrays dumped verbatim,
-// so large graphs load an order of magnitude faster than through the text
-// formats and round-trip byte-exactly. This is the on-disk format of the
-// dcsd persistence layer and of .dcsg files.
-func WriteGraphBinary(w io.Writer, g *Graph) error { return dataio.WriteBinary(w, g) }
-
-// ReadGraphBinary reads a binary-format graph, verifying the checksum and
+// ReadGraphBinary reads a binary-format graph, verifying the checksums and
 // every structural CSR invariant; corrupt or truncated input yields an
-// error, never a malformed graph. Both format versions are accepted.
+// error, never a malformed graph. Both format versions are accepted: v1
+// files, written by earlier releases, stay readable.
 func ReadGraphBinary(r io.Reader) (*Graph, error) { return dataio.ReadBinary(r) }
 
-// WriteGraphBinaryV2 writes g in version 2 of the binary format:
-// page-aligned sections (offsets, neighbor ids, weights) with per-section
-// CRC32-C checksums, designed to be memory-mapped and served in place by
-// OpenGraphMapped. With compress set, sorted neighbor ids are varint-delta
-// encoded and repetitive weights are palette-encoded, typically shrinking
-// files 2–4× at the cost of decoding those sections to the heap on open.
-// ReadGraphBinary reads both versions; v1 remains the default of
-// WriteGraphBinary.
+// WriteGraphBinaryV2 writes g in the binary graph format, version 2 — the
+// only version written — and the on-disk format of the dcsd persistence
+// layer and of .dcsg files: page-aligned sections (offsets, neighbor ids,
+// weights) with per-section CRC32-C checksums, designed to be memory-mapped
+// and served in place by OpenGraphMapped, and loading an order of magnitude
+// faster than the text formats with byte-exact round trips. With compress
+// set, sorted neighbor ids are varint-delta encoded and repetitive weights
+// are palette-encoded, typically shrinking files 2–4× at the cost of
+// decoding those sections to the heap on open. When w is an io.WriteSeeker
+// (an *os.File is) the encoder streams; otherwise it assembles the file in
+// memory first.
 func WriteGraphBinaryV2(w io.Writer, g *Graph, compress bool) error {
 	return dataio.WriteBinaryV2(w, g, compress)
 }

@@ -14,17 +14,20 @@ import (
 	"github.com/dcslib/dcs/internal/graph"
 )
 
-// This file implements the native binary graph format, the fast path for
-// large graphs: the CSR arrays of a graph.Graph are dumped verbatim (see
-// graph.CSR), so reading skips all text parsing, per-edge sorting and
-// duplicate merging — an order of magnitude faster than the TSV/JSON paths.
-// It is the on-disk format of the dcsd persistence layer (serve/persist.go)
-// and of the .dcsg files the cmd/ tools read and write by extension.
+// This file holds what both versions of the native binary graph format
+// share — the magic, the extension, the version-dispatching readers — and
+// the read-only decoder of the legacy version 1. The format is the fast
+// path for large graphs: the CSR arrays of a graph.Graph are stored
+// verbatim (see graph.CSR), so reading skips all text parsing, per-edge
+// sorting and duplicate merging. It is the on-disk format of the dcsd
+// persistence layer (serve/persist.go) and of the .dcsg files the cmd/
+// tools read and write by extension.
 //
-// Layout (all integers little-endian):
+// Every writer emits version 2 (binaryv2.go). Version 1 is still read, so
+// files and data directories written by earlier builds keep loading:
 //
 //	[0:4)    magic "DCSB"
-//	[4:6)    format version, uint16 (currently 1)
+//	[4:6)    format version, uint16 = 1
 //	[6:8)    reserved, zero
 //	[8:16)   n, uint64 vertex count
 //	[16:24)  e, uint64 directed entry count (2m)
@@ -43,8 +46,8 @@ import (
 const BinaryExt = ".dcsg"
 
 const (
-	binaryMagic   = "DCSB"
-	binaryVersion = 1
+	binaryMagic    = "DCSB"
+	binaryVersion1 = 1
 	// binaryMaxN caps the vertex count accepted from a binary header so a
 	// corrupt or hostile size field cannot demand an absurd allocation
 	// before the checksum is ever verified.
@@ -52,77 +55,6 @@ const (
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// crcWriter updates a running CRC32-C with everything written through it.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (cw *crcWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.crc = crc32.Update(cw.crc, crcTable, p[:n])
-	return n, err
-}
-
-// WriteBinary writes g in the binary graph format. Views are compacted
-// first; the written file always describes a plain graph.
-func WriteBinary(w io.Writer, g *graph.Graph) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	cw := &crcWriter{w: bw}
-	off, nbr := g.CSR()
-
-	var hdr [24]byte
-	copy(hdr[0:4], binaryMagic)
-	binary.LittleEndian.PutUint16(hdr[4:6], binaryVersion)
-	binary.LittleEndian.PutUint64(hdr[8:16], uint64(g.N()))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(nbr)))
-	if _, err := cw.Write(hdr[:]); err != nil {
-		return err
-	}
-	// Chunked encoding: one fixed scratch buffer instead of a Write per value.
-	var buf [8 * 512]byte
-	fill := 0
-	flush := func() error {
-		if fill == 0 {
-			return nil
-		}
-		_, err := cw.Write(buf[:fill])
-		fill = 0
-		return err
-	}
-	for _, o := range off {
-		if fill == len(buf) {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		binary.LittleEndian.PutUint64(buf[fill:], uint64(o))
-		fill += 8
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	for _, nb := range nbr {
-		if fill+12 > len(buf) {
-			if err := flush(); err != nil {
-				return err
-			}
-		}
-		binary.LittleEndian.PutUint32(buf[fill:], uint32(nb.To))
-		binary.LittleEndian.PutUint64(buf[fill+4:], math.Float64bits(nb.W))
-		fill += 12
-	}
-	if err := flush(); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], cw.crc)
-	if _, err := bw.Write(sum[:]); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
 
 // ReadBinary reads a graph in the binary format — either version — into an
 // ordinary heap graph, verifying the integrity checksums and every
@@ -139,7 +71,7 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 		return nil, fmt.Errorf("dataio: bad magic %q: not a binary graph file", pre[0:4])
 	}
 	switch v := binary.LittleEndian.Uint16(pre[4:6]); v {
-	case binaryVersion:
+	case binaryVersion1:
 		return readBinaryV1(br)
 	case binaryVersion2:
 		return readBinaryV2(br)
@@ -171,8 +103,8 @@ func readBinaryV1(br *bufio.Reader) (*graph.Graph, error) {
 	if string(hdr[0:4]) != binaryMagic {
 		return nil, fmt.Errorf("dataio: bad magic %q: not a binary graph file", hdr[0:4])
 	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != binaryVersion {
-		return nil, fmt.Errorf("dataio: unsupported binary graph version %d (want %d)", v, binaryVersion)
+	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != binaryVersion1 {
+		return nil, fmt.Errorf("dataio: unsupported binary graph version %d (want %d)", v, binaryVersion1)
 	}
 	if rsv := binary.LittleEndian.Uint16(hdr[6:8]); rsv != 0 {
 		return nil, fmt.Errorf("dataio: corrupt header: reserved field %#x", rsv)
@@ -235,11 +167,6 @@ func readBinaryV1(br *bufio.Reader) (*graph.Graph, error) {
 	return g, nil
 }
 
-// WriteBinaryFile writes g to path in the binary format.
-func WriteBinaryFile(path string, g *graph.Graph) error {
-	return writeVia(path, g, WriteBinary)
-}
-
 // ReadBinaryFile reads a binary-format graph from path.
 func ReadBinaryFile(path string) (*graph.Graph, error) {
 	f, err := os.Open(path)
@@ -279,35 +206,6 @@ func ReadGraphFileAuto(path string) (*graph.Graph, error) {
 	default:
 		return ReadGraphFile(path)
 	}
-}
-
-// WriteGraphFileAuto writes g to path picking the format by extension, the
-// write-side counterpart of ReadGraphFileAuto: .dcsg binary, .mtx/.mm
-// MatrixMarket, .snap SNAP, anything else TSV.
-func WriteGraphFileAuto(path string, g *graph.Graph) error {
-	switch ext(path) {
-	case BinaryExt:
-		return WriteBinaryFile(path, g)
-	case ".mtx", ".mm":
-		return writeVia(path, g, WriteMatrixMarket)
-	case ".snap":
-		return writeVia(path, g, WriteSNAP)
-	default:
-		return WriteGraphFile(path, g)
-	}
-}
-
-// writeVia writes g to path through one of the io.Writer-based writers.
-func writeVia(path string, g *graph.Graph, write func(io.Writer, *graph.Graph) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := write(f, g); err != nil {
-		return pathErr(path, err)
-	}
-	return f.Close()
 }
 
 // ext returns the lower-cased final extension of path.

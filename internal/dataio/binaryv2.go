@@ -716,7 +716,7 @@ func VerifyGraphFile(path string) error {
 		return err
 	}
 	switch v := binary.LittleEndian.Uint16(pre[4:6]); v {
-	case binaryVersion:
+	case binaryVersion1:
 		if size < 4 {
 			return pathErr(path, fmt.Errorf("dataio: truncated binary graph: %d bytes", size))
 		}

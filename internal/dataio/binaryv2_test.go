@@ -67,9 +67,10 @@ func encodeV2(t *testing.T, g *graph.Graph, compress bool) []byte {
 	return buf.Bytes()
 }
 
-// TestBinaryV2RoundTrip is the v1↔v2↔heap property: every combination of
-// writer (v1, v2 raw, v2 compressed) and reader (streaming heap, mapped)
-// reproduces the graph bitwise, palette-friendly weights or not.
+// TestBinaryV2RoundTrip is the v2↔heap property: every combination of
+// encoding (raw, compressed) and reader (streaming heap, mapped) reproduces
+// the graph bitwise, palette-friendly weights or not. Reading v1 is covered
+// by TestBinaryV1Fixtures.
 func TestBinaryV2RoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	dir := t.TempDir()
@@ -125,61 +126,20 @@ func TestBinaryV2RoundTrip(t *testing.T) {
 					t.Fatalf("VerifyGraphFile(v2): %v", err)
 				}
 			}
-
-			// v1 ↔ v2: write v1, read, re-encode v2, read — all bitwise equal.
-			var v1buf bytes.Buffer
-			if err := WriteBinary(&v1buf, g); err != nil {
-				t.Fatalf("WriteBinary: %v", err)
-			}
-			gv1, err := ReadBinary(bytes.NewReader(v1buf.Bytes()))
-			if err != nil {
-				t.Fatalf("ReadBinary(v1): %v", err)
-			}
-			sameBinGraph(t, "v1 heap", gv1, g)
-			gv2, err := ReadBinary(bytes.NewReader(encodeV2(t, gv1, true)))
-			if err != nil {
-				t.Fatalf("ReadBinary(v2 of v1): %v", err)
-			}
-			sameBinGraph(t, "v1→v2", gv2, g)
-
-			// OpenMapped serves v1 files through the heap fallback.
-			v1path := filepath.Join(dir, "g1.dcsg")
-			if err := WriteBinaryFile(v1path, g); err != nil {
-				t.Fatal(err)
-			}
-			m, err := OpenMapped(v1path)
-			if err != nil {
-				t.Fatalf("OpenMapped(v1): %v", err)
-			}
-			if m.MappedBytes() != 0 {
-				t.Fatal("v1 fallback must not report a mapping")
-			}
-			sameBinGraph(t, "v1 mapped fallback", m.Graph(), g)
-			m.Close()
-			if err := VerifyGraphFile(v1path); err != nil {
-				t.Fatalf("VerifyGraphFile(v1): %v", err)
-			}
 		}
 	}
 }
 
 // TestBinaryV2PaletteShrinks asserts the headline compression claim on a
 // palette-friendly graph: the compressed v2 file is at least 2× smaller
-// than the uncompressed encodings.
+// than the uncompressed one.
 func TestBinaryV2PaletteShrinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(82))
 	g := randomBinGraph(rng, 300, 0.15, true)
 	raw := len(encodeV2(t, g, false))
 	comp := len(encodeV2(t, g, true))
-	var v1 bytes.Buffer
-	if err := WriteBinary(&v1, g); err != nil {
-		t.Fatal(err)
-	}
 	if 2*comp > raw {
 		t.Fatalf("compressed v2 is %d bytes, raw v2 %d: want ≥ 2× smaller", comp, raw)
-	}
-	if 2*comp > v1.Len() {
-		t.Fatalf("compressed v2 is %d bytes, v1 %d: want ≥ 2× smaller", comp, v1.Len())
 	}
 }
 
@@ -422,16 +382,15 @@ func TestGetUvarint(t *testing.T) {
 	}
 }
 
-// FuzzReadGraphBinary fuzzes the binary reader across both format versions:
-// arbitrary bytes must never panic, and accepted inputs must round-trip
-// bitwise through both writers.
+// FuzzReadGraphBinary fuzzes the binary reader across both format versions
+// (the v1 seeds are the committed fixtures): arbitrary bytes must never
+// panic, and accepted inputs must round-trip bitwise through the v2 writer.
 func FuzzReadGraphBinary(f *testing.F) {
+	for path := range v1Fixtures() {
+		f.Add(readFixture(f, path))
+	}
 	rng := rand.New(rand.NewSource(84))
 	seed := func(g *graph.Graph) {
-		var v1 bytes.Buffer
-		if err := WriteBinary(&v1, g); err == nil {
-			f.Add(v1.Bytes())
-		}
 		for _, compress := range []bool{false, true} {
 			var m memSeeker
 			if err := writeBinaryV2(&m, g, compress); err == nil {
@@ -467,14 +426,5 @@ func FuzzReadGraphBinary(f *testing.F) {
 			}
 			sameBinGraph(t, "fuzz v2 round trip", g2, g)
 		}
-		var v1 bytes.Buffer
-		if err := WriteBinary(&v1, g); err != nil {
-			t.Fatalf("v1 write after successful read: %v", err)
-		}
-		g1, err := ReadBinary(&v1)
-		if err != nil {
-			t.Fatalf("reparse of own v1 output: %v", err)
-		}
-		sameBinGraph(t, "fuzz v1 round trip", g1, g)
 	})
 }

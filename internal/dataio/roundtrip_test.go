@@ -2,6 +2,7 @@ package dataio
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -54,7 +55,15 @@ func TestRoundTripPropertyTSV(t *testing.T) {
 func TestRoundTripPropertyBinary(t *testing.T) {
 	f := func(seed int64) bool {
 		return identicalRoundTrip(t, seed,
-			func(b *bytes.Buffer, g *graph.Graph) error { return WriteBinary(b, g) },
+			func(b *bytes.Buffer, g *graph.Graph) error {
+				if err := WriteBinaryV2(b, g, false); err != nil {
+					return err
+				}
+				if v := binaryVersionOf(b.Bytes()); v != binaryVersion2 {
+					return fmt.Errorf("wrote version %d, want %d", v, binaryVersion2)
+				}
+				return nil
+			},
 			func(b *bytes.Buffer) (*graph.Graph, error) { return ReadBinary(b) })
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

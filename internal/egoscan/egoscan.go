@@ -130,15 +130,20 @@ func growPrune(gd *graph.Graph, s int, rs *runstate.State) []int {
 			in[v] = true
 		}
 	})
+	// members is S in increasing order, refilled in place before each grow
+	// and each prune: summing over the map directly would make the float
+	// addition order, and with it ties at zero gain, depend on map order.
+	var members []int
 	for round := 0; round < maxGrowRounds; round++ {
 		changed := false
 		// Grow: marginal gain of adding v is 2·Σ_{u∈S} w(v,u).
+		members = fillSorted(members, in)
 		gain := make(map[int]float64)
-		for u := range in {
+		for _, u := range members {
 			if rs.Checkpoint() {
 				// Mid-grow cancellation: the current member set is already a
 				// valid candidate; hand it back as-is.
-				return sortedMembers(in)
+				return fillSorted(nil, in)
 			}
 			gd.VisitNeighbors(u, func(v int, w float64) {
 				if !in[v] {
@@ -160,14 +165,10 @@ func growPrune(gd *graph.Graph, s int, rs *runstate.State) []int {
 		}
 		// Prune: drop members with negative in-set degree. Recompute after
 		// each removal batch; one batch per round keeps cost linear.
-		members := make([]int, 0, len(in))
-		for v := range in {
-			members = append(members, v)
-		}
-		sort.Ints(members)
+		members = fillSorted(members, in)
 		for _, v := range members {
 			if rs.Checkpoint() {
-				return sortedMembers(in)
+				return fillSorted(nil, in)
 			}
 			var d float64
 			gd.VisitNeighbors(v, func(u int, w float64) {
@@ -184,14 +185,15 @@ func growPrune(gd *graph.Graph, s int, rs *runstate.State) []int {
 			break
 		}
 	}
-	return sortedMembers(in)
+	return fillSorted(nil, in)
 }
 
-func sortedMembers(in map[int]bool) []int {
-	out := make([]int, 0, len(in))
+// fillSorted overwrites buf with the members of in, in increasing order.
+func fillSorted(buf []int, in map[int]bool) []int {
+	buf = buf[:0]
 	for v := range in {
-		out = append(out, v)
+		buf = append(buf, v)
 	}
-	sort.Ints(out)
-	return out
+	sort.Ints(buf)
+	return buf
 }

@@ -3,6 +3,7 @@ package egoscan
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -147,5 +148,24 @@ func TestGrowPruneMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScanDeterministic pins the grow step's float summation order. Vertex
+// 4's gain against {0,1,2,3} is 0.3 + 0.4 − 0.7: summed in member order it
+// is exactly 0 (not added), while other orders leave a +5.6e-17 residue that
+// admits it. Summing while ranging over the member map made the answer
+// depend on map iteration order.
+func TestScanDeterministic(t *testing.T) {
+	gd := graph.FromEdges(5, []graph.Edge{
+		{U: 3, V: 0, W: 2}, {U: 3, V: 1, W: 2}, {U: 3, V: 2, W: 2},
+		{U: 0, V: 1, W: 1}, {U: 0, V: 2, W: 1}, {U: 1, V: 2, W: 1},
+		{U: 0, V: 4, W: 0.3}, {U: 1, V: 4, W: 0.4}, {U: 2, V: 4, W: -0.7},
+	})
+	want := []int{0, 1, 2, 3}
+	for i := 0; i < 200; i++ {
+		if got := Scan(gd).S; !slices.Equal(got, want) {
+			t.Fatalf("run %d: Scan returned %v, want %v", i, got, want)
+		}
 	}
 }

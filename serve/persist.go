@@ -464,11 +464,11 @@ func (p *persister) checkpointWatch(w *watch) error {
 	man.ExpectFile = key + ".v" + seq + ".expect.dcsg"
 	man.LastFile = key + ".v" + seq + ".last.dcsg"
 	err := writeAtomic(filepath.Join(p.watchDir, man.ExpectFile), func(wr io.Writer) error {
-		return dcs.WriteGraphBinary(wr, expect)
+		return dcs.WriteGraphBinaryV2(wr, expect, false)
 	})
 	if err == nil {
 		err = writeAtomic(filepath.Join(p.watchDir, man.LastFile), func(wr io.Writer) error {
-			return dcs.WriteGraphBinary(wr, last)
+			return dcs.WriteGraphBinaryV2(wr, last, false)
 		})
 	}
 	if err == nil {
