@@ -103,6 +103,19 @@ func BenchmarkCoreTotalDegreeOf(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreRatioBounded — the α-quasi-contrast search on a bounded
+// pair: G1 overlays every G2 edge, so no edge is G2-only and the full binary
+// search runs (the shape perfbench's ratio class serves).
+func BenchmarkCoreRatioBounded(b *testing.B) {
+	d := datagen.CoauthorPair(datagen.CoauthorConfig{Seed: 7, N: 250})
+	g1 := graph.Blend(d.G1, d.G2, 1, 1)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = core.MaxRatioContrast(g1, d.G2)
+	}
+}
+
 // BenchmarkCoreCollectCliques — the full multi-initialization affinity
 // pipeline behind /v1/topics (smaller n: it runs one solver per vertex).
 func BenchmarkCoreCollectCliques(b *testing.B) {

@@ -10,6 +10,7 @@ import (
 	dcs "github.com/dcslib/dcs"
 	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/datagen"
+	"github.com/dcslib/dcs/internal/graph"
 )
 
 // coreBenchResult is one micro-benchmark row of the -json output, mirroring
@@ -57,6 +58,9 @@ func runCoreJSON(w io.Writer, quick bool, seed int64) error {
 	dSmall := datagen.CoauthorPair(datagen.CoauthorConfig{Seed: seed, N: cliquesN})
 	gdSmall := dcs.Difference(dSmall.G1, dSmall.G2)
 	topKSeed := core.DCSGreedy(gd).S
+	// Bounded ratio pair (G1 overlays G2), n=250 in both modes.
+	dRatio := datagen.CoauthorPair(datagen.CoauthorConfig{Seed: seed, N: 250})
+	ratioG1 := graph.Blend(dRatio.G1, dRatio.G2, 1, 1)
 
 	benchmarks := []struct {
 		name string
@@ -90,6 +94,12 @@ func runCoreJSON(w io.Writer, quick bool, seed int64) error {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				_, _ = dcs.TopKAverageDegreeDCSOnParCtx(context.Background(), gd, 10, 1)
+			}
+		}},
+		{"CoreRatioBounded", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_ = core.MaxRatioContrast(ratioG1, dRatio.G2)
 			}
 		}},
 		{"CoreCollectCliques", func(b *testing.B) {

@@ -12,6 +12,7 @@ import (
 	dcs "github.com/dcslib/dcs"
 	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/datagen"
+	"github.com/dcslib/dcs/internal/graph"
 )
 
 // parBenchEntry is one (workload, degree) measurement of the parallelism
@@ -84,6 +85,8 @@ func runParJSON(w io.Writer, quick bool, seed int64) error {
 	gd := dcs.Difference(d.G1, d.G2)
 	dSmall := datagen.CoauthorPair(datagen.CoauthorConfig{Seed: seed, N: cliquesN})
 	gdSmall := dcs.Difference(dSmall.G1, dSmall.G2)
+	// Overlaid, so the ratio search is bounded and runs its binary search.
+	ratioG1 := graph.Blend(dSmall.G1, dSmall.G2, 1, 1)
 
 	ctx := context.Background()
 	workloads := []struct {
@@ -98,7 +101,7 @@ func runParJSON(w io.Writer, quick bool, seed int64) error {
 			return rs
 		}},
 		{"ParRatio", func(deg int) any {
-			return dcs.FindMaxRatioContrastParCtx(ctx, dSmall.G1, dSmall.G2, deg)
+			return dcs.FindMaxRatioContrastParCtx(ctx, ratioG1, dSmall.G2, deg)
 		}},
 		{"ParNewSEA", func(deg int) any {
 			return core.NewSEA(gdSmall, core.GAOptions{Parallelism: deg})

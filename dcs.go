@@ -60,8 +60,9 @@
 // above GOMAXPROCS are capped. Parallel solves are bitwise-deterministic:
 // for a fixed input the result is identical at every parallelism degree,
 // including degree 1 — the engines only parallelize steps whose reduction
-// order is fixed (per-component peels with a deterministic merge,
-// speculative probes committed in sequential order). Cancellation composes:
+// order is fixed (per-component peels with a deterministic merge, concurrent
+// candidate peels compared in a fixed order, speculative NewSEA inits
+// committed in sequential order). Cancellation composes:
 // a cancelled parallel solve still returns its best-so-far partial.
 package dcs
 
@@ -236,14 +237,14 @@ type RatioContrastResult = core.RatioResult
 // subgraph S satisfies ρ2(S) ≥ α·ρ1(S), via binary search over the
 // generalized difference graphs GD = G2 − αG1 of Section III-D, so it takes
 // the two graphs rather than one difference graph. The returned α is
-// certified by the witness S; it is +Inf when an edge exists only in G2 (the
-// degeneracy that makes the raw density-ratio objective ill-posed,
-// Section III-C). Up to workers binary-search probes are evaluated
-// concurrently: probes are run speculatively down the search's decision tree
-// and only the sequential search's path is committed, so the certified α and
-// witness are bitwise identical to the sequential solver at every degree.
-// When ctx is done the search stops after the probes in flight and returns
-// the best certified witness so far, tagged Interrupted.
+// certified by the witness S; it is +Inf when an edge exists only in G2 or
+// has a negative G1 weight (the degeneracies that make the raw
+// density-ratio objective ill-posed, Section III-C). Most probes are decided
+// by the maximum edge of G2 − αG1 alone; the Algorithm 2 runs (counted in
+// Solves) spread their peels over up to workers goroutines, bitwise
+// identical to the sequential solver at every degree. When ctx is done the
+// search stops after the probe in flight and returns the best certified
+// witness so far, tagged Interrupted.
 func FindMaxRatioContrastParCtx(ctx context.Context, g1, g2 *Graph, workers int) RatioContrastResult {
 	return core.MaxRatioContrastCtx(ctx, g1, g2, workers)
 }

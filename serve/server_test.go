@@ -238,6 +238,19 @@ func TestDCSRatio(t *testing.T) {
 	if resp.Ratio == nil || !resp.Ratio.Unbounded {
 		t.Fatalf("ratio %+v, want unbounded", resp.Ratio)
 	}
+
+	// So does a negative G1 weight: {0,1} has ρ2 = 1 ≥ α·ρ1 = −α for all α.
+	neg := GraphJSON{N: 3, Edges: []EdgeJSON{{0, 1, -1}, {1, 2, 1}}}
+	pos := GraphJSON{N: 3, Edges: []EdgeJSON{{0, 1, 1}, {1, 2, 1}}}
+	resp = DCSResponse{}
+	req = DCSRequest{Measure: "ratio", Graph1: &neg, Graph2: &pos}
+	if code := doJSON(t, s, http.MethodPost, "/v1/dcs", req, &resp); code != http.StatusOK {
+		t.Fatalf("status %d", code)
+	}
+	if r := resp.Ratio; r == nil || !r.Unbounded || r.Alpha != 0 || len(r.S) != 2 ||
+		r.S[0] != 0 || r.S[1] != 1 || r.Density2 != 1 || r.Density1 != -1 {
+		t.Fatalf("ratio %+v, want unbounded on [0 1] with density2 1, density1 -1", resp.Ratio)
+	}
 }
 
 // twoCliquePair plants two vertex-disjoint rising cliques, the top-k fixture.

@@ -168,8 +168,9 @@ type SubgraphJSON struct {
 }
 
 // RatioJSON is the outcome of measure "ratio". When some edge exists only in
-// G2 the supremum is unbounded (Section III-C); Unbounded is then true and
-// Alpha is omitted, with S the heaviest G2-only edge.
+// G2, or has a negative G1 weight, the supremum is unbounded (Section
+// III-C); Unbounded is then true and Alpha is omitted, with S the heaviest
+// G2-only edge, or else the first G1-negative edge.
 type RatioJSON struct {
 	Alpha     float64 `json:"alpha"`
 	Unbounded bool    `json:"unbounded,omitempty"`
