@@ -37,10 +37,9 @@ allocs:
 # lock-annotation invariants documented in CONTRIBUTING.md.
 lint: fmt vet dcsvet staticcheck
 
-# The inner-loop lint: formatting plus the repo's own analyzers. dcsvet
-# serves unchanged packages from its content-hash cache ($DCSVET_CACHE or
-# the user cache dir), so a warm tree finishes in seconds; the full `make
-# lint` adds go vet and staticcheck.
+# The inner-loop lint: formatting plus the repo's own analyzers, which
+# re-analyze the whole tree on every run; the full `make lint` adds go vet
+# and staticcheck.
 lint-fast: fmt dcsvet
 
 fmt:

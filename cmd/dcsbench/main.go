@@ -11,8 +11,8 @@
 //
 // With no experiment argument it runs everything except the slow timing
 // experiments (table7, fig2); "all" includes those too. With -json it
-// instead runs the core-substrate micro-benchmarks (the BenchmarkCore*
-// suite) and emits one machine-readable JSON document — name, ns/op,
+// instead runs the core-substrate micro-benchmarks (bench.Core, the table
+// behind BenchmarkCore) and emits one machine-readable JSON document — name, ns/op,
 // allocs/op, bytes/op per benchmark — for the repository's BENCH_*.json
 // perf trajectory. -json -par runs the parallel-solver sweep instead: each
 // parallel workload at degrees 1/2/4/NumCPU (the BENCH_par.json payload),

@@ -73,7 +73,7 @@ func sweepDegrees() []int {
 // degrees disagreed.
 func runParJSON(w io.Writer, quick bool, seed int64) error {
 	if seed == 0 {
-		seed = 7 // bench_core_test.go's fixture seed
+		seed = 7 // bench.Core's default fixture seed
 	}
 	n := 2000
 	cliquesN := 400
@@ -102,9 +102,6 @@ func runParJSON(w io.Writer, quick bool, seed int64) error {
 		}},
 		{"ParRatio", func(deg int) any {
 			return dcs.FindMaxRatioContrastParCtx(ctx, ratioG1, dSmall.G2, deg)
-		}},
-		{"ParNewSEA", func(deg int) any {
-			return core.NewSEA(gdSmall, core.GAOptions{Parallelism: deg})
 		}},
 		{"ParCollectCliques", func(deg int) any {
 			return core.CollectCliques(gdSmall, core.GAOptions{Parallelism: deg})

@@ -1,8 +1,8 @@
 // Command dcsvet is the repo's multichecker: it composes the internal/lint
 // analyzers (loopcheck, backedwrite, floatdet, guardedby, leakcheck,
-// ctxflow, hotalloc) over the packages matched by its arguments, serving
-// unchanged packages from a content-hash analysis cache, and exits non-zero
-// on any failing finding.
+// ctxflow, hotalloc) over the packages matched by its arguments, type-checking
+// and analyzing every package afresh on each run, and exits non-zero on any
+// failing finding.
 //
 // Usage:
 //
@@ -19,12 +19,11 @@
 // (-json) follows the stable schema documented in CONTRIBUTING.md:
 //
 //	{
-//	  "version": 1,
+//	  "version": 2,
 //	  "findings": [{"analyzer": "...", "severity": "error|warn",
 //	                "file": "root/relative.go", "line": 1, "col": 1,
 //	                "message": "...", "baselined": false}],
-//	  "counts": {"error": 0, "warn": 0, "baselined": 0},
-//	  "cache": {"hits": 0, "misses": 0}
+//	  "counts": {"error": 0, "warn": 0, "baselined": 0}
 //	}
 //
 // Warn-tier findings already acknowledged in the baseline file (-baseline,
@@ -68,10 +67,6 @@ type jsonOutput struct {
 		Warn      int `json:"warn"`
 		Baselined int `json:"baselined"`
 	} `json:"counts"`
-	Cache struct {
-		Hits   int `json:"hits"`
-		Misses int `json:"misses"`
-	} `json:"cache"`
 }
 
 func main() {
@@ -81,8 +76,6 @@ func main() {
 		severity      = flag.String("severity", "", "only report findings of this tier (error|warn); default both")
 		baselinePath  = flag.String("baseline", "lint.baseline.json", "baseline file of acknowledged warn-tier findings")
 		writeBaseline = flag.Bool("writebaseline", false, "rewrite the baseline from current warn-tier findings and exit")
-		noCache       = flag.Bool("nocache", false, "analyze every package fresh, bypassing the analysis cache")
-		cacheDir      = flag.String("cachedir", "", "analysis cache directory (default $DCSVET_CACHE or the user cache dir)")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: dcsvet [flags] [packages]\n\nAnalyzers:\n")
@@ -108,21 +101,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var cache *lint.Cache
-	if !*noCache {
-		cache, err = lint.OpenCache(*cacheDir)
-		if err != nil {
-			// A broken cache location degrades to a cold run, not a failure.
-			fmt.Fprintln(os.Stderr, "dcsvet: disabling cache:", err)
-			cache = nil
-		}
+	targets, err := lint.LoadPackages(cwd, flag.Args())
+	if err != nil {
+		fatal(err)
 	}
-	res, err := lint.Run(cwd, flag.Args(), lint.All, cache)
+	diags, err := lint.Analyze(targets, lint.All)
 	if err != nil {
 		fatal(err)
 	}
 
-	diags := res.Diags
 	if *severity != "" {
 		kept := diags[:0:0]
 		for _, d := range diags {
@@ -154,7 +141,7 @@ func main() {
 	failing, baselined := lint.ApplyBaseline(diags, base, cwd)
 
 	if *jsonOut {
-		out := jsonOutput{Version: 1, Findings: []jsonFinding{}}
+		out := jsonOutput{Version: 2, Findings: []jsonFinding{}}
 		emit := func(d lint.Diagnostic, isBaselined bool) {
 			out.Findings = append(out.Findings, jsonFinding{
 				Analyzer:  d.Analyzer,
@@ -180,7 +167,6 @@ func main() {
 		for _, d := range baselined {
 			emit(d, true)
 		}
-		out.Cache.Hits, out.Cache.Misses = res.CacheHits, res.CacheMisses
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(&out); err != nil {

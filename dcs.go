@@ -55,15 +55,18 @@
 // A single solve can spread its work over a bounded worker pool. The
 // average-degree and ratio solvers take an explicit workers argument
 // (FindAverageDegreeDCSOnParCtx, TopKAverageDegreeDCSOnParCtx,
-// FindMaxRatioContrastParCtx); the graph-affinity solvers read
-// Options.Parallelism. Degrees ≤ 1 select the sequential path and degrees
-// above GOMAXPROCS are capped. Parallel solves are bitwise-deterministic:
-// for a fixed input the result is identical at every parallelism degree,
-// including degree 1 — the engines only parallelize steps whose reduction
-// order is fixed (per-component peels with a deterministic merge, concurrent
-// candidate peels compared in a fixed order, speculative NewSEA inits
-// committed in sequential order). Cancellation composes:
-// a cancelled parallel solve still returns its best-so-far partial.
+// FindMaxRatioContrastParCtx); the multi-initialization affinity solvers
+// (TopContrastCliquesOnCtx, TopKGraphAffinityDCSOnCtx) read
+// Options.Parallelism. FindGraphAffinityDCSOnCtx is always sequential: its
+// pruned initialization order depends on every earlier result. Degrees ≤ 1
+// select the sequential path and degrees above GOMAXPROCS are capped.
+// Parallel solves are bitwise-deterministic: for a fixed input the result is
+// identical at every parallelism degree, including degree 1 — the engines
+// only parallelize steps whose reduction order is fixed (per-component peels
+// with a deterministic merge, concurrent candidate peels compared in a fixed
+// order, independent initializations collected in start order).
+// Cancellation composes: a cancelled parallel solve still returns its
+// best-so-far partial.
 package dcs
 
 import (
@@ -190,9 +193,11 @@ func FindAverageDegreeDCSOnParCtx(ctx context.Context, gd *Graph, workers int) A
 // FindGraphAffinityDCSOnCtx finds the embedding maximizing x'A2x − x'A1x by
 // running NewSEA on the difference graph gd = G2 − G1. The result's support
 // is always a positive clique of GD (every pair inside strengthened its
-// connection from G1 to G2). Pass nil options for the paper's defaults. When
-// ctx is done the solver returns the best embedding found so far tagged
-// Interrupted (see the package documentation).
+// connection from G1 to G2). Pass nil options for the paper's defaults. The
+// solve is sequential whatever Options.Parallelism says: NewSEA's pruned
+// initialization loop needs each init's result before it can decide the
+// next. When ctx is done the solver returns the best embedding found so far
+// tagged Interrupted (see the package documentation).
 func FindGraphAffinityDCSOnCtx(ctx context.Context, gd *Graph, opt *Options) GraphAffinityResult {
 	var o Options
 	if opt != nil {

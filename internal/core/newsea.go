@@ -7,7 +7,6 @@ import (
 
 	"github.com/dcslib/dcs/internal/cores"
 	"github.com/dcslib/dcs/internal/graph"
-	"github.com/dcslib/dcs/internal/par"
 	"github.com/dcslib/dcs/internal/runstate"
 	"github.com/dcslib/dcs/internal/simplex"
 )
@@ -145,12 +144,6 @@ func newSEARS(gd *graph.Graph, opt GAOptions, rs *runstate.State) GAResult {
 		}
 		return order[a] < order[b]
 	})
-	if workers := par.Workers(opt.Parallelism); workers > 1 {
-		newSEAPar(gd, gdp, opt, rs, workers, order, mu, &best, &bestF, &stats)
-		res := newGAResult(gd, best, stats)
-		res.Interrupted = rs.Interrupted()
-		return res
-	}
 	for _, u := range order {
 		if mu[u] <= bestF {
 			break
@@ -175,70 +168,6 @@ func newSEARS(gd *graph.Graph, opt GAOptions, rs *runstate.State) GAResult {
 	res := newGAResult(gd, best, stats)
 	res.Interrupted = rs.Interrupted()
 	return res
-}
-
-// newSEAPar is the parallel smart-initialization loop. The µ-pruning above is
-// order-dependent — whether init i runs depends on the bestF produced by
-// inits before it — so batches are run *speculatively*: take the next
-// `workers` candidates in µ-order, run them all concurrently, then commit the
-// batch by replaying the sequential rule in order. A member whose µ bound
-// cannot beat the bestF accumulated from the members before it is exactly
-// where the sequential loop would have stopped, so it and everything after it
-// are discarded (their speculative work is wasted, their stats never counted)
-// and the search ends. Committed results, bestF trajectory and Stats are
-// therefore bitwise identical to the sequential loop at every degree.
-func newSEAPar(gd, gdp *graph.Graph, opt GAOptions, rs *runstate.State, workers int,
-	order []int, mu []float64, best **simplex.Vector, bestF *float64, stats *GAStats) {
-	idx := 0
-	for idx < len(order) {
-		if mu[order[idx]] <= *bestF {
-			return
-		}
-		if rs.Cancelled() {
-			return
-		}
-		end := idx + workers
-		if end > len(order) {
-			end = len(order)
-		}
-		batch := order[idx:end]
-		xs := make([]*simplex.Vector, len(batch))
-		sts := make([]GAStats, len(batch))
-		cut := make([]bool, len(batch))
-		par.Run(workers, len(batch), func(i int) {
-			wrs := rs.Fork()
-			xs[i], sts[i] = runInit(gdp, batch[i], false, opt, wrs)
-			cut[i] = wrs.Interrupted()
-		})
-		anyCut := false
-		for _, c := range cut {
-			if c {
-				anyCut = true
-				rs.Cancelled() // latch the caller's state (context is done)
-				break
-			}
-		}
-		for i, u := range batch {
-			if mu[u] <= *bestF {
-				return // sequential loop stops here; discard the rest
-			}
-			stats.add(sts[i])
-			f := simplex.Affinity(gdp, xs[i])
-			if cut[i] && !gd.IsPositiveClique(xs[i].Support()) {
-				// Same honest-f rule as the sequential loop, judged by this
-				// init's own fork: a leftover cut mid-Refine is ranked by its
-				// true xᵀDx.
-				f = simplex.Affinity(gd, xs[i])
-			}
-			if f > *bestF {
-				*best, *bestF = xs[i], f
-			}
-		}
-		if anyCut {
-			return
-		}
-		idx = end
-	}
 }
 
 // SEACDRefineFull is the SEACD+Refine baseline of Section VI: one

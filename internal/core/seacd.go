@@ -28,10 +28,10 @@ type GAOptions struct {
 	MaxReplicatorIter int
 	// Parallelism is the number of worker goroutines used by the
 	// multi-initialization drivers (SEACDRefineFull, SEARefineFull,
-	// CollectCliques) and by NewSEA's smart-initialization loop, which runs
-	// speculative batches of inits and commits them under the sequential
-	// pruning rule (see newSEAPar). 0 or 1 means sequential; results are
-	// bitwise identical at every degree. Degrees above GOMAXPROCS are capped.
+	// CollectCliques). 0 or 1 means sequential; results are bitwise
+	// identical at every degree. Degrees above GOMAXPROCS are capped.
+	// NewSEA ignores it: its µ-pruned loop decides each init from the best
+	// objective of the inits before it, so it always runs sequentially.
 	Parallelism int
 }
 

@@ -40,18 +40,13 @@ var Backedwrite = &Analyzer{
 	Name:     "backedwrite",
 	Doc:      "CSR storage from internal/graph (Graph.CSR results, FromCSRBacked inputs) must not be written outside internal/graph",
 	Severity: SeverityError,
-	FactTypes: []Fact{
-		(*CSRAliasFact)(nil),
-		(*CSRHandoffFact)(nil),
-		(*CSRWritesFact)(nil),
-	},
-	Run: runBackedwrite,
+	Run:      runBackedwrite,
 }
 
 // CSRAliasFact marks a function whose listed results alias graph CSR
 // storage: assigning them taints the destination in any caller.
 type CSRAliasFact struct {
-	Results []int `json:"results"`
+	Results []int
 }
 
 func (*CSRAliasFact) AFact() {}
@@ -61,7 +56,7 @@ func (*CSRAliasFact) AFact() {}
 // transitively, to graph.FromCSRBacked): arguments at those positions are
 // graph-owned from the call onward.
 type CSRHandoffFact struct {
-	Params []int `json:"params"`
+	Params []int
 }
 
 func (*CSRHandoffFact) AFact() {}
@@ -70,7 +65,7 @@ func (*CSRHandoffFact) AFact() {}
 // parameters (element stores, copy-into, clear, in-place sorts): passing a
 // tainted slice at one of those positions is a write to backed storage.
 type CSRWritesFact struct {
-	Params []int `json:"params"`
+	Params []int
 }
 
 func (*CSRWritesFact) AFact() {}

@@ -8,22 +8,20 @@ import (
 )
 
 // TestRepoIsClean runs every analyzer over the whole repository, exactly as
-// `go run ./cmd/dcsvet ./...` does — same driver entry point, same analysis
-// cache, same baseline — and fails on any failing finding. This makes the
+// `go run ./cmd/dcsvet ./...` does — same LoadPackages + Analyze path, same
+// baseline — and fails on any failing finding. This makes the
 // static-analysis gate part of `go test ./...`: a change cannot pass the
-// test suite while violating a dcsvet invariant, and a warm cache (shared
-// with `make lint`) keeps the repo-wide run down to seconds.
+// test suite while violating a dcsvet invariant.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide analysis is not short")
 	}
 	root := "../.."
-	cache, err := lint.OpenCache("")
+	targets, err := lint.LoadPackages(root, nil)
 	if err != nil {
-		t.Logf("analysis cache unavailable, running cold: %v", err)
-		cache = nil
+		t.Fatalf("loading repo: %v", err)
 	}
-	res, err := lint.Run(root, nil, lint.All, cache)
+	diags, err := lint.Analyze(targets, lint.All)
 	if err != nil {
 		t.Fatalf("analyzing repo: %v", err)
 	}
@@ -31,10 +29,9 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reading baseline: %v", err)
 	}
-	failing, baselined := lint.ApplyBaseline(res.Diags, base, root)
+	failing, baselined := lint.ApplyBaseline(diags, base, root)
 	for _, d := range failing {
 		t.Errorf("dcsvet: %s", d)
 	}
-	t.Logf("dcsvet: %d baselined warn finding(s), cache %d hit(s) / %d miss(es)",
-		len(baselined), res.CacheHits, res.CacheMisses)
+	t.Logf("dcsvet: %d baselined warn finding(s)", len(baselined))
 }

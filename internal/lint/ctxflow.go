@@ -27,18 +27,17 @@ import (
 )
 
 var Ctxflow = &Analyzer{
-	Name:      "ctxflow",
-	Doc:       "library code must not manufacture contexts (Background/TODO) and must thread a received ctx to Ctx-variant callees",
-	Severity:  SeverityError,
-	FactTypes: []Fact{(*CtxVariantFact)(nil)},
-	Run:       runCtxflow,
+	Name:     "ctxflow",
+	Doc:      "library code must not manufacture contexts (Background/TODO) and must thread a received ctx to Ctx-variant callees",
+	Severity: SeverityError,
+	Run:      runCtxflow,
 }
 
 // CtxVariantFact is exported on a function F when its package also declares
 // FCtx taking a context.Context: callers holding a ctx must use the
 // variant.
 type CtxVariantFact struct {
-	Variant string `json:"variant"`
+	Variant string
 }
 
 func (*CtxVariantFact) AFact() {}

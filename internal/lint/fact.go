@@ -4,8 +4,7 @@
 // analysis. The design mirrors golang.org/x/tools go/analysis facts on the
 // standard library alone:
 //
-//   - An analyzer declares its fact types in Analyzer.FactTypes (pointers to
-//     JSON-marshalable structs implementing Fact).
+//   - A fact type is a pointer to a struct implementing Fact.
 //   - Pass.ExportObjectFact attaches a fact to an object of the package
 //     under analysis; Pass.ImportObjectFact retrieves the fact attached to
 //     any object, including objects of already-analyzed dependency packages.
@@ -19,25 +18,20 @@
 // (package path plus "Name", "Recv.Name" for methods, "Struct.Field" for
 // fields) computed identically on both sides, rather than by object pointer.
 //
-// Serialization: facts round-trip through deterministic JSON (sorted by
-// analyzer, object and type) so the on-disk analysis cache can persist a
-// package's exported facts and dependents can consume them on a warm run
-// without re-analyzing the dependency. See cache.go.
+// Facts live only in memory for the duration of one Analyze call: every run
+// type-checks and analyzes every package afresh, so no verdict can outlive
+// the types it was computed from.
 package lint
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // A Fact is analyzer-specific information attached to an object, exported
 // during the analysis of the object's package and importable during the
 // analysis of dependent packages. Implementations must be pointers to
-// JSON-marshalable structs and be listed in their analyzer's FactTypes.
+// structs.
 type Fact interface {
 	// AFact is a marker method; it has no behavior.
 	AFact()
@@ -53,8 +47,7 @@ type factKey struct {
 	typ      string
 }
 
-// factStore holds every fact exported during one driver run (live values)
-// plus facts loaded from the cache for packages that were not re-analyzed.
+// factStore holds every fact exported during one driver run.
 type factStore struct {
 	m map[factKey]Fact
 }
@@ -139,7 +132,7 @@ func factTypeName(f Fact) string {
 
 // ExportObjectFact attaches fact to obj, which must belong to the package
 // under analysis. The fact becomes visible to ImportObjectFact in this and
-// every later pass of the run, and is persisted by the analysis cache.
+// every later pass of the run.
 func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 	if obj == nil || obj.Pkg() == nil {
 		return
@@ -183,92 +176,4 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	}
 	dv.Set(sv)
 	return true
-}
-
-// An encodedFact is the serialized form of one exported fact, used by the
-// on-disk cache and the fact round-trip tests.
-type encodedFact struct {
-	Analyzer string          `json:"analyzer"`
-	Object   string          `json:"object"`
-	Type     string          `json:"type"`
-	Data     json.RawMessage `json:"data"`
-}
-
-// encodePackageFacts serializes every fact exported on objects of pkgPath,
-// deterministically ordered, so identical analyses yield identical bytes.
-func (s *factStore) encodePackageFacts(pkgPath string) ([]byte, error) {
-	var out []encodedFact
-	for k, f := range s.m {
-		if k.pkg != pkgPath {
-			continue
-		}
-		data, err := json.Marshal(f)
-		if err != nil {
-			return nil, fmt.Errorf("encoding %s fact %s on %s.%s: %w", k.analyzer, k.typ, k.pkg, k.obj, err)
-		}
-		out = append(out, encodedFact{Analyzer: k.analyzer, Object: k.obj, Type: k.typ, Data: data})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Analyzer != b.Analyzer {
-			return a.Analyzer < b.Analyzer
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		return bytes.Compare(a.Data, b.Data) < 0
-	})
-	if out == nil {
-		return []byte("[]"), nil
-	}
-	return json.Marshal(out)
-}
-
-// decodePackageFacts loads serialized facts back into the store under
-// pkgPath, resolving concrete types through the analyzers' FactTypes
-// registries. Facts of unknown analyzers or types are an error: the cache
-// key includes the analyzer set, so a mismatch means a corrupted entry.
-func (s *factStore) decodePackageFacts(pkgPath string, data []byte, analyzers []*Analyzer) error {
-	registry := map[string]map[string]reflect.Type{}
-	for _, a := range analyzers {
-		types := map[string]reflect.Type{}
-		for _, proto := range a.FactTypes {
-			t := reflect.TypeOf(proto)
-			for t.Kind() == reflect.Pointer {
-				t = t.Elem()
-			}
-			types[t.Name()] = t
-		}
-		// The driver exports AllowFact under the *allowing* analyzer's name
-		// (see exportAllowFact), so every analyzer's registry must know it.
-		types["AllowFact"] = reflect.TypeOf(AllowFact{})
-		registry[a.Name] = types
-	}
-	var encoded []encodedFact
-	if err := json.Unmarshal(data, &encoded); err != nil {
-		return fmt.Errorf("decoding facts for %s: %w", pkgPath, err)
-	}
-	for _, e := range encoded {
-		types, ok := registry[e.Analyzer]
-		if !ok {
-			return fmt.Errorf("facts for %s name unknown analyzer %q", pkgPath, e.Analyzer)
-		}
-		rt, ok := types[e.Type]
-		if !ok {
-			return fmt.Errorf("facts for %s name unknown %s fact type %q", pkgPath, e.Analyzer, e.Type)
-		}
-		fv := reflect.New(rt)
-		if err := json.Unmarshal(e.Data, fv.Interface()); err != nil {
-			return fmt.Errorf("decoding %s fact %s for %s: %w", e.Analyzer, e.Type, pkgPath, err)
-		}
-		fact, ok := fv.Interface().(Fact)
-		if !ok {
-			return fmt.Errorf("%s fact type %s does not implement Fact", e.Analyzer, e.Type)
-		}
-		s.m[factKey{analyzer: e.Analyzer, pkg: pkgPath, obj: e.Object, typ: e.Type}] = fact
-	}
-	return nil
 }

@@ -31,11 +31,10 @@ import (
 )
 
 var Guardedby = &Analyzer{
-	Name:      "guardedby",
-	Doc:       "fields annotated `// guarded by <mu>` may only be accessed holding the named mutex (direct-call-graph approximation)",
-	Severity:  SeverityError,
-	FactTypes: []Fact{(*GuardedByFact)(nil)},
-	Run:       runGuardedby,
+	Name:     "guardedby",
+	Doc:      "fields annotated `// guarded by <mu>` may only be accessed holding the named mutex (direct-call-graph approximation)",
+	Severity: SeverityError,
+	Run:      runGuardedby,
 }
 
 // GuardedByFact is exported on every annotated field so the annotation is
@@ -43,7 +42,7 @@ var Guardedby = &Analyzer{
 // exported internal/evolve field is checked against evolve's own
 // annotation. Mutex names the guarding sibling field.
 type GuardedByFact struct {
-	Mutex string `json:"mutex"`
+	Mutex string
 }
 
 func (*GuardedByFact) AFact() {}

@@ -43,11 +43,10 @@ import (
 )
 
 var Leakcheck = &Analyzer{
-	Name:      "leakcheck",
-	Doc:       "resource handles (mmaps, backed graphs, pins, tickers, release funcs) must reach their paired release on some path",
-	Severity:  SeverityError,
-	FactTypes: []Fact{(*AcquiresFact)(nil)},
-	Run:       runLeakcheck,
+	Name:     "leakcheck",
+	Doc:      "resource handles (mmaps, backed graphs, pins, tickers, release funcs) must reach their paired release on some path",
+	Severity: SeverityError,
+	Run:      runLeakcheck,
 }
 
 // AcquiresFact marks a function whose listed results are resource handles
@@ -55,7 +54,7 @@ var Leakcheck = &Analyzer{
 // acquire a handle and return it, so the obligation crosses package
 // boundaries with the handle.
 type AcquiresFact struct {
-	Results []int `json:"results"`
+	Results []int
 }
 
 func (*AcquiresFact) AFact() {}

@@ -55,9 +55,10 @@
 // analysistest-style fixture harness in linttest) but is built on the
 // standard library alone, so the module keeps its zero-dependency property
 // and the gate cannot be skipped for want of a network. Loading uses
-// `go list -export` plus the gc export-data importer; see load.go. Analysis
-// results and facts are cached on disk keyed by file content, so warm runs
-// re-analyze only changed packages and their dependents; see cache.go.
+// `go list -export` plus the gc export-data importer; see load.go. There is
+// one driver path — LoadPackages then Analyze — shared by cmd/dcsvet, the
+// repo-wide clean test and the linttest fixtures, and it keeps no state
+// between runs: every package is type-checked and analyzed afresh.
 //
 // Every analyzer has a severity tier: error findings break the build;
 // warn findings may be carried, reviewed, in a baseline file (see
@@ -98,14 +99,13 @@ const (
 
 // An Analyzer describes one analysis: a name diagnostics are attributed to
 // (and that //lint:allow comments reference), one-line documentation, the
-// severity tier of its findings, the fact types it exports (if any), and
-// the function that runs it over a single package.
+// severity tier of its findings, and the function that runs it over a
+// single package.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Severity  Severity // zero value means SeverityError
-	FactTypes []Fact   // prototypes of the facts Run may export
-	Run       func(*Pass) error
+	Name     string
+	Doc      string
+	Severity Severity // zero value means SeverityError
+	Run      func(*Pass) error
 }
 
 // severity returns the analyzer's tier, defaulting the zero value to error.
@@ -189,7 +189,7 @@ func Analyze(targets []*Target, analyzers []*Analyzer) ([]Diagnostic, error) {
 // analyzeTarget runs the analyzers over one package and applies that
 // package's //lint:allow suppression, returning its final diagnostics.
 // Exported facts (including function-level allow-facts) land in store for
-// later packages — and for the on-disk cache.
+// later packages.
 func analyzeTarget(t *Target, analyzers []*Analyzer, store *factStore) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
@@ -285,7 +285,7 @@ const allowPrefix = "//lint:allow"
 // exported on the function object under the named analyzer so dependent
 // packages and tools can see the exemption.
 type AllowFact struct {
-	Reason string `json:"reason"`
+	Reason string
 }
 
 // AFact marks AllowFact as a Fact.

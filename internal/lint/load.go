@@ -6,11 +6,6 @@
 // export-data importer resolving imports. Everything runs offline — the
 // module has no third-party dependencies, so the export data always comes
 // from the local build cache.
-//
-// The load is split in two phases so the analysis cache (cache.go) can skip
-// the expensive half: listModule runs `go list` once and returns metadata
-// (file paths, import graph, export-data locations); checkPackage parses
-// and type-checks one package on demand. A cache hit needs only phase one.
 package lint
 
 import (
@@ -37,7 +32,6 @@ type listPkg struct {
 	Export     string
 	GoFiles    []string
 	Imports    []string
-	Deps       []string
 	ImportMap  map[string]string
 	DepOnly    bool
 	Standard   bool
@@ -94,11 +88,19 @@ func listModule(dir string, patterns []string) (*moduleList, error) {
 	return ml, nil
 }
 
-// analysisTargets returns the listed packages that are analysis targets:
-// matched by the patterns (not dependency-only), outside GOROOT, and
-// error-free. Order is preserved from go list (dependencies first).
-func (ml *moduleList) analysisTargets() ([]*listPkg, error) {
-	var out []*listPkg
+// LoadPackages lists, parses and type-checks the packages matched by
+// patterns (relative to dir, typically the module root), returning one
+// Target per package in go list order (dependencies first). Only the
+// matched packages outside GOROOT are targets, and a listed package error
+// fails the load. Only non-test compiled sources are analyzed: the enforced
+// invariants are contracts of production code, and the analyzers' own
+// behavior is pinned by the linttest fixture suites instead.
+func LoadPackages(dir string, patterns []string) ([]*Target, error) {
+	ml, err := listModule(dir, patterns)
+	if err != nil {
+		return nil, err
+	}
+	var targets []*Target
 	for _, p := range ml.order {
 		if p.DepOnly || p.Standard {
 			continue
@@ -106,27 +108,6 @@ func (ml *moduleList) analysisTargets() ([]*listPkg, error) {
 		if p.Error != nil {
 			return nil, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
 		}
-		out = append(out, p)
-	}
-	return out, nil
-}
-
-// LoadPackages lists, parses and type-checks the packages matched by
-// patterns (relative to dir, typically the module root), returning one
-// Target per package. Only non-test compiled sources are analyzed: the
-// enforced invariants are contracts of production code, and the analyzers'
-// own behavior is pinned by the linttest fixture suites instead.
-func LoadPackages(dir string, patterns []string) ([]*Target, error) {
-	ml, err := listModule(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
-	pkgs, err := ml.analysisTargets()
-	if err != nil {
-		return nil, err
-	}
-	var targets []*Target
-	for _, p := range pkgs {
 		t, err := ml.checkPackage(p)
 		if err != nil {
 			return nil, err

@@ -132,27 +132,3 @@ func TestRatioParMatchesSequential(t *testing.T) {
 		}
 	}
 }
-
-func TestNewSEAParMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	for round := 0; round < 3; round++ {
-		for _, fx := range adFixtures(rng) {
-			seq := core.NewSEA(fx.g, core.GAOptions{})
-			if err := core.ValidateGA(fx.g, seq); err != nil {
-				t.Fatalf("%s round %d: sequential result invalid: %v", fx.name, round, err)
-			}
-			for _, deg := range Degrees {
-				got := core.NewSEA(fx.g, core.GAOptions{Parallelism: deg})
-				// The whole struct, Stats included: the speculative batches
-				// must not even run (and count) an init the sequential
-				// pruning would have skipped.
-				if !reflect.DeepEqual(got, seq) {
-					t.Fatalf("%s round %d degree %d:\n got %+v\nwant %+v", fx.name, round, deg, got, seq)
-				}
-				if err := core.ValidateGA(fx.g, got); err != nil {
-					t.Fatalf("%s round %d degree %d: certificate invalid: %v", fx.name, round, deg, err)
-				}
-			}
-		}
-	}
-}

@@ -25,11 +25,10 @@ func TestConcurrentSolvesSharedGraph(t *testing.T) {
 	wantAD := core.DCSGreedy(gd)
 	wantTopK := core.TopKAverageDegree(gd, 3)
 	wantRatio := core.MaxRatioContrast(g1, g2)
-	wantGA := core.NewSEA(gd, core.GAOptions{})
 
 	const goroutines = 8
 	var wg sync.WaitGroup
-	errs := make(chan string, goroutines*4)
+	errs := make(chan string, goroutines*3)
 	for i := 0; i < goroutines; i++ {
 		deg := Degrees[i%len(Degrees)]
 		wg.Add(1)
@@ -43,9 +42,6 @@ func TestConcurrentSolvesSharedGraph(t *testing.T) {
 			}
 			if got := core.MaxRatioContrastCtx(context.Background(), g1, g2, deg); !reflect.DeepEqual(got, wantRatio) {
 				errs <- "MaxRatioContrastCtx diverged under concurrency"
-			}
-			if got := core.NewSEA(gd, core.GAOptions{Parallelism: deg}); !reflect.DeepEqual(got, wantGA) {
-				errs <- "NewSEA diverged under concurrency"
 			}
 		}()
 	}
