@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/url"
@@ -33,16 +32,23 @@ import (
 //
 // <key> is url.PathEscape of the name: injective, never contains a path
 // separator, and only ever embedded inside longer file names so "." and
-// ".." cannot arise.
+// ".." cannot arise. A manifest is a record file (manifest.go): each commit
+// appends one CRC-framed JSON record and the last intact record wins; a file
+// is rewritten with just the new record once an append would take it past
+// 64 KiB.
 //
-// Crash safety: every file is written to a temp name, fsynced and renamed
-// into place; a snapshot's graph file commits before the manifest that
-// references it, and old files are deleted only after the new manifest is
-// durable. A kill -9 at any point therefore leaves either the old or the
-// new fully-committed state: recovery reads the manifests, verifies each
-// graph's checksum (binary codec), seeds the store's monotonic version
-// counters (tombstones included — the diff-cache ABA protection survives
-// restart), and removes whatever orphaned temp/graph files the crash left.
+// Crash safety: every graph file is written to a temp name, fsynced and
+// renamed into place; it commits before the manifest record that references
+// it, and old files are deleted only after that record is durable. A kill -9
+// at any point therefore leaves either the old or the new fully-committed
+// state: a crash mid-append leaves a torn tail that the reader stops at, so
+// the previous record — the last acknowledged commit — is the manifest.
+// Recovery reads the manifests, verifies each graph's checksum (binary
+// codec), seeds the store's monotonic version counters (tombstones included
+// — the diff-cache ABA protection survives restart), and removes whatever
+// orphaned temp/graph files the crash left. A manifest with bytes after its
+// last intact record spares every <key>.v* file, as an unreadable one does:
+// a torn tail and damage mid-file look the same.
 //
 // Snapshots are mirrored write-through (each Store.Put/Delete lands on disk
 // before the call returns). Watch state is checkpointed: immediately on
@@ -136,6 +142,12 @@ func openPersister(dir string) (*persister, error) {
 			return nil, fmt.Errorf("serve: data directory: %w", err)
 		}
 	}
+	// The two entries live in dir: without this fsync a power loss on a
+	// fresh data directory could drop them, and every file fsynced under
+	// them since.
+	if err := syncDir(dir); err != nil {
+		return nil, fmt.Errorf("serve: data directory: %w", err)
+	}
 	p.stats.Enabled = true
 	return p, nil
 }
@@ -186,14 +198,6 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-func writeJSONFile(path string, v any) error {
-	return writeAtomic(path, func(w io.Writer) error {
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", " ")
-		return enc.Encode(v)
-	})
-}
-
 // countWrite bumps the counter kind selects (WriteErrors instead when err is
 // non-nil). kind runs under statMu, so callers never reach into stats
 // without the lock.
@@ -230,14 +234,16 @@ func (p *persister) saveSnapshot(s *Snapshot, g *dcs.Graph) (string, error) {
 		return dcs.WriteGraphBinaryV2(w, g, false)
 	})
 	if err == nil {
-		old := p.readManifest(key)
-		err = writeJSONFile(filepath.Join(p.snapDir, key+".json"), snapManifest{
+		mpath := filepath.Join(p.snapDir, key+".json")
+		var old snapManifest
+		scan, hadOld := readRecord(mpath, &old)
+		err = commitRecord(mpath, scan, snapManifest{
 			Name: s.Name, Version: s.Version, UpdatedAt: s.UpdatedAt, File: gfile,
 			Meta: &snapMeta{N: g.N(), M: g.M(), TotalWeight: g.TotalWeight()},
 		})
 		if err == nil {
 			p.lastSaved[s.Name] = s.Version
-			if old != nil && old.File != "" && old.File != gfile {
+			if hadOld && old.File != "" && old.File != gfile {
 				os.Remove(filepath.Join(p.snapDir, old.File))
 			}
 		}
@@ -262,35 +268,22 @@ func (p *persister) deleteSnapshot(name string, lastVersion int) error {
 	if p.lastSaved[name] > lastVersion {
 		return nil
 	}
-	key := fsKey(name)
-	old := p.readManifest(key)
-	err := writeJSONFile(filepath.Join(p.snapDir, key+".json"), snapManifest{
+	mpath := filepath.Join(p.snapDir, fsKey(name)+".json")
+	var old snapManifest
+	scan, hadOld := readRecord(mpath, &old)
+	err := commitRecord(mpath, scan, snapManifest{
 		Name: name, Version: lastVersion, UpdatedAt: time.Now(), Deleted: true,
 	})
 	if err == nil {
 		if p.lastSaved[name] < lastVersion {
 			p.lastSaved[name] = lastVersion
 		}
-		if old != nil && old.File != "" {
+		if hadOld && old.File != "" {
 			os.Remove(filepath.Join(p.snapDir, old.File))
 		}
 	}
 	p.countWrite(snapshotWrites, err)
 	return err
-}
-
-// readManifest loads a snapshot manifest by key, nil when absent/corrupt.
-// Callers hold p.mu.
-func (p *persister) readManifest(key string) *snapManifest {
-	data, err := os.ReadFile(filepath.Join(p.snapDir, key+".json"))
-	if err != nil {
-		return nil
-	}
-	var m snapManifest
-	if json.Unmarshal(data, &m) != nil {
-		return nil
-	}
-	return &m
 }
 
 // recoverSnapshots loads every committed snapshot into the store, seeds
@@ -312,26 +305,24 @@ func (p *persister) recoverSnapshots(store *Store) {
 		if filepath.Ext(name) != ".json" {
 			continue
 		}
-		data, err := os.ReadFile(filepath.Join(p.snapDir, name))
-		if err != nil {
-			p.noteRestoreError()
-			keep[name] = true
-			keepPrefixes = append(keepPrefixes, strings.TrimSuffix(name, ".json")+".v")
-			continue
-		}
-		var m snapManifest
-		if err := json.Unmarshal(data, &m); err != nil || m.Name == "" {
-			// Unreadable manifest: count it, keep the file for diagnosis —
-			// and spare every file of its key (<key>.v*), since we can no
-			// longer tell which of them the manifest references. Deleting
-			// them would turn a corrupt ~200-byte JSON into permanent loss
-			// of an intact, checksummed graph.
-			p.noteRestoreError()
-			keep[name] = true
-			keepPrefixes = append(keepPrefixes, strings.TrimSuffix(name, ".json")+".v")
-			continue
-		}
 		keep[name] = true
+		var m snapManifest
+		scan, ok := readRecord(filepath.Join(p.snapDir, name), &m)
+		unreadable := !ok || m.Name == ""
+		if unreadable || scan.torn() {
+			// Spare every file of the key (<key>.v*): we can no longer tell
+			// which of them the manifest references. A torn tail is most
+			// likely a crash mid-append, but damage mid-file looks the same
+			// and may hide newer records. Deleting them would turn a corrupt
+			// ~200-byte record into permanent loss of an intact, checksummed
+			// graph.
+			keepPrefixes = append(keepPrefixes, strings.TrimSuffix(name, ".json")+".v")
+		}
+		if unreadable {
+			// Count it; the file itself is kept for diagnosis.
+			p.noteRestoreError()
+			continue
+		}
 		if !m.Deleted && m.File != "" {
 			keep[m.File] = true
 		}
@@ -455,9 +446,11 @@ func (p *persister) checkpointWatch(w *watch) error {
 	}
 	man, expect, last := w.checkpointState()
 	key := fsKey(w.name)
-	old := p.readWatchManifest(key)
+	mpath := filepath.Join(p.watchDir, key+".json")
+	var old watchManifest
+	scan, hadOld := readRecord(mpath, &old)
 	man.Seq = 1
-	if old != nil {
+	if hadOld {
 		man.Seq = old.Seq + 1
 	}
 	seq := strconv.Itoa(man.Seq)
@@ -472,9 +465,9 @@ func (p *persister) checkpointWatch(w *watch) error {
 		})
 	}
 	if err == nil {
-		err = writeJSONFile(filepath.Join(p.watchDir, key+".json"), man)
+		err = commitRecord(mpath, scan, man)
 	}
-	if err == nil && old != nil {
+	if err == nil && hadOld {
 		for _, f := range []string{old.ExpectFile, old.LastFile} {
 			if f != "" && f != man.ExpectFile && f != man.LastFile {
 				os.Remove(filepath.Join(p.watchDir, f))
@@ -512,13 +505,11 @@ func (p *persister) deleteWatch(name string) {
 	os.Remove(filepath.Join(p.watchDir, key+".json"))
 }
 
+// readWatchManifest loads a watch manifest by key, nil when absent or
+// unreadable. Callers hold p.mu.
 func (p *persister) readWatchManifest(key string) *watchManifest {
-	data, err := os.ReadFile(filepath.Join(p.watchDir, key+".json"))
-	if err != nil {
-		return nil
-	}
 	var m watchManifest
-	if json.Unmarshal(data, &m) != nil {
+	if _, ok := readRecord(filepath.Join(p.watchDir, key+".json"), &m); !ok {
 		return nil
 	}
 	return &m
@@ -558,19 +549,16 @@ func (p *persister) recoverWatches(opt dcs.Options) []*watch {
 			continue
 		}
 		keep[fname] = true
-		data, err := os.ReadFile(filepath.Join(p.watchDir, fname))
-		if err != nil {
-			p.noteRestoreError()
-			keepPrefixes = append(keepPrefixes, strings.TrimSuffix(fname, ".json")+".v")
-			continue
-		}
 		var m watchManifest
-		if err := json.Unmarshal(data, &m); err != nil || m.Name == "" || m.N < 0 {
-			// Unreadable manifest: as in recoverSnapshots, spare the key's
-			// checkpoint files instead of sweeping payloads we can no
-			// longer attribute.
-			p.noteRestoreError()
+		scan, ok := readRecord(filepath.Join(p.watchDir, fname), &m)
+		unreadable := !ok || m.Name == "" || m.N < 0
+		if unreadable || scan.torn() {
+			// As in recoverSnapshots: spare the key's checkpoint files
+			// instead of sweeping payloads we can no longer attribute.
 			keepPrefixes = append(keepPrefixes, strings.TrimSuffix(fname, ".json")+".v")
+		}
+		if unreadable {
+			p.noteRestoreError()
 			continue
 		}
 		keep[m.ExpectFile] = true
