@@ -27,9 +27,11 @@ race:
 
 # Allocation guards (testing.AllocsPerRun; !race build tag, so `make race`
 # skips them): the peel engine and the average-degree solvers allocate per
-# solve, not per component or per ratio probe.
+# solve, not per component or per ratio probe; NewSEA allocates per
+# initialization, not per vertex; an incremental watch tick allocates the
+# same whatever the graph size.
 allocs:
-	$(GO) test -count=1 -run 'Allocs' ./internal/densest/ ./internal/core/
+	$(GO) test -count=1 -run 'Allocs' ./internal/densest/ ./internal/core/ ./internal/evolve/
 
 # The single lint gate: formatting, go vet, the repo's own analyzers, and
 # staticcheck. dcsvet is the part generic linters cannot replace — it

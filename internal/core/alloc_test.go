@@ -77,3 +77,39 @@ func TestRatioAllocsFlatInProbes(t *testing.T) {
 	flatAllocs(t, "MaxRatioContrast",
 		func() { MaxRatioContrast(short, g2) }, func() { MaxRatioContrast(long, g2) })
 }
+
+// TestNewSEAAllocsPerInit: NewSEA's µ-pruned loop runs one initialization
+// per surviving vertex, and each init allocates its own embedding and
+// working set, so the solve's allocations grow with Stats.Inits — but no
+// faster: a per-vertex allocation inside an init raises the larger graph's
+// allocations per init. Isolated vertices are pruned before any init, so
+// padding the graph with them must leave the count flat: a per-vertex
+// allocation in the per-solve setup breaks that.
+func TestNewSEAAllocsPerInit(t *testing.T) {
+	perInit := func(gd *graph.Graph) (float64, int) {
+		inits := NewSEA(gd, GAOptions{}).Stats.Inits
+		if inits == 0 {
+			t.Fatal("NewSEA ran no initialization")
+		}
+		return testing.AllocsPerRun(10, func() { NewSEA(gd, GAOptions{}) }) / float64(inits), inits
+	}
+	few := componentsGraph(10)
+	a, fewInits := perInit(few)
+	b, manyInits := perInit(componentsGraph(200))
+	if manyInits <= fewInits {
+		t.Fatalf("NewSEA: %d inits on the larger graph, %d on the smaller", manyInits, fewInits)
+	}
+	if b > a+allocSlack {
+		t.Fatalf("NewSEA: %.1f allocations per init on the larger graph (%d inits), %.1f on the smaller (%d inits)",
+			b, manyInits, a, fewInits)
+	}
+
+	pb := graph.NewBuilder(few.N() + 2000)
+	few.VisitEdges(func(u, v int, w float64) { pb.AddEdge(u, v, w) })
+	padded := pb.Build()
+	if inits := NewSEA(padded, GAOptions{}).Stats.Inits; inits != fewInits {
+		t.Fatalf("NewSEA: %d inits with isolated vertices added, %d without", inits, fewInits)
+	}
+	flatAllocs(t, "NewSEA with 2000 isolated vertices",
+		func() { NewSEA(few, GAOptions{}) }, func() { NewSEA(padded, GAOptions{}) })
+}

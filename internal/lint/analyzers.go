@@ -1,7 +1,6 @@
 package lint
 
 // All is the suite cmd/dcsvet composes, in reporting order: the four
-// error-tier invariant checks from the original suite, the three
-// interprocedural analyzers added with driver v2, hotalloc last as the
-// only warn-tier member.
-var All = []*Analyzer{Loopcheck, Backedwrite, Floatdet, Guardedby, Leakcheck, Ctxflow, Hotalloc}
+// invariant checks of the original suite, then leakcheck and ctxflow, the
+// interprocedural analyzers added with driver v2.
+var All = []*Analyzer{Loopcheck, Backedwrite, Floatdet, Guardedby, Leakcheck, Ctxflow}

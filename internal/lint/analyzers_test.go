@@ -23,10 +23,6 @@ func TestGuardedby(t *testing.T) {
 	linttest.Run(t, "testdata/guardedby", lint.Guardedby)
 }
 
-func TestHotalloc(t *testing.T) {
-	linttest.Run(t, "testdata/hotalloc", lint.Hotalloc)
-}
-
 func TestLeakcheck(t *testing.T) {
 	linttest.Run(t, "testdata/leakcheck", lint.Leakcheck)
 }

@@ -37,10 +37,9 @@ import (
 )
 
 var Backedwrite = &Analyzer{
-	Name:     "backedwrite",
-	Doc:      "CSR storage from internal/graph (Graph.CSR results, FromCSRBacked inputs) must not be written outside internal/graph",
-	Severity: SeverityError,
-	Run:      runBackedwrite,
+	Name: "backedwrite",
+	Doc:  "CSR storage from internal/graph (Graph.CSR results, FromCSRBacked inputs) must not be written outside internal/graph",
+	Run:  runBackedwrite,
 }
 
 // CSRAliasFact marks a function whose listed results alias graph CSR

@@ -27,10 +27,9 @@ import (
 )
 
 var Ctxflow = &Analyzer{
-	Name:     "ctxflow",
-	Doc:      "library code must not manufacture contexts (Background/TODO) and must thread a received ctx to Ctx-variant callees",
-	Severity: SeverityError,
-	Run:      runCtxflow,
+	Name: "ctxflow",
+	Doc:  "library code must not manufacture contexts (Background/TODO) and must thread a received ctx to Ctx-variant callees",
+	Run:  runCtxflow,
 }
 
 // CtxVariantFact is exported on a function F when its package also declares

@@ -16,7 +16,11 @@
 //   - float accumulation into storage that outlives the iteration:
 //     x += v, x -= v, x *= v, x /= v, and the spelled-out x = x + v forms,
 //     when the right-hand side involves the range variables (a constant
-//     contribution per entry is order-independent);
+//     contribution per entry is order-independent). The parameters of a
+//     func literal count as range variables when the literal is passed to
+//     a call whose other arguments use one — the visitor idiom
+//     `g.VisitNeighbors(u, func(v int, w float64) { gain[v] += w })` folds
+//     per-entry values just like a direct loop body;
 //   - argmax/argmin selection: an if whose condition is an order comparison
 //     involving the range *value* (or any float), whose body captures the
 //     range *key* into outer storage — ties are then resolved by iteration
@@ -43,10 +47,9 @@ var floatdetPkgSuffixes = append([]string{
 }, solverPkgSuffixes...)
 
 var Floatdet = &Analyzer{
-	Name:     "floatdet",
-	Doc:      "no order-dependent float accumulation or argmax selection while ranging over a map (bitwise determinism contract)",
-	Severity: SeverityError,
-	Run:      runFloatdet,
+	Name: "floatdet",
+	Doc:  "no order-dependent float accumulation or argmax selection while ranging over a map (bitwise determinism contract)",
+	Run:  runFloatdet,
 }
 
 func runFloatdet(pass *Pass) error {
@@ -101,12 +104,31 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 		})
 		return found
 	}
+	// rangeVars starts as the key and value and gains the parameters of
+	// func literals handed to a call along with a range-derived argument.
+	// Inspect visits a call before the literal bodies among its arguments,
+	// so nested visitors chain.
+	rangeVars := map[types.Object]bool{}
+	for _, obj := range []types.Object{keyObj, valObj} {
+		if obj != nil {
+			rangeVars[obj] = true
+		}
+	}
 	usesRangeVars := func(e ast.Expr) bool {
-		return usesVar(e, keyObj) || usesVar(e, valObj)
+		found := false
+		ast.Inspect(e, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && rangeVars[pass.Info.Uses[id]] {
+				found = true
+			}
+			return !found
+		})
+		return found
 	}
 
 	ast.Inspect(rng.Body, func(node ast.Node) bool {
 		switch n := node.(type) {
+		case *ast.CallExpr:
+			markVisitorParams(pass, n, usesRangeVars, rangeVars)
 		case *ast.AssignStmt:
 			checkAccumulation(pass, n, outerStorage, usesRangeVars)
 		case *ast.IfStmt:
@@ -114,6 +136,33 @@ func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
 		}
 		return true
 	})
+}
+
+// markVisitorParams adds to rangeVars the parameters of every func literal
+// argument of call when another argument is range-derived: the callee
+// invokes the literal with values computed from that argument.
+func markVisitorParams(pass *Pass, call *ast.CallExpr, usesRangeVars func(ast.Expr) bool, rangeVars map[types.Object]bool) {
+	var lits []*ast.FuncLit
+	fed := false
+	for _, arg := range call.Args {
+		if lit, ok := ast.Unparen(arg).(*ast.FuncLit); ok {
+			lits = append(lits, lit)
+		} else if usesRangeVars(arg) {
+			fed = true
+		}
+	}
+	if !fed {
+		return
+	}
+	for _, lit := range lits {
+		for _, field := range lit.Type.Params.List {
+			for _, name := range field.Names {
+				if obj := pass.Info.Defs[name]; obj != nil {
+					rangeVars[obj] = true
+				}
+			}
+		}
+	}
 }
 
 // sortedAfter reports whether obj is handed to a sort/slices call somewhere

@@ -31,10 +31,9 @@ import (
 )
 
 var Guardedby = &Analyzer{
-	Name:     "guardedby",
-	Doc:      "fields annotated `// guarded by <mu>` may only be accessed holding the named mutex (direct-call-graph approximation)",
-	Severity: SeverityError,
-	Run:      runGuardedby,
+	Name: "guardedby",
+	Doc:  "fields annotated `// guarded by <mu>` may only be accessed holding the named mutex (direct-call-graph approximation)",
+	Run:  runGuardedby,
 }
 
 // GuardedByFact is exported on every annotated field so the annotation is

@@ -43,10 +43,9 @@ import (
 )
 
 var Leakcheck = &Analyzer{
-	Name:     "leakcheck",
-	Doc:      "resource handles (mmaps, backed graphs, pins, tickers, release funcs) must reach their paired release on some path",
-	Severity: SeverityError,
-	Run:      runLeakcheck,
+	Name: "leakcheck",
+	Doc:  "resource handles (mmaps, backed graphs, pins, tickers, release funcs) must reach their paired release on some path",
+	Run:  runLeakcheck,
 }
 
 // AcquiresFact marks a function whose listed results are resource handles

@@ -1,17 +1,18 @@
-// Package lint is the repo's static-analysis suite: seven custom analyzers
+// Package lint is the repo's static-analysis suite: six custom analyzers
 // that machine-enforce contracts which are otherwise only guarded by code
 // review. The cmd/dcsvet multichecker composes them; CI runs it as a
 // required step, and a repo-wide clean run is asserted by a meta-test so a
-// regression fails `go test ./...` too.
+// regression fails `go test ./...` too. Every finding fails the run: there
+// are no severity tiers and no baseline of accepted findings.
 //
 // The enforced contracts (see CONTRIBUTING.md for the narrative version):
 //
-//   - loopcheck (error): every graph-scale solver loop must poll
+//   - loopcheck: every graph-scale solver loop must poll
 //     internal/runstate so cancellation works (PR 3/6). A loop that can
 //     iterate Ω(n) times without a reachable Checkpoint/Cancelled call makes
 //     a request uncancellable for its whole duration.
 //
-//   - backedwrite (error): backed-CSR storage may alias read-only mmap pages
+//   - backedwrite: backed-CSR storage may alias read-only mmap pages
 //     (PR 8). A write to the arrays returned by Graph.CSR, or to arrays
 //     already handed to graph.FromCSRBacked, outside internal/graph is a
 //     SIGSEGV on a mapped snapshot — or silent cross-request corruption on
@@ -19,32 +20,27 @@
 //     through facts: a helper that returns, writes through, or hands off CSR
 //     storage is summarized, and its callers in other packages are checked.
 //
-//   - floatdet (error): solver arithmetic must be order-deterministic
+//   - floatdet: solver arithmetic must be order-deterministic
 //     because the parallel and incremental-watch harnesses assert bitwise
 //     equivalence against sequential oracles. Accumulating floats (or
 //     selecting an argmax key) while ranging over a map re-introduces
 //     iteration-order dependence.
 //
-//   - guardedby (error): `// guarded by <mu>` field comments are checked
+//   - guardedby: `// guarded by <mu>` field comments are checked
 //     against the (direct) call graph: a field so annotated may only be
 //     touched by functions that lock the named mutex, or are only called by
 //     functions that do. Since driver v2 the annotation is exported as a
 //     fact on the field, so accesses to exported guarded fields from other
 //     packages are checked too.
 //
-//   - hotalloc (warn): no avoidable heap allocation inside a graph-scale
-//     solver loop (PR 2's pooled-scratch discipline): make/new, map and
-//     pointer composite literals, capacity-less appends, escaping closures
-//     and interface boxing inside a per-vertex/per-edge loop are findings.
-//
-//   - leakcheck (error): resource handles must reach their paired release
+//   - leakcheck: resource handles must reach their paired release
 //     (PR 8's pin/Release lifecycle): dataio.OpenMapped→Close,
 //     graph.FromCSRBacked→Release, time.NewTicker→Stop, and every func()
 //     release/unpin result must be deferred, called, or have its ownership
 //     transferred; goroutines launched in serve/ need a stop or completion
 //     signal.
 //
-//   - ctxflow (error): library code must not mint root contexts — the
+//   - ctxflow: library code must not mint root contexts — the
 //     cancellation capability flows down from the caller (PR 3/9) — and a
 //     function holding a ctx must call the Ctx variant of any callee that
 //     has one. Binary entry points (package main) own their root
@@ -59,10 +55,6 @@
 // one driver path — LoadPackages then Analyze — shared by cmd/dcsvet, the
 // repo-wide clean test and the linttest fixtures, and it keeps no state
 // between runs: every package is type-checked and analyzed afresh.
-//
-// Every analyzer has a severity tier: error findings break the build;
-// warn findings may be carried, reviewed, in a baseline file (see
-// baseline.go) and burned down incrementally.
 //
 // False positives are suppressed in place with
 //
@@ -81,39 +73,19 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"sort"
 	"strings"
 	"unicode"
 )
 
-// Severity is an analyzer's finding tier.
-type Severity string
-
-const (
-	// SeverityError findings break the build unconditionally.
-	SeverityError Severity = "error"
-	// SeverityWarn findings may be carried in a reviewed baseline file and
-	// burned down incrementally; new ones still fail.
-	SeverityWarn Severity = "warn"
-)
-
 // An Analyzer describes one analysis: a name diagnostics are attributed to
-// (and that //lint:allow comments reference), one-line documentation, the
-// severity tier of its findings, and the function that runs it over a
-// single package.
+// (and that //lint:allow comments reference), one-line documentation, and
+// the function that runs it over a single package.
 type Analyzer struct {
-	Name     string
-	Doc      string
-	Severity Severity // zero value means SeverityError
-	Run      func(*Pass) error
-}
-
-// severity returns the analyzer's tier, defaulting the zero value to error.
-func (a *Analyzer) severity() Severity {
-	if a.Severity == "" {
-		return SeverityError
-	}
-	return a.Severity
+	Name string
+	Doc  string
+	Run  func(*Pass) error
 }
 
 // A Pass is one (analyzer, package) unit of work, carrying the typed syntax
@@ -137,7 +109,6 @@ type Pass struct {
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Analyzer: p.Analyzer.Name,
-		Severity: p.Analyzer.severity(),
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
@@ -146,13 +117,27 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // A Diagnostic is one finding, positioned for editors (path:line:col).
 type Diagnostic struct {
 	Analyzer string
-	Severity Severity
 	Pos      token.Position
 	Message  string
 }
 
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s: %s [%s]", d.Pos, d.Message, d.Analyzer)
+}
+
+// RelFile returns d's file path slash-separated and relative to root when
+// it is inside root, else unchanged — the normalized form of the
+// machine-readable output.
+func RelFile(d Diagnostic, root string) string {
+	file := d.Pos.Filename
+	if root != "" {
+		if abs, err := filepath.Abs(root); err == nil {
+			if rel, err := filepath.Rel(abs, file); err == nil && filepath.IsLocal(rel) {
+				file = rel
+			}
+		}
+	}
+	return filepath.ToSlash(file)
 }
 
 // A Target is one loaded, type-checked package: the unit the driver
@@ -388,7 +373,6 @@ func collectAllows(t *Target, analyzers []*Analyzer, store *factStore) ([]allow,
 				if d.problem != "" {
 					policy = append(policy, Diagnostic{
 						Analyzer: "allow",
-						Severity: SeverityError,
 						Pos:      pos,
 						Message:  d.problem,
 					})
@@ -397,7 +381,6 @@ func collectAllows(t *Target, analyzers []*Analyzer, store *factStore) ([]allow,
 				if !known[d.analyzer] {
 					policy = append(policy, Diagnostic{
 						Analyzer: "allow",
-						Severity: SeverityError,
 						Pos:      pos,
 						Message:  fmt.Sprintf("lint:allow references unknown analyzer %q", d.analyzer),
 					})

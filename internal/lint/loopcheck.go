@@ -53,10 +53,9 @@ var solverPkgSuffixes = []string{
 const constBoundMax = 1024
 
 var Loopcheck = &Analyzer{
-	Name:     "loopcheck",
-	Doc:      "solver loops that can iterate Ω(n) times must reach a runstate checkpoint",
-	Severity: SeverityError,
-	Run:      runLoopcheck,
+	Name: "loopcheck",
+	Doc:  "solver loops that can iterate Ω(n) times must reach a runstate checkpoint",
+	Run:  runLoopcheck,
 }
 
 func isSolverPackage(path string) bool {

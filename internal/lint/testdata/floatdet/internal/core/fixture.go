@@ -113,3 +113,73 @@ func sliceFold(xs []float64) float64 {
 	}
 	return s
 }
+
+// graph stands in for the CSR graph's neighbor visitor.
+type graph struct{ adj [][]int }
+
+func (g *graph) VisitNeighbors(u int, f func(v int, w float64)) {
+	for _, v := range g.adj[u] {
+		f(v, 1)
+	}
+}
+
+// A visitor closure fed the range key folds per-entry values just like a
+// direct loop body: the gains sum in map order.
+func visitorFold(g *graph, in map[int]bool) map[int]float64 {
+	gain := make(map[int]float64)
+	for u := range in {
+		g.VisitNeighbors(u, func(v int, w float64) {
+			if !in[v] {
+				gain[v] += w // want "floating-point accumulation in map iteration order"
+			}
+		})
+	}
+	return gain
+}
+
+// Visitors nest: the inner literal is fed the outer literal's parameter.
+func nestedVisitorFold(g *graph, in map[int]bool) float64 {
+	var s float64
+	for u := range in {
+		g.VisitNeighbors(u, func(v int, _ float64) {
+			g.VisitNeighbors(v, func(_ int, w float64) {
+				s += w // want "floating-point accumulation in map iteration order"
+			})
+		})
+	}
+	return s
+}
+
+// A visitor not fed from the range makes the same contribution on every
+// entry: order-independent, not flagged.
+func unfedVisitorFold(g *graph, in map[int]bool) float64 {
+	var s float64
+	for range in {
+		g.VisitNeighbors(0, func(_ int, w float64) {
+			s += w
+		})
+	}
+	return s
+}
+
+// Accumulating into the closure's own storage dies with the call.
+func localVisitorFold(g *graph, in map[int]bool, out []float64) {
+	for u := range in {
+		g.VisitNeighbors(u, func(v int, w float64) {
+			x := 0.0
+			x += w
+			out[v] = x
+		})
+	}
+}
+
+// Integer accumulation in a visitor carries no round-off.
+func countVisitor(g *graph, in map[int]bool) int {
+	n := 0
+	for u := range in {
+		g.VisitNeighbors(u, func(v int, _ float64) {
+			n += v
+		})
+	}
+	return n
+}

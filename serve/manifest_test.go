@@ -367,9 +367,12 @@ func TestManifestCompaction(t *testing.T) {
 	mpath := filepath.Join(dir, "snapshots", "g.json")
 	created := holdFile(t, mpath)
 
-	// Re-commit version 1's record (graph file unchanged) until one more
-	// copy would not fit, then top the file up to exactly the cap with a
-	// record padded by a field the decoder ignores.
+	// Re-commit version 1's record (graph file unchanged) while one more
+	// copy still leaves room for the padded record, then top the file up to
+	// exactly the cap with a record padded by a field the decoder ignores.
+	// The unpadded record is longer than the copies by its empty pad field,
+	// and its length varies between runs (the marshalled UpdatedAt drops
+	// trailing zero nanoseconds), so the loop reserves room for it exactly.
 	var m snapManifest
 	scan, ok := readRecord(mpath, &m)
 	if !ok {
@@ -379,7 +382,8 @@ func TestManifestCompaction(t *testing.T) {
 		snapManifest
 		Pad string `json:"pad"`
 	}
-	for scan.size+2*len(appendFrame(nil, scan.last)) <= maxManifestBytes {
+	base, _ := json.Marshal(padded{snapManifest: m})
+	for scan.size+len(appendFrame(nil, scan.last))+frameHeader+len(base) <= maxManifestBytes {
 		if err := commitRecord(mpath, scan, m); err != nil {
 			t.Fatal(err)
 		}
@@ -388,7 +392,6 @@ func TestManifestCompaction(t *testing.T) {
 			t.Fatalf("commit to a %d-byte manifest did not append", size)
 		}
 	}
-	base, _ := json.Marshal(padded{snapManifest: m})
 	pad := maxManifestBytes - scan.size - frameHeader - len(base)
 	if err := commitRecord(mpath, scan, padded{m, strings.Repeat("x", pad)}); err != nil {
 		t.Fatal(err)
