@@ -29,9 +29,10 @@ race:
 # skips them): the peel engine and the average-degree solvers allocate per
 # solve, not per component or per ratio probe; NewSEA allocates per
 # initialization, not per vertex; an incremental watch tick allocates the
-# same whatever the graph size.
+# same whatever the graph size; decoding an upload allocates the same
+# whatever its edge count.
 allocs:
-	$(GO) test -count=1 -run 'Allocs' ./internal/densest/ ./internal/core/ ./internal/evolve/
+	$(GO) test -count=1 -run 'Allocs' ./internal/densest/ ./internal/core/ ./internal/evolve/ ./serve/
 
 # The single lint gate: formatting, go vet, the repo's own analyzers, and
 # staticcheck. dcsvet is the part generic linters cannot replace — it

@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"sync"
 	"testing"
 )
+
+// fig2Sweep runs the CI-scale Fig. 2 density sweep once for the two tests
+// that check it (TestFig2Shapes, TestFig2SpeedupGrows); it takes seconds.
+var fig2Sweep = sync.OnceValue(func() []Fig2Point { return quickSuite().Fig2(nil) })
 
 // TestTableVIIShapes runs the timing experiment at CI scale and checks the
 // qualitative claims of Table VII: NewSEA is the fastest, SEACD+Refine beats
@@ -50,8 +55,7 @@ func TestFig2SpeedupGrows(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing experiment")
 	}
-	s := quickSuite()
-	pts := s.Fig2(nil)
+	pts := fig2Sweep()
 	if len(pts) < 2 {
 		t.Fatal("need at least two sweep points")
 	}

@@ -248,8 +248,7 @@ func TestFig2Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig2 sweep is slow")
 	}
-	s := quickSuite()
-	pts := s.Fig2(nil)
+	pts := fig2Sweep()
 	if len(pts) < 3 {
 		t.Fatal("need at least 3 sweep points")
 	}

@@ -155,6 +155,27 @@ func openPersister(dir string) (*persister, error) {
 // fsKey maps a snapshot or watch name to a filename-safe, injective key.
 func fsKey(name string) string { return url.PathEscape(name) }
 
+// A name's key is the stem of its file names, which common filesystems cap
+// at 255 bytes. The longest suffixes appended to it are a snapshot's
+// ".v<version>.dcsg.tmp" and a watch's ".v<seq>.expect.dcsg.tmp", with the
+// counter at most 19 digits. Both handlers refuse a longer key up front, on
+// in-memory servers too, rather than answer 500 on every write.
+const (
+	maxFileName      = 255
+	maxCounterDigits = len("9223372036854775807")
+	maxSnapshotKey   = maxFileName - maxCounterDigits - len(".v.dcsg.tmp")
+	maxWatchKey      = maxFileName - maxCounterDigits - len(".v.expect.dcsg.tmp")
+)
+
+// checkKeyLen is the 400 for a kind ("snapshot", "watch") of name whose key
+// is longer than limit, nil otherwise.
+func checkKeyLen(kind, name string, limit int) *httpError {
+	if n := len(fsKey(name)); n > limit {
+		return badRequest("%s name too long: %d bytes as a file name, limit %d", kind, n, limit)
+	}
+	return nil
+}
+
 // writeAtomic writes content to path via temp file + fsync + rename, the
 // all-or-nothing primitive everything here builds on. Callers hold p.mu.
 func writeAtomic(path string, write func(io.Writer) error) error {

@@ -647,3 +647,65 @@ func TestPersistRestoresV1Files(t *testing.T) {
 		t.Fatalf("snapshot v4 written as version %d, want 2", v)
 	}
 }
+
+// TestPersistNameLengthLimit checks the file-name limit on names: a name
+// whose key is longer than its kind's limit is a 400 that stores and writes
+// nothing, on durable and in-memory servers alike, and a name exactly at
+// the limit persists and survives a restart.
+func TestPersistNameLengthLimit(t *testing.T) {
+	dir := t.TempDir()
+	s := openTest(t, dir)
+	mem := New(Config{})
+	defer mem.Close()
+	snapAt := strings.Repeat("s", maxSnapshotKey)
+	watchAt := strings.Repeat("w", maxWatchKey)
+	edge := GraphJSON{N: 2, Edges: []EdgeJSON{{U: 0, V: 1, W: 3}}}
+	over := []struct {
+		path string
+		body any
+	}{
+		{"/v1/snapshots", SnapshotRequest{Name: snapAt + "s", GraphJSON: edge}},
+		// "é" escapes to six bytes: short enough raw, too long as a key.
+		{"/v1/snapshots", SnapshotRequest{Name: snapAt[5:] + "é", GraphJSON: edge}},
+		{"/v1/watches", WatchRequest{Name: watchAt + "w", N: 2}},
+		{"/v1/watches", WatchRequest{Name: watchAt[5:] + "é", N: 2}},
+	}
+	for _, srv := range []*Server{s, mem} {
+		for _, c := range over {
+			if code := doJSON(t, srv, http.MethodPost, c.path, c.body, nil); code != http.StatusBadRequest {
+				t.Errorf("%s with an over-long name: status %d, want 400", c.path, code)
+			}
+		}
+		if n, w := srv.Store().Len(), len(srv.watches.list()); n != 0 || w != 0 {
+			t.Errorf("over-long names stored %d snapshots and %d watches", n, w)
+		}
+	}
+	if st := s.PersistStats(); st.WriteErrors != 0 || st.SnapshotWrites != 0 || st.WatchCheckpoints != 0 {
+		t.Errorf("over-long names reached the disk: %+v", st)
+	}
+	for _, sub := range []string{"snapshots", "watches"} {
+		if entries, err := os.ReadDir(filepath.Join(dir, sub)); err != nil || len(entries) != 0 {
+			t.Errorf("%s after rejected names: %d entries, %v", sub, len(entries), err)
+		}
+	}
+
+	if code := doJSON(t, s, http.MethodPost, "/v1/snapshots", SnapshotRequest{Name: snapAt, GraphJSON: edge}, nil); code != http.StatusOK {
+		t.Fatalf("snapshot name at the limit: status %d", code)
+	}
+	registerTestWatch(t, s, WatchRequest{Name: watchAt, N: 2})
+	observeWatch(t, s, watchAt, WatchObserveRequest{Graph: &edge})
+	s.Close()
+	if st := s.PersistStats(); st.WriteErrors != 0 {
+		t.Fatalf("names at the limit failed to persist: %+v", st)
+	}
+
+	s2 := openTest(t, dir)
+	defer s2.Close()
+	snap, ok := s2.Store().Get(snapAt)
+	if !ok || snapGraph(t, snap).Weight(0, 1) != 3 {
+		t.Fatalf("snapshot named at the limit not restored: %v", ok)
+	}
+	if wt, ok := s2.watches.get(watchAt); !ok || wt.step != 1 {
+		t.Fatalf("watch named at the limit not restored: %v", ok)
+	}
+}

@@ -390,7 +390,7 @@ func (s *Server) handleSnapshots(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.store.List())
 	case http.MethodPost:
 		var req SnapshotRequest
-		if err := s.decodeBody(w, r, &req); err != nil {
+		if err := s.decodeEdgeBody(w, r, &req); err != nil {
 			writeHTTPError(w, err)
 			return
 		}
@@ -402,6 +402,10 @@ func (s *Server) handleSnapshots(w http.ResponseWriter, r *http.Request) {
 		// — an undeletable snapshot is a permanent leak.
 		if strings.Contains(req.Name, "/") {
 			writeError(w, http.StatusBadRequest, "snapshot name must not contain '/'")
+			return
+		}
+		if herr := checkKeyLen("snapshot", req.Name, maxSnapshotKey); herr != nil {
+			writeHTTPError(w, herr)
 			return
 		}
 		if req.GraphJSON.N > s.cfg.MaxVertices {
@@ -515,18 +519,25 @@ func (s *Server) resolvePair(req *DCSRequest) (g1, g2 *dcs.Graph, release func()
 	return g1, g2, func() { rel1(); rel2() }, r1, r2, nil
 }
 
-// decodeBody decodes a JSON request body, bounded by MaxBodyBytes.
+// decodeBody decodes a JSON request body, bounded by MaxBodyBytes. Edge-list
+// bodies go through decodeEdgeBody instead.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, out any) error {
 	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(out); err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			return &httpError{status: http.StatusRequestEntityTooLarge,
-				msg: fmt.Sprintf("request body exceeds the server limit %d bytes", tooLarge.Limit)}
-		}
-		return badRequest("bad JSON: %s", err)
+		return bodyError(err)
 	}
 	return nil
+}
+
+// bodyError maps a failed body read or decode to its HTTP error: 413 past
+// MaxBodyBytes, else 400.
+func bodyError(err error) error {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &httpError{status: http.StatusRequestEntityTooLarge,
+			msg: fmt.Sprintf("request body exceeds the server limit %d bytes", tooLarge.Limit)}
+	}
+	return badRequest("bad JSON: %s", err)
 }
 
 // admit reserves a pool slot for the request, bounded by QueueTimeout.

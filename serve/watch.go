@@ -321,6 +321,9 @@ func (s *Server) registerWatch(req *WatchRequest) (*watch, *httpError) {
 	if strings.Contains(req.Name, "/") {
 		return nil, badRequest("watch name must not contain '/'")
 	}
+	if herr := checkKeyLen("watch", req.Name, maxWatchKey); herr != nil {
+		return nil, herr
+	}
 	if req.N < 1 {
 		return nil, badRequest("vertex count must be positive, got %d", req.N)
 	}
@@ -536,7 +539,7 @@ func (s *Server) handleWatchObserve(w http.ResponseWriter, r *http.Request, name
 		return
 	}
 	var req WatchObserveRequest
-	if err := s.decodeBody(w, r, &req); err != nil {
+	if err := s.decodeEdgeBody(w, r, &req); err != nil {
 		writeHTTPError(w, err)
 		return
 	}
