@@ -36,8 +36,8 @@ allocs:
 
 # The single lint gate: formatting, go vet, the repo's own analyzers, and
 # staticcheck. dcsvet is the part generic linters cannot replace — it
-# enforces the solver-cancellation, mmap-aliasing, determinism, and
-# lock-annotation invariants documented in CONTRIBUTING.md.
+# enforces the solver-cancellation, determinism, lock-annotation and
+# context-threading invariants documented in CONTRIBUTING.md.
 lint: fmt vet dcsvet staticcheck
 
 # The inner-loop lint: formatting plus the repo's own analyzers, which

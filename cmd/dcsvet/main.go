@@ -1,8 +1,7 @@
 // Command dcsvet is the repo's multichecker: it composes the internal/lint
-// analyzers (loopcheck, backedwrite, floatdet, guardedby, leakcheck,
-// ctxflow) over the packages matched by its arguments, type-checking and
-// analyzing every package afresh on each run, and exits non-zero on any
-// finding.
+// analyzers (loopcheck, floatdet, guardedby, ctxflow) over the packages
+// matched by its arguments, type-checking and analyzing every package
+// afresh on each run, and exits non-zero on any finding.
 //
 // Usage:
 //

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,10 +80,14 @@ func TestBinaryRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, n := range []int{0, 1, 2, 7, 50, 301} {
 		g := randomGraph(rng, n)
+		before := adjacency(g)
 		for _, compress := range []bool{false, true} {
 			var buf bytes.Buffer
 			if err := WriteBinaryV2(&buf, g, compress); err != nil {
 				t.Fatalf("n=%d compress=%v: write: %v", n, compress, err)
+			}
+			if !slices.Equal(adjacency(g), before) {
+				t.Fatalf("n=%d compress=%v: writing changed the source graph", n, compress)
 			}
 			if v := binaryVersionOf(buf.Bytes()); v != binaryVersion2 {
 				t.Fatalf("n=%d compress=%v: wrote version %d", n, compress, v)

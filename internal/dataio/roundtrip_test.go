@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -18,15 +19,34 @@ import (
 // randomGraph (binary_test.go), whose weights include subnormals, huge
 // magnitudes and full-mantissa values.
 
+// adjacency records every row entry of g in row order as (u, v, weight
+// bits) triples. Writers read the graph's live storage (Graph.CSR), so a
+// write through it changes the record.
+func adjacency(g *graph.Graph) []uint64 {
+	var rows []uint64
+	for u := 0; u < g.N(); u++ {
+		g.VisitNeighbors(u, func(v int, w float64) {
+			rows = append(rows, uint64(u), uint64(v), math.Float64bits(w))
+		})
+	}
+	return rows
+}
+
 // identicalRoundTrip writes g with write, reads it back with read, and
-// checks the result is the same graph bit for bit.
+// checks that writing left g unchanged and that the result is the same
+// graph bit for bit.
 func identicalRoundTrip(t *testing.T, seed int64, write func(*bytes.Buffer, *graph.Graph) error, read func(*bytes.Buffer) (*graph.Graph, error)) bool {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	g := randomGraph(rng, 1+rng.Intn(60))
+	before := adjacency(g)
 	var buf bytes.Buffer
 	if err := write(&buf, g); err != nil {
 		t.Logf("seed %d: write: %v", seed, err)
+		return false
+	}
+	if !slices.Equal(adjacency(g), before) {
+		t.Logf("seed %d: writing changed the source graph", seed)
 		return false
 	}
 	g2, err := read(&buf)

@@ -11,10 +11,6 @@ func TestLoopcheck(t *testing.T) {
 	linttest.Run(t, "testdata/loopcheck", lint.Loopcheck)
 }
 
-func TestBackedwrite(t *testing.T) {
-	linttest.Run(t, "testdata/backedwrite", lint.Backedwrite)
-}
-
 func TestFloatdet(t *testing.T) {
 	linttest.Run(t, "testdata/floatdet", lint.Floatdet)
 }
@@ -23,19 +19,8 @@ func TestGuardedby(t *testing.T) {
 	linttest.Run(t, "testdata/guardedby", lint.Guardedby)
 }
 
-func TestLeakcheck(t *testing.T) {
-	linttest.Run(t, "testdata/leakcheck", lint.Leakcheck)
-}
-
 func TestCtxflow(t *testing.T) {
 	linttest.Run(t, "testdata/ctxflow", lint.Ctxflow)
-}
-
-// TestBackedwriteFacts is the cross-package taint fixture: package B writes
-// into backed CSR storage obtained (or handed off) through package A, and
-// every finding depends on a summary fact imported across the boundary.
-func TestBackedwriteFacts(t *testing.T) {
-	linttest.Run(t, "testdata/facts", lint.Backedwrite)
 }
 
 // TestGuardedbyFacts checks the exported guarded-by contract: a consumer

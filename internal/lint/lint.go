@@ -1,4 +1,4 @@
-// Package lint is the repo's static-analysis suite: six custom analyzers
+// Package lint is the repo's static-analysis suite: four custom analyzers
 // that machine-enforce contracts which are otherwise only guarded by code
 // review. The cmd/dcsvet multichecker composes them; CI runs it as a
 // required step, and a repo-wide clean run is asserted by a meta-test so a
@@ -11,14 +11,6 @@
 //     internal/runstate so cancellation works (PR 3/6). A loop that can
 //     iterate Ω(n) times without a reachable Checkpoint/Cancelled call makes
 //     a request uncancellable for its whole duration.
-//
-//   - backedwrite: backed-CSR storage may alias read-only mmap pages
-//     (PR 8). A write to the arrays returned by Graph.CSR, or to arrays
-//     already handed to graph.FromCSRBacked, outside internal/graph is a
-//     SIGSEGV on a mapped snapshot — or silent cross-request corruption on
-//     a heap one. Since driver v2 the taint flows across package boundaries
-//     through facts: a helper that returns, writes through, or hands off CSR
-//     storage is summarized, and its callers in other packages are checked.
 //
 //   - floatdet: solver arithmetic must be order-deterministic
 //     because the parallel and incremental-watch harnesses assert bitwise
@@ -33,18 +25,17 @@
 //     fact on the field, so accesses to exported guarded fields from other
 //     packages are checked too.
 //
-//   - leakcheck: resource handles must reach their paired release
-//     (PR 8's pin/Release lifecycle): dataio.OpenMapped→Close,
-//     graph.FromCSRBacked→Release, time.NewTicker→Stop, and every func()
-//     release/unpin result must be deferred, called, or have its ownership
-//     transferred; goroutines launched in serve/ need a stop or completion
-//     signal.
-//
 //   - ctxflow: library code must not mint root contexts — the
 //     cancellation capability flows down from the caller (PR 3/9) — and a
 //     function holding a ctx must call the Ctx variant of any callee that
 //     has one. Binary entry points (package main) own their root
 //     contexts.
+//
+// Two contracts are guarded at run time instead, by tests: graph storage is
+// never written (internal/partest snapshots every fixture around each solver
+// call and reruns its suite over read-only mmapped .dcsg files), and serve
+// leaks no mapping, pin or goroutine (its TestMain and the memory-budget
+// tests check the counts return to zero).
 //
 // The framework below deliberately mirrors the golang.org/x/tools
 // go/analysis API (Analyzer, Pass, object Facts, Reportf, an
@@ -461,15 +452,68 @@ func isRunstateState(t types.Type) bool {
 	return pathMatch(obj.Pkg().Path(), "internal/runstate") || obj.Pkg().Path() == "runstate"
 }
 
-// isGraphPackage reports whether path is the CSR graph package (or a
-// fixture stub of it).
-func isGraphPackage(path string) bool {
-	return pathMatch(path, "internal/graph")
-}
-
 // isMainPackage reports whether pkg is a binary entry point (package main,
 // under cmd/ or examples/): binaries own their process lifetime and may mint
 // root contexts, so ctxflow exempts them.
 func isMainPackage(pkg *types.Package) bool {
 	return pkg.Name() == "main"
+}
+
+// rootObj strips indexing, slicing, field selection and parens down to the
+// base identifier's object: the variable an expression ultimately names.
+func rootObj(pass *Pass, e ast.Expr) types.Object {
+	for {
+		switch x := e.(type) {
+		case *ast.ParenExpr:
+			e = x.X
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SliceExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			// v[i].W → v; but pkg.Var or s.field roots at the selection.
+			if _, ok := x.X.(*ast.Ident); ok {
+				if _, isPkg := pass.Info.Uses[x.X.(*ast.Ident)].(*types.PkgName); isPkg {
+					return pass.Info.Uses[x.Sel]
+				}
+			}
+			e = x.X
+		case *ast.Ident:
+			if obj := pass.Info.Uses[x]; obj != nil {
+				return obj
+			}
+			return pass.Info.Defs[x]
+		default:
+			return nil
+		}
+	}
+}
+
+// selectorPkg returns the package name of a qualified selector pkg.X, or
+// "" when sel.X is not a package name.
+func selectorPkg(pass *Pass, sel *ast.SelectorExpr) string {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return ""
+	}
+	if pn, ok := pass.Info.Uses[id].(*types.PkgName); ok {
+		return pn.Imported().Name()
+	}
+	return ""
+}
+
+// calleeAnyFunc resolves a call to its *types.Func target in any package,
+// or nil for builtin and dynamic calls.
+func calleeAnyFunc(pass *Pass, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := pass.Info.Uses[id].(*types.Func)
+	return fn
 }

@@ -46,69 +46,91 @@ func adFixtures(rng *rand.Rand) []fixture {
 	}
 }
 
+// The equivalence tests below run every fixture on each storage layout
+// (forEachLayout): the sequential reference solves the heap fixture, every
+// degree of the ladder solves the layout's copy, and unchanged checks after
+// each solver call that no graph was written.
+
 func TestGreedyParMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for round := 0; round < 8; round++ {
-		for _, fx := range adFixtures(rng) {
-			seq := densest.Greedy(fx.g)
-			for _, deg := range Degrees {
-				got := densest.GreedyPar(fx.g, deg)
-				if got.Density != seq.Density {
-					t.Fatalf("%s round %d degree %d: density %v, sequential %v",
-						fx.name, round, deg, got.Density, seq.Density)
-				}
-				if !slices.Equal(got.S, seq.S) {
-					t.Fatalf("%s round %d degree %d: S %v, sequential %v",
-						fx.name, round, deg, got.S, seq.S)
-				}
-			}
-		}
-	}
-}
-
-func TestDCSGreedyParMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for round := 0; round < 8; round++ {
-		for _, fx := range adFixtures(rng) {
-			seq := core.DCSGreedy(fx.g)
-			if err := core.ValidateAD(fx.g, seq); err != nil {
-				t.Fatalf("%s round %d: sequential result invalid: %v", fx.name, round, err)
-			}
-			for _, deg := range Degrees {
-				got := core.DCSGreedyCtx(context.Background(), fx.g, deg)
-				if !reflect.DeepEqual(got, seq) {
-					t.Fatalf("%s round %d degree %d:\n got %+v\nwant %+v", fx.name, round, deg, got, seq)
-				}
-				if err := core.ValidateAD(fx.g, got); err != nil {
-					t.Fatalf("%s round %d degree %d: certificate invalid: %v", fx.name, round, deg, err)
-				}
-			}
-		}
-	}
-}
-
-func TestTopKParMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	for round := 0; round < 4; round++ {
-		for _, fx := range adFixtures(rng) {
-			seq := core.TopKAverageDegree(fx.g, 4)
-			for _, deg := range Degrees {
-				got, _ := core.TopKAverageDegreeCtx(context.Background(), fx.g, 4, deg)
-				if !reflect.DeepEqual(got, seq) {
-					t.Fatalf("%s round %d degree %d:\n got %+v\nwant %+v", fx.name, round, deg, got, seq)
-				}
-				for i, res := range got {
-					if err := core.ValidateAD(fx.g, res); err != nil {
-						t.Fatalf("%s round %d degree %d: result %d invalid: %v", fx.name, round, deg, i, err)
+	forEachLayout(t, func(t *testing.T, load func(*graph.Graph) *graph.Graph) {
+		rng := rand.New(rand.NewSource(41))
+		for round := 0; round < 8; round++ {
+			for _, fx := range adFixtures(rng) {
+				g := load(fx.g)
+				check := unchanged(t, fx.g, g)
+				seq := densest.Greedy(fx.g)
+				check("%s round %d: Greedy", fx.name, round)
+				for _, deg := range Degrees {
+					got := densest.GreedyPar(g, deg)
+					check("%s round %d: GreedyPar degree %d", fx.name, round, deg)
+					if got.Density != seq.Density {
+						t.Fatalf("%s round %d degree %d: density %v, sequential %v",
+							fx.name, round, deg, got.Density, seq.Density)
+					}
+					if !slices.Equal(got.S, seq.S) {
+						t.Fatalf("%s round %d degree %d: S %v, sequential %v",
+							fx.name, round, deg, got.S, seq.S)
 					}
 				}
 			}
 		}
-	}
+	})
+}
+
+func TestDCSGreedyParMatchesSequential(t *testing.T) {
+	forEachLayout(t, func(t *testing.T, load func(*graph.Graph) *graph.Graph) {
+		rng := rand.New(rand.NewSource(42))
+		for round := 0; round < 8; round++ {
+			for _, fx := range adFixtures(rng) {
+				g := load(fx.g)
+				check := unchanged(t, fx.g, g)
+				seq := core.DCSGreedy(fx.g)
+				check("%s round %d: DCSGreedy", fx.name, round)
+				if err := core.ValidateAD(fx.g, seq); err != nil {
+					t.Fatalf("%s round %d: sequential result invalid: %v", fx.name, round, err)
+				}
+				for _, deg := range Degrees {
+					got := core.DCSGreedyCtx(context.Background(), g, deg)
+					check("%s round %d: DCSGreedyCtx degree %d", fx.name, round, deg)
+					if !reflect.DeepEqual(got, seq) {
+						t.Fatalf("%s round %d degree %d:\n got %+v\nwant %+v", fx.name, round, deg, got, seq)
+					}
+					if err := core.ValidateAD(g, got); err != nil {
+						t.Fatalf("%s round %d degree %d: certificate invalid: %v", fx.name, round, deg, err)
+					}
+				}
+			}
+		}
+	})
+}
+
+func TestTopKParMatchesSequential(t *testing.T) {
+	forEachLayout(t, func(t *testing.T, load func(*graph.Graph) *graph.Graph) {
+		rng := rand.New(rand.NewSource(43))
+		for round := 0; round < 4; round++ {
+			for _, fx := range adFixtures(rng) {
+				g := load(fx.g)
+				check := unchanged(t, fx.g, g)
+				seq := core.TopKAverageDegree(fx.g, 4)
+				check("%s round %d: TopKAverageDegree", fx.name, round)
+				for _, deg := range Degrees {
+					got, _ := core.TopKAverageDegreeCtx(context.Background(), g, 4, deg)
+					check("%s round %d: TopKAverageDegreeCtx degree %d", fx.name, round, deg)
+					if !reflect.DeepEqual(got, seq) {
+						t.Fatalf("%s round %d degree %d:\n got %+v\nwant %+v", fx.name, round, deg, got, seq)
+					}
+					for i, res := range got {
+						if err := core.ValidateAD(g, res); err != nil {
+							t.Fatalf("%s round %d degree %d: result %d invalid: %v", fx.name, round, deg, i, err)
+						}
+					}
+				}
+			}
+		}
+	})
 }
 
 func TestRatioParMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
 	cases := []struct {
 		name       string
 		n          int
@@ -119,16 +141,23 @@ func TestRatioParMatchesSequential(t *testing.T) {
 		{"sparse", 50, 0.06, 1.0},   // disconnected difference graphs inside probes
 		{"tiny", 4, 0.9, 1.0},       //
 	}
-	for round := 0; round < 4; round++ {
-		for _, tc := range cases {
-			g1, g2 := PositivePair(rng, tc.n, tc.p, tc.overlap)
-			seq := core.MaxRatioContrast(g1, g2)
-			for _, deg := range Degrees {
-				got := core.MaxRatioContrastCtx(context.Background(), g1, g2, deg)
-				if !reflect.DeepEqual(got, seq) {
-					t.Fatalf("%s round %d degree %d:\n got %+v\nwant %+v", tc.name, round, deg, got, seq)
+	forEachLayout(t, func(t *testing.T, load func(*graph.Graph) *graph.Graph) {
+		rng := rand.New(rand.NewSource(44))
+		for round := 0; round < 4; round++ {
+			for _, tc := range cases {
+				h1, h2 := PositivePair(rng, tc.n, tc.p, tc.overlap)
+				g1, g2 := load(h1), load(h2)
+				check := unchanged(t, h1, h2, g1, g2)
+				seq := core.MaxRatioContrast(h1, h2)
+				check("%s round %d: MaxRatioContrast", tc.name, round)
+				for _, deg := range Degrees {
+					got := core.MaxRatioContrastCtx(context.Background(), g1, g2, deg)
+					check("%s round %d: MaxRatioContrastCtx degree %d", tc.name, round, deg)
+					if !reflect.DeepEqual(got, seq) {
+						t.Fatalf("%s round %d degree %d:\n got %+v\nwant %+v", tc.name, round, deg, got, seq)
+					}
 				}
 			}
 		}
-	}
+	})
 }

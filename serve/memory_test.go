@@ -48,11 +48,12 @@ func dcsAnswer(t *testing.T, s *Server, g1, g2 string) string {
 // an unconstrained in-memory twin, with evictions actually observed.
 func TestMemoryBudgetEvictsAndServesCorrectly(t *testing.T) {
 	// ~16 KiB per open snapshot file; a 24 KiB budget fits one at a time.
-	s, err := Open(Config{CheckpointInterval: -1, MemLimit: 24 << 10}, t.TempDir())
+	dir := t.TempDir()
+	s, err := Open(Config{CheckpointInterval: -1, MemLimit: 24 << 10}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeChecked(t, s, dir)
 	twin := New(Config{})
 	defer twin.Close()
 
@@ -82,17 +83,26 @@ func TestMemoryBudgetEvictsAndServesCorrectly(t *testing.T) {
 	if tw := twin.MemoryStats(); tw.Enabled || tw.Evictions != 0 {
 		t.Fatalf("in-memory twin grew a budget: %+v", tw)
 	}
+	// Async jobs hold their pins until they finish, which may be after
+	// Close: closeChecked waits for them to drain.
+	for i, g1 := range names {
+		req := DCSRequest{Measure: "avgdeg", G1: g1, G2: names[(i+1)%len(names)]}
+		if code := doJSON(t, s, http.MethodPost, "/v1/jobs", req, nil); code != http.StatusAccepted {
+			t.Fatalf("job %s: status %d", g1, code)
+		}
+	}
 }
 
 // TestMemoryPinBlocksEviction holds a pin on one snapshot while churning
 // enough others through a tiny budget to force evictions: the pinned graph
 // must stay readable throughout (eviction never unmaps under a reader).
 func TestMemoryPinBlocksEviction(t *testing.T) {
-	s, err := Open(Config{CheckpointInterval: -1, MemLimit: 1}, t.TempDir())
+	dir := t.TempDir()
+	s, err := Open(Config{CheckpointInterval: -1, MemLimit: 1}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeChecked(t, s, dir)
 	for _, name := range []string{"pinned", "x", "y"} {
 		if _, err := s.Store().Put(name, memTestGraph(7, 60)); err != nil {
 			t.Fatal(err)
@@ -136,11 +146,12 @@ func TestMemoryPinBlocksEviction(t *testing.T) {
 // re-created name is served from its own fresh version — never the stale
 // mapping.
 func TestMemoryDeleteInvalidatesHandle(t *testing.T) {
-	s, err := Open(Config{CheckpointInterval: -1}, t.TempDir())
+	dir := t.TempDir()
+	s, err := Open(Config{CheckpointInterval: -1}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeChecked(t, s, dir)
 	s.Store().Put("g", testGraph(1, 2))
 	stale, _ := s.Store().Get("g")
 	if _, release, err := stale.Acquire(); err != nil { // map it once
@@ -163,9 +174,14 @@ func TestMemoryDeleteInvalidatesHandle(t *testing.T) {
 	if fresh.Version != 2 {
 		t.Fatalf("re-created version %d, want 2", fresh.Version)
 	}
-	if g := snapGraph(t, fresh); g.Weight(0, 1) != 9 {
-		t.Fatalf("re-created name served stale data: weight %v", g.Weight(0, 1))
+	g, release, err := fresh.Acquire()
+	if err != nil {
+		t.Fatal(err)
 	}
+	if w := g.Weight(0, 1); w != 9 {
+		t.Fatalf("re-created name served stale data: weight %v", w)
+	}
+	release()
 	if _, _, err := stale.Acquire(); !errors.Is(err, errSnapshotGone) {
 		t.Fatal("stale version 1 handle resurrected by the re-creation")
 	}
@@ -175,11 +191,12 @@ func TestMemoryDeleteInvalidatesHandle(t *testing.T) {
 // dooms the handle instead of unmapping it — the reader finishes on valid
 // memory and the close happens at the final release.
 func TestMemoryDeleteWhilePinned(t *testing.T) {
-	s, err := Open(Config{CheckpointInterval: -1}, t.TempDir())
+	dir := t.TempDir()
+	s, err := Open(Config{CheckpointInterval: -1}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeChecked(t, s, dir)
 	s.Store().Put("g", memTestGraph(3, 50))
 	snap, _ := s.Store().Get("g")
 	g, release, err := snap.Acquire()
@@ -206,11 +223,12 @@ func TestMemoryDeleteWhilePinned(t *testing.T) {
 // TestMemoryReplaceInvalidatesOldVersion: Put over an existing name frees
 // the replaced version's mapping (it can never be resolved again).
 func TestMemoryReplaceInvalidatesOldVersion(t *testing.T) {
-	s, err := Open(Config{CheckpointInterval: -1}, t.TempDir())
+	dir := t.TempDir()
+	s, err := Open(Config{CheckpointInterval: -1}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
+	defer closeChecked(t, s, dir)
 	s.Store().Put("g", testGraph(1))
 	v1, _ := s.Store().Get("g")
 	if _, release, err := v1.Acquire(); err != nil {
@@ -236,10 +254,10 @@ func TestMemoryLazyRestartServesFromDisk(t *testing.T) {
 	s.Store().Put("g1", g)
 	s.Store().Put("g2", memTestGraph(12, 70))
 	want := dcsAnswer(t, s, "g1", "g2")
-	s.Close()
+	closeChecked(t, s, dir)
 
 	s2 := openTest(t, dir)
-	defer s2.Close()
+	defer closeChecked(t, s2, dir)
 	if st := s2.MemoryStats(); st.OpenSnapshots != 0 || st.LazySnapshots != 2 {
 		t.Fatalf("boot should register lazily, not open: %+v", st)
 	}

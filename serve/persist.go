@@ -176,6 +176,25 @@ func checkKeyLen(kind, name string, limit int) *httpError {
 	return nil
 }
 
+// ownFile reports whether file, a graph-file field of a record in key's
+// manifest, names one of key's own files: "<key>.v<digits>" followed by
+// ".dcsg", ".expect.dcsg" or ".last.dcsg", the only names written here.
+// Only such names are ever read or removed, so a damaged or planted record
+// cannot reach another key's files, the other directory or anything outside
+// the data directory.
+func ownFile(key, file string) bool {
+	rest, ok := strings.CutPrefix(file, key+".v")
+	digits := len(rest) - len(strings.TrimLeft(rest, "0123456789"))
+	if !ok || digits == 0 {
+		return false
+	}
+	switch rest[digits:] {
+	case ".dcsg", ".expect.dcsg", ".last.dcsg":
+		return true
+	}
+	return false
+}
+
 // writeAtomic writes content to path via temp file + fsync + rename, the
 // all-or-nothing primitive everything here builds on. Callers hold p.mu.
 func writeAtomic(path string, write func(io.Writer) error) error {
@@ -264,7 +283,7 @@ func (p *persister) saveSnapshot(s *Snapshot, g *dcs.Graph) (string, error) {
 		})
 		if err == nil {
 			p.lastSaved[s.Name] = s.Version
-			if hadOld && old.File != "" && old.File != gfile {
+			if hadOld && old.File != gfile && ownFile(key, old.File) {
 				os.Remove(filepath.Join(p.snapDir, old.File))
 			}
 		}
@@ -289,7 +308,8 @@ func (p *persister) deleteSnapshot(name string, lastVersion int) error {
 	if p.lastSaved[name] > lastVersion {
 		return nil
 	}
-	mpath := filepath.Join(p.snapDir, fsKey(name)+".json")
+	key := fsKey(name)
+	mpath := filepath.Join(p.snapDir, key+".json")
 	var old snapManifest
 	scan, hadOld := readRecord(mpath, &old)
 	err := commitRecord(mpath, scan, snapManifest{
@@ -299,7 +319,7 @@ func (p *persister) deleteSnapshot(name string, lastVersion int) error {
 		if p.lastSaved[name] < lastVersion {
 			p.lastSaved[name] = lastVersion
 		}
-		if hadOld && old.File != "" {
+		if hadOld && ownFile(key, old.File) {
 			os.Remove(filepath.Join(p.snapDir, old.File))
 		}
 	}
@@ -329,7 +349,8 @@ func (p *persister) recoverSnapshots(store *Store) {
 		keep[name] = true
 		var m snapManifest
 		scan, ok := readRecord(filepath.Join(p.snapDir, name), &m)
-		unreadable := !ok || m.Name == ""
+		key := strings.TrimSuffix(name, ".json")
+		unreadable := !ok || m.Name == "" || fsKey(m.Name) != key || (m.File != "" && !ownFile(key, m.File))
 		if unreadable || scan.torn() {
 			// Spare every file of the key (<key>.v*): we can no longer tell
 			// which of them the manifest references. A torn tail is most
@@ -337,10 +358,12 @@ func (p *persister) recoverSnapshots(store *Store) {
 			// and may hide newer records. Deleting them would turn a corrupt
 			// ~200-byte record into permanent loss of an intact, checksummed
 			// graph.
-			keepPrefixes = append(keepPrefixes, strings.TrimSuffix(name, ".json")+".v")
+			keepPrefixes = append(keepPrefixes, key+".v")
 		}
 		if unreadable {
-			// Count it; the file itself is kept for diagnosis.
+			// Count it; the file itself is kept for diagnosis. A record of
+			// another name, or naming a file that is not its key's own,
+			// counts here too: that file is neither read nor removed.
 			p.noteRestoreError()
 			continue
 		}
@@ -490,7 +513,7 @@ func (p *persister) checkpointWatch(w *watch) error {
 	}
 	if err == nil && hadOld {
 		for _, f := range []string{old.ExpectFile, old.LastFile} {
-			if f != "" && f != man.ExpectFile && f != man.LastFile {
+			if f != man.ExpectFile && f != man.LastFile && ownFile(key, f) {
 				os.Remove(filepath.Join(p.watchDir, f))
 			}
 		}
@@ -518,7 +541,7 @@ func (p *persister) deleteWatch(name string) {
 	key := fsKey(name)
 	if old := p.readWatchManifest(key); old != nil {
 		for _, f := range []string{old.ExpectFile, old.LastFile} {
-			if f != "" {
+			if ownFile(key, f) {
 				os.Remove(filepath.Join(p.watchDir, f))
 			}
 		}
@@ -572,11 +595,16 @@ func (p *persister) recoverWatches(opt dcs.Options) []*watch {
 		keep[fname] = true
 		var m watchManifest
 		scan, ok := readRecord(filepath.Join(p.watchDir, fname), &m)
-		unreadable := !ok || m.Name == "" || m.N < 0
+		key := strings.TrimSuffix(fname, ".json")
+		// A manifest is unusable when it does not decode, is another
+		// name's, names files that are not its key's own, or holds a
+		// configuration registration would refuse.
+		unreadable := !ok || fsKey(m.Name) != key || !ownFile(key, m.ExpectFile) || !ownFile(key, m.LastFile) ||
+			checkWatchConfig(m.Name, m.N, m.Measure, m.SolveTimeoutMS, m.ReportCap, m.ResyncEvery) != nil
 		if unreadable || scan.torn() {
 			// As in recoverSnapshots: spare the key's checkpoint files
 			// instead of sweeping payloads we can no longer attribute.
-			keepPrefixes = append(keepPrefixes, strings.TrimSuffix(fname, ".json")+".v")
+			keepPrefixes = append(keepPrefixes, key+".v")
 		}
 		if unreadable {
 			p.noteRestoreError()
@@ -602,6 +630,9 @@ func (p *persister) recoverWatches(opt dcs.Options) []*watch {
 	return out
 }
 
+// restoreWatch rebuilds one watch from a manifest that recoverWatches has
+// checked: its files are the key's own and its configuration passes
+// checkWatchConfig.
 func (p *persister) restoreWatch(m *watchManifest, opt dcs.Options) (*watch, error) {
 	expect, err := readGraphFileBinary(filepath.Join(p.watchDir, m.ExpectFile))
 	if err != nil {
@@ -612,9 +643,6 @@ func (p *persister) restoreWatch(m *watchManifest, opt dcs.Options) (*watch, err
 		return nil, err
 	}
 	resync := m.ResyncEvery
-	if resync < 0 {
-		resync = 0 // tolerate a hand-edited manifest; fall back to default
-	}
 	tracker, err := evolve.Restore(m.N, evolve.Config{
 		Lambda:      m.Lambda,
 		MinDensity:  m.MinDensity,
@@ -626,9 +654,6 @@ func (p *persister) restoreWatch(m *watchManifest, opt dcs.Options) (*watch, err
 		return nil, err
 	}
 	ringCap := m.ReportCap
-	if ringCap < 1 {
-		ringCap = 1
-	}
 	reports := m.Reports
 	if len(reports) > ringCap {
 		reports = reports[len(reports)-ringCap:]

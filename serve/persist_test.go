@@ -18,12 +18,14 @@ import (
 
 // openTest opens a persistent server over dir with the periodic checkpoint
 // loop effectively off (tests flush explicitly, so timing never matters).
+// The server is closed at test end if the test has not closed it.
 func openTest(t *testing.T, dir string) *Server {
 	t.Helper()
 	s, err := Open(Config{CheckpointInterval: -1}, dir)
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
+	t.Cleanup(s.Close)
 	return s
 }
 

@@ -313,42 +313,55 @@ func DeltaBetween(prev, cur GraphJSON) []EdgeJSON {
 	return delta
 }
 
+// checkWatchConfig applies registration's limits to a watch configuration
+// whose defaults are resolved (measure, report ring size). registerWatch
+// checks every request with it and restore every checkpointed manifest, so
+// a restored watch never holds a configuration registration would refuse.
+// The vertex-count cap Config.MaxVertices is registration's alone: the
+// operator may change it between boots.
+func checkWatchConfig(name string, n int, measure string, solveTimeoutMS float64, reports, resyncEvery int) *httpError {
+	if name == "" {
+		return badRequest("watch name is required")
+	}
+	if strings.Contains(name, "/") {
+		return badRequest("watch name must not contain '/'")
+	}
+	if herr := checkKeyLen("watch", name, maxWatchKey); herr != nil {
+		return herr
+	}
+	if n < 1 {
+		return badRequest("vertex count must be positive, got %d", n)
+	}
+	if measure != "avgdeg" && measure != "affinity" {
+		return badRequest("unknown watch measure %q: want avgdeg | affinity", measure)
+	}
+	if solveTimeoutMS < 0 || solveTimeoutMS > maxSolveTimeoutMS || math.IsNaN(solveTimeoutMS) {
+		return badRequest("solve_timeout_ms must be in [0, %g]", float64(maxSolveTimeoutMS))
+	}
+	if reports < 1 || reports > maxWatchReports {
+		return badRequest("reports must be in [1, %d]", maxWatchReports)
+	}
+	if resyncEvery < 0 {
+		return badRequest("resync_every must be ≥ 0 (0 for the default), got %d", resyncEvery)
+	}
+	return nil
+}
+
 // registerWatch validates one WatchRequest and builds the watch.
 func (s *Server) registerWatch(req *WatchRequest) (*watch, *httpError) {
-	if req.Name == "" {
-		return nil, badRequest("watch name is required")
-	}
-	if strings.Contains(req.Name, "/") {
-		return nil, badRequest("watch name must not contain '/'")
-	}
-	if herr := checkKeyLen("watch", req.Name, maxWatchKey); herr != nil {
-		return nil, herr
-	}
-	if req.N < 1 {
-		return nil, badRequest("vertex count must be positive, got %d", req.N)
-	}
-	if req.N > s.cfg.MaxVertices {
-		return nil, badRequest("vertex count %d exceeds the server limit %d", req.N, s.cfg.MaxVertices)
-	}
 	measure := req.Measure
 	if measure == "" {
 		measure = "avgdeg"
 	}
-	if measure != "avgdeg" && measure != "affinity" {
-		return nil, badRequest("unknown watch measure %q: want avgdeg | affinity", measure)
-	}
-	if req.SolveTimeoutMS < 0 || req.SolveTimeoutMS > maxSolveTimeoutMS || math.IsNaN(req.SolveTimeoutMS) {
-		return nil, badRequest("solve_timeout_ms must be in [0, %g]", float64(maxSolveTimeoutMS))
-	}
 	ringCap := req.Reports
-	switch {
-	case ringCap == 0:
+	if ringCap == 0 {
 		ringCap = s.cfg.WatchReports
-	case ringCap < 0 || ringCap > maxWatchReports:
-		return nil, badRequest("reports must be in [1, %d]", maxWatchReports)
 	}
-	if req.ResyncEvery < 0 {
-		return nil, badRequest("resync_every must be ≥ 0 (0 for the default), got %d", req.ResyncEvery)
+	if herr := checkWatchConfig(req.Name, req.N, measure, req.SolveTimeoutMS, ringCap, req.ResyncEvery); herr != nil {
+		return nil, herr
+	}
+	if req.N > s.cfg.MaxVertices {
+		return nil, badRequest("vertex count %d exceeds the server limit %d", req.N, s.cfg.MaxVertices)
 	}
 	resync := req.ResyncEvery
 	if resync == 0 {
