@@ -9,7 +9,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1.1
 GOVULNCHECK_VERSION ?= v1.1.4
 
-.PHONY: all build test race allocs lint lint-fast fmt vet dcsvet staticcheck vulncheck cross
+.PHONY: all build test race allocs bench lint lint-fast fmt vet dcsvet staticcheck vulncheck cross
 
 all: build test
 
@@ -33,6 +33,13 @@ race:
 # whatever its edge count.
 allocs:
 	$(GO) test -count=1 -run 'Allocs' ./internal/densest/ ./internal/core/ ./internal/evolve/ ./serve/
+
+# Solver micro-benchmarks: BenchmarkCore (one line per operation),
+# BenchmarkPar (each parallel solver at degrees 1/2/4/GOMAXPROCS) and
+# BenchmarkDeltaTick (incremental vs scratch watch ticks). BENCH_micro.txt is
+# this target's committed output: `make bench | tee BENCH_micro.txt`.
+bench:
+	$(GO) test -run '^$$' -bench '^Benchmark(Core|Par|DeltaTick)$$' -benchmem . ./internal/evolve/
 
 # The single lint gate: formatting, go vet, the repo's own analyzers, and
 # staticcheck. dcsvet is the part generic linters cannot replace — it

@@ -1,6 +1,9 @@
 // Benchmarks, one per table and figure of the paper's evaluation section.
 // Each benchmark regenerates the corresponding experiment on the CI-scale
 // synthetic datasets (run cmd/dcsbench for full scale and rendered output).
+// The DCSGA solvers and EgoScan are also timed one by one on an n=3000
+// difference graph; Algorithm 2 and the difference-graph build are timed in
+// bench_core_test.go (BenchmarkCore).
 //
 //	go test -bench=. -benchmem
 package dcs_test
@@ -154,14 +157,6 @@ func benchGD(b *testing.B) *graph.Graph {
 	return gd
 }
 
-// BenchmarkDCSGreedy — Algorithm 2 end to end.
-func BenchmarkDCSGreedy(b *testing.B) {
-	gd := benchGD(b)
-	for i := 0; i < b.N; i++ {
-		core.DCSGreedy(gd)
-	}
-}
-
 // BenchmarkNewSEA — Algorithm 5 end to end (smart initialization).
 func BenchmarkNewSEA(b *testing.B) {
 	gd := benchGD(b)
@@ -193,14 +188,5 @@ func BenchmarkEgoScan(b *testing.B) {
 	gd := benchGD(b)
 	for i := 0; i < b.N; i++ {
 		egoscan.Scan(gd)
-	}
-}
-
-// BenchmarkDifferenceGraph — building GD = G2 − G1 via the sorted merge.
-func BenchmarkDifferenceGraph(b *testing.B) {
-	ca := datagen.CoauthorPair(datagen.CoauthorConfig{Seed: 99, N: 3000})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		graph.Difference(ca.G1, ca.G2)
 	}
 }

@@ -16,6 +16,8 @@ type TableVIIRow struct {
 	SEACDRefine  time.Duration
 	SEARefine    time.Duration
 	SEAErrors    int // expansion errors made by SEA+Refine
+	NewSEAErrors int // expansion errors made by NewSEA
+	SEACDErrors  int // expansion errors made by SEACD+Refine
 	NewSEAInits  int
 	NewSEAResult float64 // affinity, for cross-checking quality
 	SEACDResult  float64
@@ -34,6 +36,8 @@ func (s *Suite) TableVII(w io.Writer) []TableVIIRow {
 		row.SEACDRefine = timed(func() { rCD = core.SEACDRefineFull(d.GD, s.Opt) })
 		row.SEARefine = timed(func() { rSEA = core.SEARefineFull(d.GD, s.Opt) })
 		row.SEAErrors = rSEA.Stats.ExpansionErrors
+		row.NewSEAErrors = rNew.Stats.ExpansionErrors
+		row.SEACDErrors = rCD.Stats.ExpansionErrors
 		row.NewSEAInits = rNew.Stats.Inits
 		row.NewSEAResult = rNew.Affinity
 		row.SEACDResult = rCD.Affinity
@@ -52,9 +56,10 @@ func (s *Suite) TableVII(w io.Writer) []TableVIIRow {
 // Fig2Point is one point of Fig. 2: positive density m⁺/n against the
 // SEACD-vs-SEA speed-up (a) and the SEA expansion-error rate (b).
 type Fig2Point struct {
-	DensityPos float64 // m⁺/n
-	SpeedUp    float64 // time(SEA+Refine) / time(SEACD+Refine)
-	ErrorRate  float64 // SEA expansion errors / n
+	DensityPos  float64 // m⁺/n
+	SpeedUp     float64 // time(SEA+Refine) / time(SEACD+Refine)
+	ErrorRate   float64 // SEA expansion errors / n
+	SEACDErrors int     // expansion errors made by SEACD+Refine
 }
 
 // Fig2 runs the density sweep behind Fig. 2.
@@ -73,11 +78,11 @@ func (s *Suite) Fig2(w io.Writer) []Fig2Point {
 		tCD := timed(func() { rCD = core.SEACDRefineFull(p.GD, s.Opt) })
 		tSEA := timed(func() { rSEA = core.SEARefineFull(p.GD, s.Opt) })
 		pt := Fig2Point{
-			DensityPos: st.Density,
-			SpeedUp:    tSEA.Seconds() / max(tCD.Seconds(), 1e-9),
-			ErrorRate:  float64(rSEA.Stats.ExpansionErrors) / float64(p.GD.N()),
+			DensityPos:  st.Density,
+			SpeedUp:     tSEA.Seconds() / max(tCD.Seconds(), 1e-9),
+			ErrorRate:   float64(rSEA.Stats.ExpansionErrors) / float64(p.GD.N()),
+			SEACDErrors: rCD.Stats.ExpansionErrors,
 		}
-		_ = rCD
 		out = append(out, pt)
 		if w != nil {
 			fmt.Fprintf(w, "m+/n %7.2f  speedup %8.2fx  SEA error rate %.5f\n",

@@ -34,6 +34,10 @@ func TestTableVIIShapes(t *testing.T) {
 			t.Errorf("%s: smart init degraded quality: %v vs %v",
 				r.Dataset.Name(), r.NewSEAResult, r.SEACDResult)
 		}
+		if r.NewSEAErrors != 0 || r.SEACDErrors != 0 {
+			t.Errorf("%s: coordinate descent made expansion errors: NewSEA %d, SEACD+Refine %d",
+				r.Dataset.Name(), r.NewSEAErrors, r.SEACDErrors)
+		}
 		if r.NewSEAInits > r.Dataset.GD.N() {
 			t.Errorf("%s: more inits (%d) than vertices (%d)",
 				r.Dataset.Name(), r.NewSEAInits, r.Dataset.GD.N())

@@ -244,6 +244,9 @@ func TestTableXIVShapes(t *testing.T) {
 	}
 }
 
+// TestFig2Shapes checks the CI-scale Fig. 2 sweep on counts: SEACD+Refine
+// makes no expansion errors at any density, and SEA+Refine makes some at the
+// densest point.
 func TestFig2Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig2 sweep is slow")
@@ -259,6 +262,15 @@ func TestFig2Shapes(t *testing.T) {
 		if p.ErrorRate < 0 {
 			t.Errorf("point %d: negative error rate", i)
 		}
+		if p.SEACDErrors != 0 {
+			t.Errorf("point %d (m+/n %.2f): SEACD+Refine made %d expansion errors",
+				i, p.DensityPos, p.SEACDErrors)
+		}
+	}
+	// Fig. 2b: the replicator's expansion errors are what coordinate descent
+	// removes, and they show at the densest point of the sweep.
+	if last := pts[len(pts)-1]; last.ErrorRate <= 0 {
+		t.Errorf("densest point (m+/n %.2f): SEA made no expansion errors", last.DensityPos)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -40,6 +41,10 @@ func TestParallelMatchesSequential(t *testing.T) {
 			if supportKey(cseq[i].S) != supportKey(cpar[i].S) {
 				t.Fatalf("trial %d: clique %d differs: %v vs %v", trial, i, cseq[i].S, cpar[i].S)
 			}
+		}
+		// Bitwise, affinities and embeddings included, at degrees 2 and 4.
+		if c2 := CollectCliques(gd, GAOptions{Parallelism: 2}); !reflect.DeepEqual(cseq, c2) || !reflect.DeepEqual(cseq, cpar) {
+			t.Fatalf("trial %d: parallel CollectCliques is not bitwise identical to sequential", trial)
 		}
 	}
 }

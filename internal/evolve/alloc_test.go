@@ -38,7 +38,7 @@ func incrementalTickAllocs(t *testing.T, n int) float64 {
 	if _, err := tr.ObserveCtx(ctx, base); err != nil {
 		t.Fatal(err)
 	}
-	next := churnStream(11, base, 4)
+	next := churnStream(11, base, 4, false)
 	for i := 0; i < 12; i++ {
 		if _, err := tr.ObserveDeltaCtx(ctx, next()); err != nil {
 			t.Fatal(err)

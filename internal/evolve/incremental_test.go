@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"github.com/dcslib/dcs/internal/datagen"
 	"github.com/dcslib/dcs/internal/graph"
 )
 
@@ -202,6 +203,70 @@ func TestIncrementalMatchesScratchStreams(t *testing.T) {
 			}
 			if st.WarmHits > st.IncrementalTicks {
 				t.Fatalf("warm hits %d exceed incremental ticks %d", st.WarmHits, st.IncrementalTicks)
+			}
+		}
+	}
+}
+
+// TestIncrementalMatchesScratchBursts drives the incremental engine and a
+// forced-scratch twin (ResyncEvery: 1) over coauthor networks fed edge-churn
+// deltas with a heavy 6-clique planted every 24th tick and removed on the
+// next — the stream shape BenchmarkDeltaTick times, plus the anomaly. Both
+// must report the same verdict on every tick, the same set and contrast on
+// the incremental engine's scratch ticks, and contrasts within float
+// tolerance whenever an incremental tick finds the twin's set. Where the
+// delta is small against the graph (64·k ≤ n) the stream must also exercise
+// the incremental path; a delta touching a sizable fraction of the vertices
+// legitimately overflows the locality cap and solves from scratch.
+func TestIncrementalMatchesScratchBursts(t *testing.T) {
+	const ticks = 48
+	ctx := context.Background()
+	for _, n := range []int{200, 500} {
+		base := datagen.CoauthorPair(datagen.CoauthorConfig{Seed: 7, N: n}).G2
+		for _, k := range []int{4, 32} {
+			inc := mustNew(t, n, Config{Lambda: 0.3, MinDensity: 5})
+			scr := mustNew(t, n, Config{Lambda: 0.3, MinDensity: 5, ResyncEvery: 1})
+			observe(t, inc, base)
+			observe(t, scr, base)
+			next := churnStream(7, base, k, true)
+			anomalies := 0
+			for i := 0; i < ticks; i++ {
+				delta := next()
+				ri, err := inc.ObserveDeltaCtx(ctx, delta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rs, err := scr.ObserveDeltaCtx(ctx, delta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ri.Step != rs.Step {
+					t.Fatalf("n=%d k=%d: step skew %d vs %d", n, k, ri.Step, rs.Step)
+				}
+				if ri.Anomalous() != rs.Anomalous() {
+					t.Fatalf("n=%d k=%d tick %d: incremental verdict %v (S=%v), scratch %v (S=%v)",
+						n, k, ri.Step, ri.Anomalous(), ri.S, rs.Anomalous(), rs.S)
+				}
+				if ri.Anomalous() {
+					anomalies++
+				}
+				switch {
+				case ri.Mode == ModeScratch:
+					if !sameInts(ri.S, rs.S) || ri.Contrast != rs.Contrast {
+						t.Fatalf("n=%d k=%d tick %d: scratch report %+v != twin %+v", n, k, ri.Step, ri, rs)
+					}
+				case ri.Anomalous() && sameInts(ri.S, rs.S):
+					if d := math.Abs(ri.Contrast - rs.Contrast); d > 1e-6*math.Max(math.Abs(rs.Contrast), 1) {
+						t.Fatalf("n=%d k=%d tick %d: contrast %v vs %v on the same set",
+							n, k, ri.Step, ri.Contrast, rs.Contrast)
+					}
+				}
+			}
+			if anomalies == 0 {
+				t.Errorf("n=%d k=%d: no tick was anomalous; the planted bursts went unseen", n, k)
+			}
+			if st := inc.Stats(); 64*k <= n && st.IncrementalTicks == 0 {
+				t.Errorf("n=%d k=%d: the stream never exercised the incremental path: %+v", n, k, st)
 			}
 		}
 	}
