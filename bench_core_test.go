@@ -18,6 +18,7 @@ package dcs_test
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"sync"
@@ -26,6 +27,7 @@ import (
 	dcs "github.com/dcslib/dcs"
 	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/datagen"
+	"github.com/dcslib/dcs/internal/dataio"
 	"github.com/dcslib/dcs/internal/graph"
 )
 
@@ -64,6 +66,17 @@ func BenchmarkCore(b *testing.B) {
 	for i := range sub {
 		sub[i] = i * 3
 	}
+	// A copy of GD served from a read-only mapping of a .dcsg v2 file, as
+	// dcsd serves a snapshot under -memlimit.
+	path := filepath.Join(b.TempDir(), "gd.dcsg")
+	if err := dataio.WriteBinaryV2File(path, f.gd, false); err != nil {
+		b.Fatal(err)
+	}
+	mapped, err := dataio.OpenMapped(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer mapped.Close()
 	cases := []struct {
 		name string
 		op   func()
@@ -80,6 +93,8 @@ func BenchmarkCore(b *testing.B) {
 		{"TotalDegreeOf", func() { f.gd.TotalDegreeOf(sub) }},
 		// Algorithm 2 end to end on GD.
 		{"DCSGreedy", func() { core.DCSGreedy(f.gd) }},
+		// The same on the mapped copy of GD.
+		{"DCSGreedyBacked", func() { core.DCSGreedy(mapped.Graph()) }},
 		// Five vertex-disjoint average-degree DCS (perfbench mine-hot's
 		// top-5 class): the repeated WithoutVertices + re-peeling loop.
 		{"TopK5", func() { core.TopKAverageDegree(f.gd, 5) }},

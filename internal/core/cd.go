@@ -12,22 +12,32 @@ import (
 // coordinate pick plus O(deg(i)+deg(j)) for the update — the costs quoted in
 // Section V-B.
 type cdState struct {
-	g  *graph.Graph
-	x  *simplex.Vector
-	S  []int
-	in map[int]bool
-	dx map[int]float64 // (Dx)_u for u ∈ S
+	g   *graph.Graph
+	off []int // g's CSR rows (g is plain)
+	ids []int32
+	ws  []float64
+	x   *simplex.Vector
+	S   []int
+	in  map[int]bool
+	dx  map[int]float64 // (Dx)_u for u ∈ S
 }
 
-// An interrupted build leaves later dx entries unset; the descend loop polls
-// the same State first and unwinds before reading them.
+// newCDState flattens a view g first (Compact is a no-op on a plain graph),
+// so the loops read its CSR rows directly. An interrupted build leaves later
+// dx entries unset; the descend loop polls the same State first and unwinds
+// before reading them.
 func newCDState(g *graph.Graph, x *simplex.Vector, S []int, rs *runstate.State) *cdState {
+	g = g.Compact()
+	off, ids, ws, _, _ := g.CSR()
 	st := &cdState{
-		g:  g,
-		x:  x,
-		S:  append([]int(nil), S...),
-		in: make(map[int]bool, len(S)),
-		dx: make(map[int]float64, len(S)),
+		g:   g,
+		off: off,
+		ids: ids,
+		ws:  ws,
+		x:   x,
+		S:   append([]int(nil), S...),
+		in:  make(map[int]bool, len(S)),
+		dx:  make(map[int]float64, len(S)),
 	}
 	for _, u := range S {
 		st.in[u] = true
@@ -37,8 +47,8 @@ func newCDState(g *graph.Graph, x *simplex.Vector, S []int, rs *runstate.State) 
 			break
 		}
 		var s float64
-		for _, nb := range g.Neighbors(u) {
-			s += nb.W * x.Get(nb.To)
+		for i := off[u]; i < off[u+1]; i++ {
+			s += ws[i] * x.Get(int(ids[i]))
 		}
 		st.dx[u] = s
 	}
@@ -52,9 +62,9 @@ func (st *cdState) shiftMass(u int, delta float64) {
 		return
 	}
 	st.x.Set(u, st.x.Get(u)+delta)
-	for _, nb := range st.g.Neighbors(u) {
-		if st.in[nb.To] {
-			st.dx[nb.To] += nb.W * delta
+	for i := st.off[u]; i < st.off[u+1]; i++ {
+		if v := int(st.ids[i]); st.in[v] {
+			st.dx[v] += st.ws[i] * delta
 		}
 	}
 }
@@ -156,15 +166,10 @@ func (st *cdState) descend(eps float64, maxIter int, rs *runstate.State) int {
 
 // coordinateDescent is the package-level entry: run 2-CD over the working set
 // S on graph g, mutating x in place. Returns iterations used.
-//
-// The cdState inner loops range over Neighbors directly — zero-copy on a
-// plain CSR graph but an allocation per call on a masked view — so a view
-// argument is flattened up front (Compact is a no-op for plain graphs; every
-// hot caller already passes one).
 func coordinateDescent(g *graph.Graph, x *simplex.Vector, S []int, eps float64, maxIter int, rs *runstate.State) int {
 	if len(S) <= 1 {
 		return 0
 	}
-	st := newCDState(g.Compact(), x, S, rs)
+	st := newCDState(g, x, S, rs)
 	return st.descend(eps, maxIter, rs)
 }

@@ -100,9 +100,6 @@ type adScratch struct {
 // dcsGreedyRS runs Algorithm 2 on ws. gdp is GD's positive part when the
 // caller maintains one (top-k masks it alongside GD), nil to derive it.
 func dcsGreedyRS(gd, gdp *graph.Graph, rs *runstate.State, workers int, ws *adScratch) ADResult {
-	if gd.Backed() {
-		gd = gd.Materialize() // once per solve, not once per peel
-	}
 	maxEdge, ok := gd.MaxEdge()
 	if !ok || maxEdge.W <= 0 {
 		// No positive edge: any single vertex is optimal with density 0.

@@ -91,17 +91,13 @@ func (h goldenHash) ratio(r RatioResult) {
 	h.bools(r.Interrupted)
 }
 
-// goldenBacked re-hosts g's CSR arrays in FromCSRBacked parallel-array form,
-// the storage dcsd serves mmapped snapshots from.
+// goldenBacked re-hosts g's CSR arrays in caller-owned storage adopted by
+// graph.FromCSR, the way dcsd serves mmapped snapshots.
 func goldenBacked(t *testing.T, g *graph.Graph) *graph.Graph {
 	t.Helper()
-	off, nbr := g.CSR()
-	ids := make([]int32, len(nbr))
-	ws := make([]float64, len(nbr))
-	for i, nb := range nbr {
-		ids[i], ws[i] = int32(nb.To), nb.W
-	}
-	b, err := graph.FromCSRBacked(g.N(), append([]int(nil), off...), ids, ws, nil)
+	off, ids, ws, _, _ := g.CSR()
+	b, err := graph.FromCSR(g.N(), append([]int(nil), off...), append([]int32(nil), ids...),
+		append([]float64(nil), ws...), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

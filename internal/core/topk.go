@@ -40,9 +40,6 @@ func TopKAverageDegreeCtx(ctx context.Context, gd *graph.Graph, k, workers int) 
 
 func topKAverageDegreeRS(gd *graph.Graph, k int, rs *runstate.State, workers int) ([]ADResult, bool) {
 	var out []ADResult
-	if gd.Backed() {
-		gd = gd.Materialize() // once, not once per pick
-	}
 	// GD+ is derived once; each pick masks it alongside GD (the positive
 	// part of a masked GD is the masked positive part), so a pick costs no
 	// O(m) rebuild. ws is shared by every pick.

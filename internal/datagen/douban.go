@@ -151,20 +151,14 @@ func DoubanGraphs(cfg DoubanConfig) *Douban {
 func twoHop(g *graph.Graph, u int) []int {
 	seen := map[int]bool{u: true}
 	var out []int
-	for _, nb := range g.Neighbors(u) {
-		if !seen[nb.To] {
-			seen[nb.To] = true
-			out = append(out, nb.To)
+	add := func(v int, _ float64) {
+		if !seen[v] {
+			seen[v] = true
+			out = append(out, v)
 		}
 	}
-	for _, nb := range g.Neighbors(u) {
-		for _, nb2 := range g.Neighbors(nb.To) {
-			if !seen[nb2.To] {
-				seen[nb2.To] = true
-				out = append(out, nb2.To)
-			}
-		}
-	}
+	g.VisitNeighbors(u, add)
+	g.VisitNeighbors(u, func(v int, _ float64) { g.VisitNeighbors(v, add) })
 	sort.Ints(out)
 	return out
 }

@@ -139,17 +139,18 @@ func readBinaryV1(br *bufio.Reader) (*graph.Graph, error) {
 			off = append(off, int(o))
 		}
 	}
-	nbr := make([]graph.Neighbor, 0, min(e, 1<<22))
-	for len(nbr) < e {
-		want := min((e-len(nbr))*12, len(buf))
+	// A stored id ≥ 2^31 reads back negative and fails graph.FromCSR's row
+	// checks.
+	ids := make([]int32, 0, min(e, 1<<22))
+	ws := make([]float64, 0, min(e, 1<<22))
+	for len(ids) < e {
+		want := min((e-len(ids))*12, len(buf))
 		if err := readFull(buf[:want]); err != nil {
 			return nil, err
 		}
 		for i := 0; i < want; i += 12 {
-			nbr = append(nbr, graph.Neighbor{
-				To: int(binary.LittleEndian.Uint32(buf[i : i+4])),
-				W:  math.Float64frombits(binary.LittleEndian.Uint64(buf[i+4 : i+12])),
-			})
+			ids = append(ids, int32(binary.LittleEndian.Uint32(buf[i:i+4])))
+			ws = append(ws, math.Float64frombits(binary.LittleEndian.Uint64(buf[i+4:i+12])))
 		}
 	}
 
@@ -160,7 +161,7 @@ func readBinaryV1(br *bufio.Reader) (*graph.Graph, error) {
 	if got := binary.LittleEndian.Uint32(sum[:]); got != crc {
 		return nil, fmt.Errorf("dataio: binary graph checksum mismatch: file says %#x, content hashes to %#x", got, crc)
 	}
-	g, err := graph.FromCSR(n, off, nbr)
+	g, err := graph.FromCSR(n, off, ids, ws, nil)
 	if err != nil {
 		return nil, fmt.Errorf("dataio: corrupt binary graph: %w", err)
 	}

@@ -314,16 +314,6 @@ func TestBinaryFileAndAutoDispatch(t *testing.T) {
 	}
 }
 
-func TestFromCSRRejectsAsymmetry(t *testing.T) {
-	// Hand-built CSR with a one-directional entry: structurally sorted, but
-	// the mirror check must reject it even under a valid checksum.
-	off := []int{0, 1, 1}
-	nbr := []graph.Neighbor{{To: 1, W: 2}}
-	if _, err := graph.FromCSR(2, off, nbr); err == nil {
-		t.Fatal("asymmetric CSR accepted")
-	}
-}
-
 func BenchmarkReadBinary(b *testing.B) {
 	g := randomGraph(rand.New(rand.NewSource(9)), 5000)
 	var buf bytes.Buffer

@@ -94,7 +94,7 @@ func ReadGraph(r io.Reader) (*graph.Graph, error) {
 				return nil, fmt.Errorf("dataio: line %d: expected header \"n <count>\", got %q", line, text)
 			}
 			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
+			if err != nil || n < 0 || n > graph.MaxVertices {
 				return nil, fmt.Errorf("dataio: line %d: bad vertex count %q", line, fields[1])
 			}
 			b = graph.NewBuilder(n)

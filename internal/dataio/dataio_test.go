@@ -90,6 +90,7 @@ func TestReadGraphErrors(t *testing.T) {
 		"",                     // no header
 		"0 1 2\n",              // edge before header
 		"n -1\n",               // bad count
+		"n 2147483648\n",       // count beyond graph.MaxVertices
 		"n 3\n0 1\n",           // short edge
 		"n 3\n0 3 1\n",         // out of range
 		"n 3\n1 1 1\n",         // self loop

@@ -152,11 +152,12 @@ func ReadMatrixMarket(r io.Reader) (*graph.Graph, error) {
 		if _, err := fmt.Sscan(text, &n1, &n2, &nnz); err != nil {
 			return nil, fmt.Errorf("dataio: line %d: bad MatrixMarket size line %q", line, text)
 		}
-		// Negative sizes must be rejected here: a negative dimension would
-		// panic NewBuilder, and a negative nnz would silently satisfy every
-		// "read < nnz" check and yield an empty graph with no error.
-		if n1 < 0 || n2 < 0 || nnz < 0 {
-			return nil, fmt.Errorf("dataio: line %d: negative MatrixMarket size %q", line, text)
+		// Out-of-range sizes must be rejected here: a dimension outside
+		// [0, graph.MaxVertices] would panic NewBuilder, and a negative nnz
+		// would silently satisfy every "read < nnz" check and yield an
+		// empty graph with no error.
+		if n1 < 0 || n2 < 0 || nnz < 0 || n1 > graph.MaxVertices || n2 > graph.MaxVertices {
+			return nil, fmt.Errorf("dataio: line %d: MatrixMarket size out of range %q", line, text)
 		}
 		sizeSeen = true
 		break

@@ -235,10 +235,11 @@ func TestMatrixMarketErrors(t *testing.T) {
 		"%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 2 1\n", // truncated
 		"%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n0 2 1\n", // bad index
 		"%%MatrixMarket matrix coordinate real symmetric\n2 2 1\n1 2 NaN\n",
-		"%%MatrixMarket matrix coordinate real general\n-1 -1 1\n1 1 1\n", // negative dimension (panicked)
-		"%%MatrixMarket matrix coordinate real general\n2 2 -1\n1 2 1\n",  // negative nnz (silent empty graph)
-		"%%MatrixMarket matrix coordinate real general\n",                 // header only, no size line
-		"%%MatrixMarket matrix coordinate real general\n% c\n\n",          // comments only, no size line
+		"%%MatrixMarket matrix coordinate real general\n-1 -1 1\n1 1 1\n",                 // negative dimension (panicked)
+		"%%MatrixMarket matrix coordinate real general\n2 2 -1\n1 2 1\n",                  // negative nnz (silent empty graph)
+		"%%MatrixMarket matrix coordinate real general\n2147483648 2147483648 1\n1 2 1\n", // dimension beyond graph.MaxVertices
+		"%%MatrixMarket matrix coordinate real general\n",                                 // header only, no size line
+		"%%MatrixMarket matrix coordinate real general\n% c\n\n",                          // comments only, no size line
 	}
 	for i, in := range cases {
 		if _, err := ReadMatrixMarket(strings.NewReader(in)); err == nil {

@@ -24,8 +24,8 @@ import (
 // uniformly and account bytes through one interface.
 
 // Mapped is an open binary graph file: the decoded Graph plus the resources
-// behind it. The Graph of a v2 file is backed (graph.FromCSRBacked) by the
-// mapping and must not be used after Close; Close is idempotent.
+// behind it. The Graph of a v2 file is built over the mapping
+// (graph.FromCSR) and must not be used after Close; Close is idempotent.
 type Mapped struct {
 	g      *graph.Graph
 	path   string
@@ -70,7 +70,7 @@ func (m *Mapped) Close() error {
 // the file is uncompressed — are aliased directly into the mapping when the
 // platform allows it (64-bit little-endian), or else decoded into heap
 // shadow buffers.
-// graph.FromCSRBacked re-verifies every structural invariant, so a hostile
+// graph.FromCSR re-verifies every structural invariant, so a hostile
 // file with valid CRCs still cannot produce a malformed graph. Version-1
 // files are heap-loaded via ReadBinary and served through the same handle.
 func OpenMapped(path string) (*Mapped, error) {
@@ -139,7 +139,7 @@ func openMappedV2(path string, data []byte, release func(), isMapped bool, size 
 	}
 
 	// Offsets alias the mapping in place when the platform allows it —
-	// FromCSRBacked verifies the monotone cover either way, which subsumes
+	// FromCSR verifies the monotone cover either way, which subsumes
 	// everything decodeV2Offsets checks — and fall back to a heap decode
 	// (the O(n) resident index) elsewhere.
 	var shadow int64
@@ -181,7 +181,7 @@ func openMappedV2(path string, data []byte, release func(), isMapped bool, size 
 		shadow += int64(h.e) * 8
 	}
 
-	g, err := graph.FromCSRBacked(h.n, off, ids, ws, release)
+	g, err := graph.FromCSR(h.n, off, ids, ws, release)
 	if err != nil {
 		return nil, fmt.Errorf("dataio: corrupt binary graph: %w", err)
 	}
@@ -224,7 +224,7 @@ func canAliasHost() bool {
 // aliasInt reinterprets b as count little-endian 64-bit ints in place (the
 // offsets section), or returns nil when aliasing is unavailable. A stored
 // value ≥ 2^63 reinterprets negative and fails the monotone-cover checks in
-// graph.FromCSRBacked, so no separate range validation is needed here.
+// graph.FromCSR, so no separate range validation is needed here.
 func aliasInt(b []byte, count int) []int {
 	if !canAliasHost() {
 		return nil
@@ -242,7 +242,7 @@ func aliasInt(b []byte, count int) []int {
 // aliasInt32 reinterprets b as count little-endian int32s in place, or
 // returns nil when aliasing is unavailable (wrong platform, misaligned
 // base) and the caller must decode by copy. count == 0 still returns a
-// non-nil empty slice: a backed graph is recognized by ids != nil.
+// non-nil empty slice, so nil keeps meaning "decode by copy".
 func aliasInt32(b []byte, count int) []int32 {
 	if !canAliasHost() {
 		return nil

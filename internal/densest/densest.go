@@ -58,9 +58,10 @@ func GreedyPar(g *graph.Graph, workers int) Result {
 // them only for a larger graph. The zero value is ready to use; a Peeler is
 // not safe for concurrent use.
 type Peeler struct {
-	// The graph of the current (or last) peel, as HeapCSR returned it.
+	// The graph of the current (or last) peel, as graph.CSR returned it.
 	off     []int
-	nbr     []graph.Neighbor
+	ids     []int32
+	ws      []float64
 	drop    []bool
 	posOnly bool
 
@@ -116,8 +117,8 @@ type Peeler struct {
 // the deterministic merge, so the result is the same at every parallelism
 // degree; degree 1 runs the same kernel inline on p's single heap, while
 // parallel workers each take a heap of their own. Rows are read straight
-// from the CSR arrays with the view masks applied inline, and a backed graph
-// is materialized once per call (see graph.HeapCSR). Cancellation is
+// from the CSR arrays with the view masks applied inline (see graph.CSR),
+// whoever owns them — the heap or a file mapping. Cancellation is
 // cooperative: each peel checkpoints once per pop, and a cancelled peel
 // merges whatever prefixes completed — still a valid subgraph with an exact
 // density, never empty on a non-empty graph.
@@ -126,7 +127,7 @@ func (p *Peeler) Peel(g *graph.Graph, rs *runstate.State, workers int, S []int) 
 	if n == 0 {
 		return Result{S: S[:0]}
 	}
-	p.off, p.nbr, p.drop, p.posOnly = g.HeapCSR()
+	p.off, p.ids, p.ws, p.drop, p.posOnly = g.CSR()
 	nc, ok := p.components(n, rs)
 	if !ok {
 		// Cancelled during component discovery: fall back to the degenerate
@@ -170,9 +171,9 @@ func (p *Peeler) Peel(g *graph.Graph, rs *runstate.State, workers int, S []int) 
 	return p.merge(n, nc, rs, S)
 }
 
-// visible reports whether a row entry survives the view masks.
-func (p *Peeler) visible(nb graph.Neighbor) bool {
-	return !(p.posOnly && nb.W <= 0) && (p.drop == nil || !p.drop[nb.To])
+// visible reports whether the row entry (to, w) survives the view masks.
+func (p *Peeler) visible(to int32, w float64) bool {
+	return !(p.posOnly && w <= 0) && (p.drop == nil || !p.drop[to])
 }
 
 // grow returns s resliced to length n, reallocated only when too small.
@@ -218,14 +219,16 @@ func (p *Peeler) components(n int, rs *runstate.State) (nc int, ok bool) {
 			u := p.stack[len(p.stack)-1]
 			p.stack = p.stack[:len(p.stack)-1]
 			var d float64
-			for _, nb := range p.nbr[p.off[u]:p.off[u+1]] {
-				if !p.visible(nb) {
+			lo, hi := p.off[u], p.off[u+1]
+			ws := p.ws[lo:hi]
+			for i, to := range p.ids[lo:hi] {
+				if !p.visible(to, ws[i]) {
 					continue
 				}
-				d += nb.W
-				if cid[nb.To] < 0 {
-					cid[nb.To] = id
-					p.stack = append(p.stack, int32(nb.To))
+				d += ws[i]
+				if cid[to] < 0 {
+					cid[to] = id
+					p.stack = append(p.stack, to)
 				}
 			}
 			p.deg[u] = d
@@ -290,12 +293,14 @@ func (p *Peeler) peelComponent(c int, h *vheap.Heap, rs *runstate.State) {
 		v := verts[i]
 		order[k], popDeg[k] = v, di
 		k++
-		for _, nb := range p.nbr[p.off[v]:p.off[v+1]] {
-			if !p.visible(nb) {
+		lo, hi := p.off[v], p.off[v+1]
+		ws := p.ws[lo:hi]
+		for i, to := range p.ids[lo:hi] {
+			if !p.visible(to, ws[i]) {
 				continue
 			}
-			if j := int(p.loc[nb.To]); h.Contains(j) {
-				h.Add(j, -nb.W)
+			if j := int(p.loc[to]); h.Contains(j) {
+				h.Add(j, -ws[i])
 			}
 		}
 	}

@@ -14,10 +14,10 @@ type Builder struct {
 	edges []Edge
 }
 
-// NewBuilder returns a Builder for a graph with n vertices.
+// NewBuilder returns a Builder for a graph with n vertices, 0 ≤ n < 2³¹.
 func NewBuilder(n int) *Builder {
-	if n < 0 {
-		panic("graph: negative vertex count")
+	if n < 0 || n > MaxVertices {
+		panic(fmt.Sprintf("graph: vertex count %d outside [0, %d]", n, MaxVertices))
 	}
 	return &Builder{n: n}
 }
@@ -79,7 +79,7 @@ func (b *Builder) Build() *Graph {
 	for u := 0; u < b.n; u++ {
 		off[u+1] = off[u] + deg[u]
 	}
-	nbr := make([]Neighbor, off[b.n])
+	ids, ws := make([]int32, off[b.n]), make([]float64, off[b.n])
 	cur := make([]int, b.n)
 	copy(cur, off[:b.n])
 	// One pass over the (U,V)-sorted canonical edges fills every row already
@@ -91,12 +91,12 @@ func (b *Builder) Build() *Graph {
 		if e.W == 0 {
 			continue
 		}
-		nbr[cur[e.U]] = Neighbor{To: e.V, W: e.W}
+		ids[cur[e.U]], ws[cur[e.U]] = int32(e.V), e.W
 		cur[e.U]++
-		nbr[cur[e.V]] = Neighbor{To: e.U, W: e.W}
+		ids[cur[e.V]], ws[cur[e.V]] = int32(e.U), e.W
 		cur[e.V]++
 	}
-	return &Graph{n: b.n, m: m, totalW: tw, off: off, nbr: nbr}
+	return &Graph{n: b.n, m: m, totalW: tw, off: off, ids: ids, ws: ws}
 }
 
 // FromEdges builds a graph with n vertices from an edge list.

@@ -1,24 +1,20 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// toBacked converts a plain heap graph to parallel-array backed form through
-// FromCSRBacked, as dataio's mmap open path does.
-func toBacked(t *testing.T, g *Graph, release func()) *Graph {
+// adopt copies g's CSR arrays into fresh caller-owned arrays and hands them
+// to FromCSR with release, as dataio's mmap open path does with a mapping.
+func adopt(t *testing.T, g *Graph, release func()) *Graph {
 	t.Helper()
-	off, nbr := g.CSR()
-	ids := make([]int32, len(nbr))
-	ws := make([]float64, len(nbr))
-	for i, nb := range nbr {
-		ids[i] = int32(nb.To)
-		ws[i] = nb.W
-	}
-	b, err := FromCSRBacked(g.N(), off, ids, ws, release)
+	off, ids, ws, _, _ := g.Compact().CSR()
+	b, err := FromCSR(g.N(), append([]int(nil), off...), append([]int32(nil), ids...),
+		append([]float64(nil), ws...), release)
 	if err != nil {
-		t.Fatalf("FromCSRBacked: %v", err)
+		t.Fatalf("FromCSR: %v", err)
 	}
 	return b
 }
@@ -62,20 +58,18 @@ func sameAsHeap(t *testing.T, label string, got, want *Graph) {
 	}
 }
 
-// TestBackedEquivalence drives every Graph accessor on a backed graph, its
-// views, and graphs merged from it, asserting bitwise equality with the heap
-// twin.
+// TestBackedEquivalence drives every Graph accessor on a graph adopted
+// through FromCSR over caller-owned arrays, its views, and graphs merged
+// from it, asserting bitwise equality with the Builder-built twin.
 func TestBackedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, n := range []int{0, 1, 2, 17, 80} {
 		h := randomTestGraph(rng, n, 0.15)
-		b := toBacked(t, h, nil)
-		if !b.Backed() {
-			t.Fatal("Backed() = false on FromCSRBacked graph")
-		}
+		b := adopt(t, h, nil)
 		sameAsHeap(t, "base", b, h)
+		sameBits(t, "base arrays", b, h)
 
-		// Views over backed storage.
+		// Views over adopted storage.
 		sameAsHeap(t, "pos view", b.PositivePart(), h.PositivePart())
 		sameAsHeap(t, "pos compact", b.PositivePartCompact(), h.PositivePartCompact())
 		if n > 3 {
@@ -84,36 +78,13 @@ func TestBackedEquivalence(t *testing.T) {
 			sameAsHeap(t, "without+pos", b.WithoutVertices(S).PositivePart(), h.WithoutVertices(S).PositivePart())
 			sameAsHeap(t, "without compact", b.WithoutVertices(S).Compact(), h.WithoutVertices(S).Compact())
 		}
-
-		// Compact on a plain backed graph is the identity; Materialize and
-		// CSR yield heap storage equal to the original.
 		if b.Compact() != b {
-			t.Fatal("Compact() on a plain backed graph must return the graph itself")
-		}
-		mat := b.Materialize()
-		if mat.Backed() {
-			t.Fatal("Materialize() must return heap storage")
-		}
-		sameAsHeap(t, "materialize", mat, h)
-		boff, bnbr := b.CSR()
-		hoff, hnbr := h.CSR()
-		if len(boff) != len(hoff) || len(bnbr) != len(hnbr) {
-			t.Fatalf("CSR length mismatch: %d/%d vs %d/%d", len(boff), len(bnbr), len(hoff), len(hnbr))
-		}
-		for i := range boff {
-			if boff[i] != hoff[i] {
-				t.Fatalf("CSR off[%d]: %d vs %d", i, boff[i], hoff[i])
-			}
-		}
-		for i := range bnbr {
-			if bnbr[i] != hnbr[i] {
-				t.Fatalf("CSR nbr[%d]: %+v vs %+v", i, bnbr[i], hnbr[i])
-			}
+			t.Fatal("Compact() on a plain graph must return the graph itself")
 		}
 
 		// Merge machinery: difference, blend, delta, maintainer seeding.
 		h2 := randomTestGraph(rng, n, 0.15)
-		b2 := toBacked(t, h2, nil)
+		b2 := adopt(t, h2, nil)
 		sameAsHeap(t, "difference", DifferenceAlpha(b2, b, 0.7), DifferenceAlpha(h2, h, 0.7))
 		sameAsHeap(t, "blend", Blend(b, b2, 0.25, 0.75), Blend(h, h2, 0.25, 0.75))
 		if n > 2 {
@@ -124,7 +95,7 @@ func TestBackedEquivalence(t *testing.T) {
 			sameAsHeap(t, "maintainer diff", mb.DiffGraph(), mh.DiffGraph())
 		}
 
-		// Scalar transforms materialize off backed storage.
+		// Scalar transforms copy off adopted storage.
 		sameAsHeap(t, "negate", b.Negate(), h.Negate())
 		sameAsHeap(t, "scale", b.Scale(2.5), h.Scale(2.5))
 	}
@@ -133,7 +104,7 @@ func TestBackedEquivalence(t *testing.T) {
 func TestBackedRelease(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	released := 0
-	g := toBacked(t, randomTestGraph(rng, 20, 0.2), func() { released++ })
+	g := adopt(t, randomTestGraph(rng, 20, 0.2), func() { released++ })
 	if released != 0 {
 		t.Fatal("release hook ran before Release")
 	}
@@ -145,11 +116,15 @@ func TestBackedRelease(t *testing.T) {
 	if released != 1 {
 		t.Fatalf("Release must run the hook at most once; ran %d times", released)
 	}
-	if toBacked(t, randomTestGraph(rng, 5, 0.5), nil).StorageBytes() == 0 {
-		t.Fatal("StorageBytes() = 0 on a non-empty backed graph")
+	if adopt(t, randomTestGraph(rng, 5, 0.5), nil).StorageBytes() == 0 {
+		t.Fatal("StorageBytes() = 0 on a non-empty adopted graph")
 	}
 }
 
+// TestFromCSRBackedRejectsCorruptInput is the rejection table of FromCSR,
+// the one CSR validator, over the inputs a corrupt or hostile file can
+// produce. (It kept its name when FromCSRBacked's merge validator became
+// FromCSR.)
 func TestFromCSRBackedRejectsCorruptInput(t *testing.T) {
 	// A valid 3-vertex path to perturb: edges (0,1,w=2), (1,2,w=-3).
 	base := func() (off []int, ids []int32, ws []float64) {
@@ -163,6 +138,10 @@ func TestFromCSRBackedRejectsCorruptInput(t *testing.T) {
 	}{
 		{"bad n", func(off []int, ids []int32, ws []float64) (int, []int, []int32, []float64) {
 			return -1, off, ids, ws
+		}},
+		{"vertex cap", func(off []int, ids []int32, ws []float64) (int, []int, []int32, []float64) {
+			n := MaxVertices
+			return n + 1, off, ids, ws
 		}},
 		{"offsets length", func(off []int, ids []int32, ws []float64) (int, []int, []int32, []float64) {
 			return 3, off[:3], ids, ws
@@ -198,19 +177,28 @@ func TestFromCSRBackedRejectsCorruptInput(t *testing.T) {
 			ws[1] = 2.0000001
 			return 3, off, ids, ws
 		}},
+		{"non-finite weight", func(off []int, ids []int32, ws []float64) (int, []int, []int32, []float64) {
+			ws[2], ws[3] = math.Inf(-1), math.Inf(-1)
+			return 3, off, ids, ws
+		}},
+		// A structurally sorted one-directional entry: only the mirror
+		// check rejects it.
+		{"asymmetric entry", func([]int, []int32, []float64) (int, []int, []int32, []float64) {
+			return 2, []int{0, 1, 1}, []int32{1}, []float64{2}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			n, off, ids, ws := tc.mut(base())
-			if _, err := FromCSRBacked(n, off, ids, ws, nil); err == nil {
-				t.Fatalf("FromCSRBacked accepted corrupt input (%s)", tc.name)
+			if _, err := FromCSR(n, off, ids, ws, nil); err == nil {
+				t.Fatalf("FromCSR accepted corrupt input (%s)", tc.name)
 			}
 		})
 	}
 	// The unperturbed base must be accepted, or the cases above prove nothing.
 	off, ids, ws := base()
-	if _, err := FromCSRBacked(3, off, ids, ws, nil); err != nil {
-		t.Fatalf("FromCSRBacked rejected valid input: %v", err)
+	if _, err := FromCSR(3, off, ids, ws, nil); err != nil {
+		t.Fatalf("FromCSR rejected valid input: %v", err)
 	}
 }
 
@@ -231,4 +219,79 @@ func TestPositivePartCompactMemoized(t *testing.T) {
 		t.Fatal("PositivePartCompact on a view returned a view")
 	}
 	sameAsHeap(t, "view pos", vp, v.PositivePart().Compact())
+}
+
+// fuzzWeights is the weight alphabet of FuzzFromCSR: a few repeated finite
+// values, so fuzzed rows can carry bitwise-equal mirrors, plus the invalid
+// ones.
+var fuzzWeights = [8]float64{1, -1, 2, 0.5, -3, 0, math.NaN(), math.Inf(1)}
+
+// csrFromBytes decodes fuzz bytes into small CSR arrays: n ≤ 16, up to 63
+// entries, offsets and ids as signed bytes (so negative, decreasing and
+// out-of-range values occur), weights from fuzzWeights, and a flag byte that
+// lengthens off or shortens ws by one. Missing bytes read as 0.
+func csrFromBytes(data []byte) (n int, off []int, ids []int32, ws []float64) {
+	next := func() byte {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return b
+	}
+	n = int(next() % 17)
+	e := int(next() % 64)
+	flags := next()
+	off = make([]int, n+1+int(flags&1))
+	for i := range off {
+		off[i] = int(int8(next()))
+	}
+	ids = make([]int32, e)
+	for i := range ids {
+		ids[i] = int32(int8(next()))
+	}
+	ws = make([]float64, e-int(flags>>1&1)*min(e, 1))
+	for i := range ws {
+		ws[i] = fuzzWeights[next()%8]
+	}
+	return n, off, ids, ws
+}
+
+// csrBytes is csrFromBytes's inverse on graphs it can express, for seeds.
+func csrBytes(g *Graph) []byte {
+	off, ids, ws, _, _ := g.CSR()
+	b := []byte{byte(g.N()), byte(len(ids)), 0}
+	for _, o := range off {
+		b = append(b, byte(o))
+	}
+	for _, id := range ids {
+		b = append(b, byte(id))
+	}
+	for _, w := range ws {
+		for k, fw := range fuzzWeights {
+			if w == fw {
+				b = append(b, byte(k))
+			}
+		}
+	}
+	return b
+}
+
+// FuzzFromCSR feeds the validator arbitrary small CSR arrays: it must never
+// panic, and a graph it accepts must equal, array for array and with weight
+// bits compared, the graph a Builder makes from its edge list.
+func FuzzFromCSR(f *testing.F) {
+	f.Add(csrBytes(FromEdges(3, []Edge{{0, 1, 2}, {1, 2, -3}})))
+	f.Add(csrBytes(FromEdges(6, []Edge{{0, 1, 1}, {0, 5, 0.5}, {1, 2, -1}, {2, 3, 2}, {3, 5, -3}, {4, 5, 1}})))
+	f.Add(csrBytes(Complete(5, 0.5)))
+	f.Add(csrBytes(NewBuilder(4).Build()))
+	f.Add([]byte{2, 1, 0, 0, 1, 1, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n, off, ids, ws := csrFromBytes(data)
+		g, err := FromCSR(n, off, ids, ws, nil)
+		if err != nil {
+			return
+		}
+		sameBits(t, "FromCSR vs Builder", g, FromEdges(n, g.Edges()))
+	})
 }

@@ -31,35 +31,34 @@ func ApplyDelta(base *Graph, delta []Edge) *Graph {
 	ded := canonDelta(n, delta)
 	// Scatter the canonical delta into sorted directed CSR rows (the Builder
 	// fill pattern), keeping zero weights: in a delta row, W = 0 is the
-	// removal marker, not an absent edge.
+	// removal marker, not an absent edge. d holds the rows for mergeRows
+	// only and never escapes, so its zero weights break no Graph contract.
 	deg := make([]int, n)
 	for _, e := range ded {
 		deg[e.U]++
 		deg[e.V]++
 	}
-	doff := make([]int, n+1)
+	d := &Graph{n: n, off: make([]int, n+1)}
 	for u := 0; u < n; u++ {
-		doff[u+1] = doff[u] + deg[u]
+		d.off[u+1] = d.off[u] + deg[u]
 	}
-	dnbr := make([]Neighbor, doff[n])
+	d.ids, d.ws = make([]int32, d.off[n]), make([]float64, d.off[n])
 	cur := make([]int, n)
-	copy(cur, doff[:n])
+	copy(cur, d.off[:n])
 	for _, e := range ded {
-		dnbr[cur[e.U]] = Neighbor{To: e.V, W: e.W}
+		d.ids[cur[e.U]], d.ws[cur[e.U]] = int32(e.V), e.W
 		cur[e.U]++
-		dnbr[cur[e.V]] = Neighbor{To: e.U, W: e.W}
+		d.ids[cur[e.V]], d.ws[cur[e.V]] = int32(e.U), e.W
 		cur[e.V]++
 	}
 	// Tandem merge: a delta entry overrides the base weight outright (its
 	// zero-result drop is exactly the removal), absent entries keep base's.
-	return mergeRows(n, base.entries()+len(dnbr), base.rowFn(),
-		func(u int) []Neighbor { return dnbr[doff[u]:doff[u+1]] },
-		func(w1, w2 float64, _, in2 bool) float64 {
-			if in2 {
-				return w2
-			}
-			return w1
-		})
+	return mergeRows(base, d, func(w1, w2 float64, _, in2 bool) float64 {
+		if in2 {
+			return w2
+		}
+		return w1
+	})
 }
 
 // canonDelta validates an edge-delta list and returns it canonicalized:

@@ -38,8 +38,7 @@ func merge2(g1, g2 *Graph, f func(w1, w2 float64) float64) *Graph {
 	if g1.N() != g2.N() {
 		panic(fmt.Sprintf("graph: combining graphs with different vertex counts %d vs %d", g1.N(), g2.N()))
 	}
-	g1, g2 = g1.Compact(), g2.Compact()
-	return mergeRows(g1.n, g1.entries()+g2.entries(), g1.rowFn(), g2.rowFn(),
+	return mergeRows(g1.Compact(), g2.Compact(),
 		func(w1, w2 float64, _, _ bool) float64 { return f(w1, w2) })
 }
 
@@ -56,7 +55,7 @@ type Union struct {
 }
 
 type unionEntry struct {
-	to     int
+	to     int32
 	w1, w2 float64
 }
 
@@ -67,22 +66,21 @@ func NewUnion(g1, g2 *Graph) *Union {
 		panic(fmt.Sprintf("graph: combining graphs with different vertex counts %d vs %d", g1.N(), g2.N()))
 	}
 	g1, g2 = g1.Compact(), g2.Compact()
-	u := &Union{n: g1.n, off: make([]int, g1.n+1), ent: make([]unionEntry, 0, g1.entries()+g2.entries())}
-	row1, row2 := g1.rowFn(), g2.rowFn()
+	u := &Union{n: g1.n, off: make([]int, g1.n+1), ent: make([]unionEntry, 0, len(g1.ids)+len(g2.ids))}
 	for v := 0; v < u.n; v++ {
 		u.off[v] = len(u.ent)
-		a1, a2 := row1(v), row2(v)
-		i, j := 0, 0
-		for i < len(a1) || j < len(a2) {
+		i, ie := g1.off[v], g1.off[v+1]
+		j, je := g2.off[v], g2.off[v+1]
+		for i < ie || j < je {
 			switch {
-			case j >= len(a2) || (i < len(a1) && a1[i].To < a2[j].To):
-				u.ent = append(u.ent, unionEntry{to: a1[i].To, w1: a1[i].W})
+			case j >= je || (i < ie && g1.ids[i] < g2.ids[j]):
+				u.ent = append(u.ent, unionEntry{to: g1.ids[i], w1: g1.ws[i]})
 				i++
-			case i >= len(a1) || a2[j].To < a1[i].To:
-				u.ent = append(u.ent, unionEntry{to: a2[j].To, w2: a2[j].W})
+			case i >= ie || g2.ids[j] < g1.ids[i]:
+				u.ent = append(u.ent, unionEntry{to: g2.ids[j], w2: g2.ws[j]})
 				j++
 			default:
-				u.ent = append(u.ent, unionEntry{to: a1[i].To, w1: a1[i].W, w2: a2[j].W})
+				u.ent = append(u.ent, unionEntry{to: g1.ids[i], w1: g1.ws[i], w2: g2.ws[j]})
 				i++
 				j++
 			}
@@ -99,80 +97,78 @@ func NewUnion(g1, g2 *Graph) *Union {
 // be a fresh graph or one an earlier ...Into call produced; the result is
 // valid until dst is next overwritten.
 func (u *Union) DifferenceAlphaInto(alpha float64, dst *Graph) *Graph {
-	off, nbr := dst.off, dst.nbr[:0]
-	if cap(off) < u.n+1 {
-		off = make([]int, u.n+1)
-	}
-	if cap(nbr) < len(u.ent) {
-		nbr = make([]Neighbor, 0, len(u.ent))
-	}
-	off = off[:u.n+1]
-	m := 0
+	off := grow(dst.off, u.n+1)
+	ids, ws := grow(dst.ids, len(u.ent)), grow(dst.ws, len(u.ent))
+	ws = ws[:len(ids)] // one bounds check covers both stores
+	k, m := 0, 0
 	var tw float64
 	for v := 0; v < u.n; v++ {
-		off[v] = len(nbr)
+		off[v] = k
 		for _, e := range u.ent[u.off[v]:u.off[v+1]] {
 			w := e.w2 - alpha*e.w1
 			if w == 0 {
 				continue
 			}
-			nbr = append(nbr, Neighbor{To: e.to, W: w})
-			if e.to > v {
+			ids[k], ws[k] = e.to, w
+			k++
+			if int(e.to) > v {
 				m++
 				tw += w
 			}
 		}
 	}
-	off[u.n] = len(nbr)
-	dst.n, dst.m, dst.totalW, dst.off, dst.nbr, dst.reused = u.n, m, tw, off, nbr, true
+	off[u.n] = k
+	dst.n, dst.m, dst.totalW, dst.off, dst.ids, dst.ws, dst.reused = u.n, m, tw, off, ids[:k], ws[:k], true
 	return dst
 }
 
 // mergeRows is the linear-merge machinery behind Difference, Blend and
-// ApplyDelta: it walks two aligned sets of sorted adjacency rows in tandem and
-// builds the plain CSR graph whose edge weights are f(w1, w2, in1, in2) over
-// the union of the two edge sets. Absent entries contribute weight 0 with
-// their presence flag false — the flags let combiners like ApplyDelta treat
-// "present with weight 0" (remove the edge) differently from "absent" (keep
-// the other side's weight). Zero results are dropped. Rows must be sorted by
-// neighbor id with each undirected edge appearing in both endpoint rows;
-// sizeHint bounds the flat output allocation.
-func mergeRows(n, sizeHint int, row1, row2 func(u int) []Neighbor, f func(w1, w2 float64, in1, in2 bool) float64) *Graph {
+// ApplyDelta: it walks the sorted rows of a and b in tandem and builds the
+// plain CSR graph whose edge weights are f(w1, w2, in1, in2) over the union
+// of the two edge sets. Only the arrays of a and b are read, and their masks
+// are ignored (callers compact views first). Absent entries contribute
+// weight 0 with their presence flag false — the flags let combiners like
+// ApplyDelta treat "present with weight 0" (remove the edge) differently
+// from "absent" (keep the other side's weight). Zero results are dropped.
+// Each undirected edge must appear in both endpoint rows.
+func mergeRows(a, b *Graph, f func(w1, w2 float64, in1, in2 bool) float64) *Graph {
+	n := a.n
 	off := make([]int, n+1)
-	nbr := make([]Neighbor, 0, sizeHint)
+	ids := make([]int32, 0, len(a.ids)+len(b.ids))
+	ws := make([]float64, 0, len(a.ids)+len(b.ids))
 	m := 0
 	var tw float64
-	emit := func(u, to int, w float64) {
+	emit := func(u int, to int32, w float64) {
 		if w == 0 {
 			return
 		}
-		nbr = append(nbr, Neighbor{To: to, W: w})
-		if to > u {
+		ids, ws = append(ids, to), append(ws, w)
+		if int(to) > u {
 			m++
 			tw += w
 		}
 	}
 	for u := 0; u < n; u++ {
-		off[u] = len(nbr)
-		a1, a2 := row1(u), row2(u)
-		i, j := 0, 0
-		for i < len(a1) || j < len(a2) {
+		off[u] = len(ids)
+		i, ie := a.off[u], a.off[u+1]
+		j, je := b.off[u], b.off[u+1]
+		for i < ie || j < je {
 			switch {
-			case j >= len(a2) || (i < len(a1) && a1[i].To < a2[j].To):
-				emit(u, a1[i].To, f(a1[i].W, 0, true, false))
+			case j >= je || (i < ie && a.ids[i] < b.ids[j]):
+				emit(u, a.ids[i], f(a.ws[i], 0, true, false))
 				i++
-			case i >= len(a1) || a2[j].To < a1[i].To:
-				emit(u, a2[j].To, f(0, a2[j].W, false, true))
+			case i >= ie || b.ids[j] < a.ids[i]:
+				emit(u, b.ids[j], f(0, b.ws[j], false, true))
 				j++
-			default: // same neighbor in both row sets
-				emit(u, a1[i].To, f(a1[i].W, a2[j].W, true, true))
+			default: // same neighbor in both rows
+				emit(u, a.ids[i], f(a.ws[i], b.ws[j], true, true))
 				i++
 				j++
 			}
 		}
 	}
-	off[n] = len(nbr)
-	return &Graph{n: n, m: m, totalW: tw, off: off, nbr: nbr}
+	off[n] = len(ids)
+	return &Graph{n: n, m: m, totalW: tw, off: off, ids: ids, ws: ws}
 }
 
 // CapWeights returns a copy of the graph where every edge weight above cap is
@@ -191,14 +187,14 @@ func (g *Graph) CapWeights(cap float64) *Graph {
 // DiscretizeLevels maps raw difference weights onto the paper's Discrete
 // setting for the DBLP co-author graphs (Section VI-B):
 //
-//	w ≥ hi          → +2
-//	lo ≤ w < hi     → +1
-//	−lo < w < 0     → −1   (i.e. w in (−hi+1 … 0) small negative band)
-//	w ≤ −lo−? ...
+//	w ≥ hi              → +2
+//	lo ≤ w < hi         → +1
+//	0 < w < lo          → dropped (a weak positive signal)
+//	−(hi−1) < w < 0     → −1
+//	w ≤ −(hi−1)         → −2
 //
-// Concretely with the paper's numbers hi=5, lo=2: w≥5 → 2, 2≤w<5 → 1,
-// −4<w<0 → −1, w≤−4 → −2. Weights in (0, lo) are dropped, matching the paper
-// (only differences of at least lo count as a positive signal).
+// The negative cut is hi−1, not lo. With the paper's hi=5, lo=2: w ≥ 5 → 2,
+// 2 ≤ w < 5 → 1, 0 < w < 2 dropped, −4 < w < 0 → −1, w ≤ −4 → −2.
 func (g *Graph) DiscretizeLevels(lo, hi float64) *Graph {
 	return g.mapWeights(func(w float64) float64 {
 		switch {

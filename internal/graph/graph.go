@@ -8,13 +8,16 @@
 //
 // # Storage: compressed sparse row
 //
-// A Graph stores its adjacency in CSR form: one flat []Neighbor backing array
-// holding every directed edge entry (each undirected edge appears twice) plus
-// an offsets array, so the neighbor list of u is the contiguous subslice
-// nbr[off[u]:off[u+1]], kept sorted by neighbor id. Sortedness lets Difference
-// build GD with a linear merge and lets Weight answer point queries by binary
-// search; the flat layout means a whole-graph edge scan is a single
-// cache-friendly array walk with no per-vertex indirection.
+// A Graph stores its adjacency in CSR form, in the layout of the .dcsg v2
+// file: an offsets array plus two parallel arrays holding every directed edge
+// entry (each undirected edge appears twice) — neighbor ids ([]int32) and
+// weights ([]float64) — so the neighbor list of u is ids[off[u]:off[u+1]]
+// with weights ws[off[u]:off[u+1]], kept sorted by neighbor id. Sortedness
+// lets Difference build GD with a linear merge and lets Weight answer point
+// queries by binary search; the flat layout means a whole-graph edge scan is
+// a single cache-friendly array walk with no per-vertex indirection. Heap
+// graphs and graphs over a read-only file mapping (FromCSR) differ only in
+// who owns the arrays.
 //
 // # Views: masked graphs without rebuilding
 //
@@ -29,10 +32,10 @@
 // Views compose: a PositivePart of a WithoutVertices view masks both.
 //
 // Every method is mask-aware and views satisfy exactly the same contracts as
-// plain graphs, with one performance caveat: Neighbors on a view must
-// materialize the filtered list and therefore allocates. Hot loops use
-// VisitNeighbors, which is allocation-free on plain graphs and views alike;
-// Compact flattens a view into a plain graph when one is needed.
+// plain graphs. Neighbors returns a freshly allocated copy; hot loops use
+// VisitNeighbors, which is allocation-free on plain graphs and views alike,
+// or walk the CSR arrays directly. Compact flattens a view into a plain graph
+// when one is needed.
 package graph
 
 import (
@@ -42,8 +45,13 @@ import (
 	"sync/atomic"
 )
 
-// Neighbor is one entry of an adjacency list: an incident edge to vertex To
-// with weight W. W is never zero in a built Graph.
+// MaxVertices is the largest vertex count a Graph holds: neighbor ids are
+// int32, matching the binary codec's on-disk ids. NewBuilder panics and
+// FromCSR errors beyond it, so readers of untrusted sizes check it first.
+const MaxVertices = 1<<31 - 1
+
+// Neighbor is one entry of an adjacency list, as Neighbors returns it: an
+// incident edge to vertex To with weight W. W is never zero in a built Graph.
 type Neighbor struct {
 	To int
 	W  float64
@@ -65,17 +73,14 @@ type Graph struct {
 	totalW float64 // sum of weights over visible undirected edges
 
 	// CSR storage, shared (never mutated) between a graph and its views.
-	// Exactly one of the two adjacency representations is populated:
-	// interleaved nbr for heap graphs, or the parallel arrays ids/ws for
-	// backed graphs (FromCSRBacked), whose storage is externally owned and
-	// may alias a read-only memory mapping. See backed.go.
-	off []int      // len n+1; row u is entries off[u]:off[u+1]
-	nbr []Neighbor // flat directed adjacency, each undirected edge twice
-	ids []int32    // backed form: neighbor id of entry i
-	ws  []float64  // backed form: weight of entry i
+	// Every undirected edge appears as two directed entries. The arrays
+	// may alias a read-only memory mapping (FromCSR); see csr.go.
+	off []int     // len n+1; row u is entries off[u]:off[u+1]
+	ids []int32   // neighbor id of entry i
+	ws  []float64 // weight of entry i
 
-	// release tears down externally owned backed storage (e.g. munmap);
-	// nil on heap graphs and on views. See Release.
+	// release tears down externally owned storage (e.g. munmap); nil on
+	// heap graphs and on views. See Release.
 	release func()
 
 	// pos memoizes PositivePartCompact on plain graphs, so the several
@@ -94,22 +99,8 @@ type Graph struct {
 	reused bool
 }
 
-// backed reports whether adjacency lives in the parallel arrays ids/ws.
-func (g *Graph) backed() bool { return g.ids != nil }
-
-// row returns u's base adjacency row, ignoring any masks. Interleaved
-// (heap) storage only — backed graphs have no []Neighbor array to slice;
-// storage-neutral callers go through rowFn or entry instead.
-func (g *Graph) row(u int) []Neighbor { return g.nbr[g.off[u]:g.off[u+1]] }
-
-// entry returns base entry i (neighbor id and weight) from whichever
-// storage g uses. It is the storage-neutral read of the row loops.
-func (g *Graph) entry(i int) (to int, w float64) {
-	if g.ids != nil {
-		return int(g.ids[i]), g.ws[i]
-	}
-	return g.nbr[i].To, g.nbr[i].W
-}
+// entry returns base entry i: its neighbor id and weight.
+func (g *Graph) entry(i int) (to int, w float64) { return int(g.ids[i]), g.ws[i] }
 
 // plain reports whether g has no masks (storage = visible graph).
 func (g *Graph) plain() bool { return g.drop == nil && !g.posOnly }
@@ -139,53 +130,22 @@ func (g *Graph) TotalWeight() float64 { return g.totalW }
 func (g *Graph) IsView() bool { return !g.plain() }
 
 // Compact materializes g into a plain CSR graph with no masks. It returns g
-// itself when g is already plain (including plain backed graphs); otherwise
-// it copies the visible entries into fresh heap arrays (two allocations).
+// itself when g is already plain; otherwise it copies the visible entries
+// into fresh heap arrays (three allocations), keeping the view's edge count
+// and total weight.
 func (g *Graph) Compact() *Graph {
 	if g.plain() {
 		return g
 	}
-	off := make([]int, g.n+1)
-	nbr := make([]Neighbor, 0, 2*g.m)
-	for u := 0; u < g.n; u++ {
-		off[u] = len(nbr)
-		if g.dropped(u) {
-			continue
-		}
-		for i := g.off[u]; i < g.off[u+1]; i++ {
-			if to, w := g.entry(i); g.visibleTo(to, w) {
-				nbr = append(nbr, Neighbor{To: to, W: w})
-			}
-		}
-	}
-	off[g.n] = len(nbr)
-	return &Graph{n: g.n, m: g.m, totalW: g.totalW, off: off, nbr: nbr}
+	c := g.mapWeights(func(w float64) float64 { return w })
+	c.m, c.totalW = g.m, g.totalW
+	return c
 }
 
-// HeapCSR exposes g's adjacency for read-only kernels that walk rows
-// directly instead of calling VisitNeighbors per vertex: row u is
-// nbr[off[u]:off[u+1]] over the base storage, and an entry (to, w) of row u
-// is visible iff drop is nil or neither drop[u] nor drop[to] is set, and
-// posOnly is false or w > 0 — the masks of a view, returned as they are.
-// The slices are g's own storage and must not be modified. A backed graph
-// has no heap rows, so it is materialized first: an O(n+m) copy that a
-// caller making several passes should pay once, by materializing up front.
-func (g *Graph) HeapCSR() (off []int, nbr []Neighbor, drop []bool, posOnly bool) {
-	if g.backed() {
-		g = g.Materialize()
-	}
-	return g.off, g.nbr, g.drop, g.posOnly
-}
-
-// Neighbors returns the adjacency list of u, sorted by neighbor id. On a
-// plain heap graph this is a zero-copy subslice of the CSR array, owned by
-// the graph and not to be modified. On a view or a backed graph it is a
-// freshly allocated copy — hot loops that may receive either should use
-// VisitNeighbors instead.
+// Neighbors returns the visible adjacency list of u, sorted by neighbor id,
+// as a freshly allocated copy the caller owns. Hot loops use VisitNeighbors
+// or the CSR arrays instead.
 func (g *Graph) Neighbors(u int) []Neighbor {
-	if g.plain() && !g.backed() {
-		return g.row(u)
-	}
 	if g.dropped(u) {
 		return nil
 	}
@@ -202,43 +162,21 @@ func (g *Graph) Neighbors(u int) []Neighbor {
 // order. It never allocates, on plain graphs and views alike; it is the
 // iteration primitive the solvers use on derived graphs.
 func (g *Graph) VisitNeighbors(u int, fn func(v int, w float64)) {
-	if g.backed() {
-		g.visitNeighborsBacked(u, fn)
-		return
-	}
-	if g.plain() {
-		for _, nb := range g.row(u) {
-			fn(nb.To, nb.W)
-		}
-		return
-	}
-	if g.dropped(u) {
-		return
-	}
-	for _, nb := range g.row(u) {
-		if g.visibleTo(nb.To, nb.W) {
-			fn(nb.To, nb.W)
-		}
-	}
-}
-
-// visitNeighborsBacked is VisitNeighbors over parallel-array storage, with
-// the same mask semantics and the same allocation-free guarantee.
-func (g *Graph) visitNeighborsBacked(u int, fn func(v int, w float64)) {
 	if g.dropped(u) {
 		return
 	}
 	lo, hi := g.off[u], g.off[u+1]
-	ids, ws := g.ids, g.ws
+	ids, ws := g.ids[lo:hi], g.ws[lo:hi]
+	ws = ws[:len(ids)] // drops ws's bounds checks in the loops
 	if g.plain() {
-		for i := lo; i < hi; i++ {
-			fn(int(ids[i]), ws[i])
+		for i, to := range ids {
+			fn(int(to), ws[i])
 		}
 		return
 	}
-	for i := lo; i < hi; i++ {
-		if g.visibleTo(int(ids[i]), ws[i]) {
-			fn(int(ids[i]), ws[i])
+	for i, to := range ids {
+		if g.visibleTo(int(to), ws[i]) {
+			fn(int(to), ws[i])
 		}
 	}
 }
@@ -265,20 +203,7 @@ func (g *Graph) OutDegree(u int) int {
 // degree W(u; G) in the whole graph.
 func (g *Graph) WeightedDegree(u int) float64 {
 	var s float64
-	if g.plain() && !g.backed() {
-		for _, nb := range g.row(u) {
-			s += nb.W
-		}
-		return s
-	}
-	if g.dropped(u) {
-		return 0
-	}
-	for i := g.off[u]; i < g.off[u+1]; i++ {
-		if to, w := g.entry(i); g.visibleTo(to, w) {
-			s += w
-		}
-	}
+	g.VisitNeighbors(u, func(_ int, w float64) { s += w })
 	return s
 }
 
@@ -288,19 +213,11 @@ func (g *Graph) Weight(u, v int) float64 {
 	if g.dropped(u) || g.dropped(v) {
 		return 0
 	}
-	if g.backed() {
-		lo, hi := g.off[u], g.off[u+1]
-		ids := g.ids[lo:hi]
-		i := sort.Search(len(ids), func(i int) bool { return int(ids[i]) >= v })
-		if i < len(ids) && int(ids[i]) == v && !g.hides(g.ws[lo+i]) {
-			return g.ws[lo+i]
-		}
-		return 0
-	}
-	a := g.row(u)
-	i := sort.Search(len(a), func(i int) bool { return a[i].To >= v })
-	if i < len(a) && a[i].To == v && !g.hides(a[i].W) {
-		return a[i].W
+	lo, hi := g.off[u], g.off[u+1]
+	ids := g.ids[lo:hi]
+	i := sort.Search(len(ids), func(i int) bool { return int(ids[i]) >= v })
+	if i < len(ids) && int(ids[i]) == v && !g.hides(g.ws[lo+i]) {
+		return g.ws[lo+i]
 	}
 	return 0
 }
@@ -320,25 +237,14 @@ func (g *Graph) Edges() []Edge {
 
 // VisitEdges calls fn for every visible undirected edge once, with u < v.
 func (g *Graph) VisitEdges(fn func(u, v int, w float64)) {
-	if g.backed() {
-		for u := 0; u < g.n; u++ {
-			if g.dropped(u) {
-				continue
-			}
-			for i := g.off[u]; i < g.off[u+1]; i++ {
-				to, w := int(g.ids[i]), g.ws[i]
-				if to > u && g.visibleTo(to, w) {
-					fn(u, to, w)
-				}
-			}
-		}
-		return
-	}
 	if g.plain() {
 		for u := 0; u < g.n; u++ {
-			for _, nb := range g.row(u) {
-				if nb.To > u {
-					fn(u, nb.To, nb.W)
+			lo, hi := g.off[u], g.off[u+1]
+			row, ws := g.ids[lo:hi], g.ws[lo:hi]
+			ws = ws[:len(row)] // drops ws's bounds check in the loop
+			for i, to := range row {
+				if int(to) > u {
+					fn(u, int(to), ws[i])
 				}
 			}
 		}
@@ -348,9 +254,9 @@ func (g *Graph) VisitEdges(fn func(u, v int, w float64)) {
 		if g.dropped(u) {
 			continue
 		}
-		for _, nb := range g.row(u) {
-			if nb.To > u && g.visibleTo(nb.To, nb.W) {
-				fn(u, nb.To, nb.W)
+		for i := g.off[u]; i < g.off[u+1]; i++ {
+			if to, w := g.entry(i); to > u && g.visibleTo(to, w) {
+				fn(u, to, w)
 			}
 		}
 	}
@@ -494,7 +400,7 @@ func (g *Graph) PositivePart() *Graph {
 	if g.posOnly {
 		return g
 	}
-	v := &Graph{n: g.n, off: g.off, nbr: g.nbr, ids: g.ids, ws: g.ws, drop: g.drop, posOnly: true}
+	v := &Graph{n: g.n, off: g.off, ids: g.ids, ws: g.ws, drop: g.drop, posOnly: true}
 	v.recount()
 	return v
 }
@@ -559,8 +465,8 @@ func (g *Graph) WithoutVertices(S []int) *Graph {
 			newly = append(newly, v)
 		}
 	}
-	v := &Graph{n: g.n, m: g.m, totalW: g.totalW, off: g.off, nbr: g.nbr,
-		ids: g.ids, ws: g.ws, drop: drop, posOnly: g.posOnly}
+	v := &Graph{n: g.n, m: g.m, totalW: g.totalW, off: g.off, ids: g.ids, ws: g.ws,
+		drop: drop, posOnly: g.posOnly}
 	// Subtract every edge that just became invisible: edges visible in g with
 	// at least one endpoint newly dropped. An edge between two newly dropped
 	// vertices is walked from both rows; the smaller endpoint counts it.
@@ -597,7 +503,8 @@ func (g *Graph) Scale(c float64) *Graph {
 }
 
 // mapWeights materializes a plain graph applying f to every visible edge
-// weight; edges for which f returns 0 are dropped. One pass, two allocations.
+// weight; edges for which f returns 0 are dropped. One pass, three
+// allocations.
 func (g *Graph) mapWeights(f func(w float64) float64) *Graph {
 	return g.mapWeightsInto(new(Graph), f)
 }
@@ -606,18 +513,14 @@ func (g *Graph) mapWeights(f func(w float64) float64) *Graph {
 // only when too small; dst is returned. dst must be a fresh graph or one an
 // earlier ...Into call produced.
 func (g *Graph) mapWeightsInto(dst *Graph, f func(w float64) float64) *Graph {
-	off, nbr := dst.off, dst.nbr[:0]
-	if cap(off) < g.n+1 {
-		off = make([]int, g.n+1)
-	}
-	if cap(nbr) < 2*g.m {
-		nbr = make([]Neighbor, 0, 2*g.m)
-	}
-	off = off[:g.n+1]
-	m := 0
+	// 2m bounds the visible entries, so the arrays are written by index.
+	off := grow(dst.off, g.n+1)
+	ids, ws := grow(dst.ids, 2*g.m), grow(dst.ws, 2*g.m)
+	ws = ws[:len(ids)] // one bounds check covers both stores
+	k, m := 0, 0
 	var tw float64
 	for u := 0; u < g.n; u++ {
-		off[u] = len(nbr)
+		off[u] = k
 		if g.dropped(u) {
 			continue
 		}
@@ -630,16 +533,25 @@ func (g *Graph) mapWeightsInto(dst *Graph, f func(w float64) float64) *Graph {
 			if w == 0 {
 				continue
 			}
-			nbr = append(nbr, Neighbor{To: to, W: w})
+			ids[k], ws[k] = int32(to), w
+			k++
 			if to > u {
 				m++
 				tw += w
 			}
 		}
 	}
-	off[g.n] = len(nbr)
-	dst.n, dst.m, dst.totalW, dst.off, dst.nbr = g.n, m, tw, off, nbr
+	off[g.n] = k
+	dst.n, dst.m, dst.totalW, dst.off, dst.ids, dst.ws = g.n, m, tw, off, ids[:k], ws[:k]
 	return dst
+}
+
+// grow returns s resliced to length n, reallocated only when too small.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Stats summarizes a (difference) graph the way Table II of the paper does.

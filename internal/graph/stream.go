@@ -101,24 +101,23 @@ func NewMaintainer(expect, obs *Graph, lambda float64) *Maintainer {
 	expect, obs = expect.Compact(), obs.Compact()
 	n := expect.n
 	m := &Maintainer{n: n, lambda: lambda, scale: 1, rows: make([][]streamEntry, n)}
-	erow, orow := expect.rowFn(), obs.rowFn()
 	for u := 0; u < n; u++ {
-		a1, a2 := erow(u), orow(u)
-		if len(a1) == 0 && len(a2) == 0 {
+		i, ie := expect.off[u], expect.off[u+1]
+		j, je := obs.off[u], obs.off[u+1]
+		if i == ie && j == je {
 			continue
 		}
-		row := make([]streamEntry, 0, len(a1)+len(a2))
-		i, j := 0, 0
-		for i < len(a1) || j < len(a2) {
+		row := make([]streamEntry, 0, ie-i+je-j)
+		for i < ie || j < je {
 			switch {
-			case j >= len(a2) || (i < len(a1) && a1[i].To < a2[j].To):
-				row = append(row, streamEntry{To: a1[i].To, Obs: 0, H: -a1[i].W})
+			case j >= je || (i < ie && expect.ids[i] < obs.ids[j]):
+				row = append(row, streamEntry{To: int(expect.ids[i]), Obs: 0, H: -expect.ws[i]})
 				i++
-			case i >= len(a1) || a2[j].To < a1[i].To:
-				row = append(row, streamEntry{To: a2[j].To, Obs: a2[j].W, H: a2[j].W})
+			case i >= ie || obs.ids[j] < expect.ids[i]:
+				row = append(row, streamEntry{To: int(obs.ids[j]), Obs: obs.ws[j], H: obs.ws[j]})
 				j++
 			default:
-				row = append(row, streamEntry{To: a1[i].To, Obs: a2[j].W, H: a2[j].W - a1[i].W})
+				row = append(row, streamEntry{To: int(expect.ids[i]), Obs: obs.ws[j], H: obs.ws[j] - expect.ws[i]})
 				i++
 				j++
 			}
@@ -130,9 +129,6 @@ func NewMaintainer(expect, obs *Graph, lambda float64) *Maintainer {
 
 // N returns the vertex count.
 func (m *Maintainer) N() int { return m.n }
-
-// Lambda returns the EWMA decay factor the Maintainer folds with.
-func (m *Maintainer) Lambda() float64 { return m.lambda }
 
 // Scale exposes the current lazy multiplier, for tests and diagnostics.
 func (m *Maintainer) Scale() float64 { return m.scale }
@@ -256,25 +252,26 @@ func (m *Maintainer) materialize(f func(u int, s streamEntry) float64) *Graph {
 		size += len(row)
 	}
 	off := make([]int, m.n+1)
-	nbr := make([]Neighbor, 0, size)
-	edges := 0
+	ids, ws := make([]int32, size), make([]float64, size)
+	k, edges := 0, 0
 	var tw float64
 	for u, row := range m.rows {
-		off[u] = len(nbr)
+		off[u] = k
 		for _, s := range row {
 			w := f(u, s)
 			if w == 0 {
 				continue
 			}
-			nbr = append(nbr, Neighbor{To: s.To, W: w})
+			ids[k], ws[k] = int32(s.To), w
+			k++
 			if s.To > u {
 				edges++
 				tw += w
 			}
 		}
 	}
-	off[m.n] = len(nbr)
-	return &Graph{n: m.n, m: edges, totalW: tw, off: off, nbr: nbr}
+	off[m.n] = k
+	return &Graph{n: m.n, m: edges, totalW: tw, off: off, ids: ids[:k], ws: ws[:k]}
 }
 
 // Observation materializes the pre-tick observation graph: between BeginTick
@@ -341,15 +338,15 @@ func (m *Maintainer) DiffInduced(S []int) (*Graph, []int) {
 	scale := m.scale
 	n := len(S)
 	off := make([]int, n+1)
-	nbr := make([]Neighbor, 0, 4*n)
+	ids, ws := make([]int32, 0, 4*n), make([]float64, 0, 4*n)
 	edges := 0
 	var tw float64
 	for i, v := range S {
-		off[i] = len(nbr)
+		off[i] = len(ids)
 		for _, s := range m.rows[v] {
 			if j := local.b[s.To]; j != 0 {
 				if w := scale * s.H; w != 0 {
-					nbr = append(nbr, Neighbor{To: j - 1, W: w})
+					ids, ws = append(ids, int32(j-1)), append(ws, w)
 					if s.To > v {
 						edges++
 						tw += w
@@ -358,9 +355,9 @@ func (m *Maintainer) DiffInduced(S []int) (*Graph, []int) {
 			}
 		}
 	}
-	off[n] = len(nbr)
+	off[n] = len(ids)
 	local.release(S)
-	return &Graph{n: n, m: edges, totalW: tw, off: off, nbr: nbr}, orig
+	return &Graph{n: n, m: edges, totalW: tw, off: off, ids: ids, ws: ws}, orig
 }
 
 // VisitDiffNeighbors calls f for every neighbor of u in the difference graph
@@ -373,28 +370,4 @@ func (m *Maintainer) VisitDiffNeighbors(u int, f func(v int, w float64)) {
 			f(s.To, w)
 		}
 	}
-}
-
-// DiffAvgDegree returns ρ_D(S) = W_D(S)/|S| on the difference graph, with
-// W_D(S) counting each undirected edge twice (the paper's total-degree
-// convention, matching Graph.AverageDegreeOf) — the incremental path uses it
-// to score a warm-start candidate without building an induced subgraph.
-func (m *Maintainer) DiffAvgDegree(S []int) float64 {
-	if len(S) == 0 {
-		return 0
-	}
-	in := acquireMark(m.n)
-	for _, v := range S {
-		in.b[v] = true
-	}
-	var w float64
-	for _, u := range S {
-		for _, s := range m.rows[u] {
-			if in.b[s.To] {
-				w += m.scale * s.H
-			}
-		}
-	}
-	in.release(S)
-	return w / float64(len(S))
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // Graph storage is shared: a dcsd snapshot or difference graph serves every
-// request that reads it, and Graph.CSR, HeapCSR and Neighbors hand out the
-// live arrays with no copy. Nothing but the type's documentation stops a
+// request that reads it, and Graph.CSR hands out the live arrays with no
+// copy (Neighbors copies). Nothing but the type's documentation stops a
 // solver from writing through them, so the equivalence suite checks it at
 // run time, on two layouts of every fixture:
 //
