@@ -13,40 +13,57 @@ import (
 	"github.com/dcslib/dcs/internal/datagen"
 	"github.com/dcslib/dcs/internal/densest"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/simplex"
 )
 
-// goldenDigests pins the exact output bits of the average-degree solvers on
-// fixed seeded inputs: vertex sets plus math.Float64bits of every density,
-// ratio and α. The partest harness only proves sequential ≡ parallel; this
+// goldenDigests pins the exact output bits of the solvers on fixed seeded
+// inputs: vertex sets plus math.Float64bits of every density, ratio and α,
+// and for the affinity solvers every embedding entry, affinity and GAStats
+// counter. The partest harness only proves sequential ≡ parallel; this
 // test proves "same bits as before", so any change to the peel engine, the
 // difference-graph builders or the candidate arithmetic that moves a single
 // float bit or a tie-break fails here. Regenerate (and justify in the change
 // log) only when an output is meant to change.
 var goldenDigests = map[string]string{
-	"seed1/gd":           "020424b26d0bd7ae64a9c0275ebecd15ccf37906db99f8c14a6870d724798e8e",
-	"seed1/gd-without":   "7b32ada32e1e0632b6ebf3fa951e6b52aaa29a10cd0f54b04609e38b01f1e4c0",
-	"seed1/gd-positive":  "d7288405a1aa406e1df2310442e0a7ebc2fea59e3287c6c33e7c1443ea45496e",
-	"seed1/gd-backed":    "020424b26d0bd7ae64a9c0275ebecd15ccf37906db99f8c14a6870d724798e8e",
-	"seed1/gd-discrete":  "92d77e7f114aa516442c5695a508690c0674776d8184d7a1ba292979283c196e",
-	"seed1/ratio":        "dfa5968c5165be6923ad7290e421bd7a505e74bf02df4222afbfe8d8065bfcdf",
-	"seed1/ratio-inf":    "e39007e38de751fcc74d4f9239da5a84290956b2b6e27ca2e762d67aaa692049",
-	"seed1/ratio-backed": "dfa5968c5165be6923ad7290e421bd7a505e74bf02df4222afbfe8d8065bfcdf",
-	"seed7/gd":           "e0acd7270ae0216335dc8b3722ffd725c8cd09517039a9c87064cae0c1c80d15",
-	"seed7/gd-without":   "7e2aa87affe317c59184435cf3d3d7dff1112a1d8a3e73359b3e6b9b245fbb6d",
-	"seed7/gd-positive":  "06f9eb71e426e6c9ee6d5779ede87073e8af4310dec6da78cc81655e32e14986",
-	"seed7/gd-backed":    "e0acd7270ae0216335dc8b3722ffd725c8cd09517039a9c87064cae0c1c80d15",
-	"seed7/gd-discrete":  "04846bfd5e927f356b1c1e6b76f3e24797bf114f312870b79e6904026a5071ed",
-	"seed7/ratio":        "aa5db7e66df6b3094ed9d7d02cc6258acfd897118fa68cde3d295217feca4124",
-	"seed7/ratio-inf":    "7facaffb4aac0f82ca86168033705207a5e3ad6a3d74c1da8a51fd9a8baf083b",
-	"seed7/ratio-backed": "aa5db7e66df6b3094ed9d7d02cc6258acfd897118fa68cde3d295217feca4124",
-	"seed3/gd":           "062b3621a2e18dcb1aa186bfe49dbe5ea5248ff1cdfe4246b6090c82b21d4de9",
-	"seed3/gd-without":   "801a5d8d44eefb14b5c97386baf17b5bbb4532eedf4897d3dfc662f612e1bb5f",
-	"seed3/gd-positive":  "7910d286887271a4e0a0ac7b3f591fe1a2691158bb837954492536713cfbc682",
-	"seed3/gd-backed":    "062b3621a2e18dcb1aa186bfe49dbe5ea5248ff1cdfe4246b6090c82b21d4de9",
-	"seed3/gd-discrete":  "9cd850f92b7c652d496fbb34766309ff1c51fa1b3cb894eb38cc3180d5ba92b5",
-	"seed3/ratio":        "cad05fcb6e6d85f58eb5108696754cbcd8812e66c2be51078f6078f92b260ae0",
-	"seed3/ratio-inf":    "12151aeca843f607b786007a234c8d340cb5361ea976394168eb2d370e3a27b6",
-	"seed3/ratio-backed": "cad05fcb6e6d85f58eb5108696754cbcd8812e66c2be51078f6078f92b260ae0",
+	"seed1/gd":            "020424b26d0bd7ae64a9c0275ebecd15ccf37906db99f8c14a6870d724798e8e",
+	"seed1/gd-without":    "7b32ada32e1e0632b6ebf3fa951e6b52aaa29a10cd0f54b04609e38b01f1e4c0",
+	"seed1/gd-positive":   "d7288405a1aa406e1df2310442e0a7ebc2fea59e3287c6c33e7c1443ea45496e",
+	"seed1/gd-backed":     "020424b26d0bd7ae64a9c0275ebecd15ccf37906db99f8c14a6870d724798e8e",
+	"seed1/gd-discrete":   "92d77e7f114aa516442c5695a508690c0674776d8184d7a1ba292979283c196e",
+	"seed1/ratio":         "dfa5968c5165be6923ad7290e421bd7a505e74bf02df4222afbfe8d8065bfcdf",
+	"seed1/ratio-inf":     "e39007e38de751fcc74d4f9239da5a84290956b2b6e27ca2e762d67aaa692049",
+	"seed1/ratio-backed":  "dfa5968c5165be6923ad7290e421bd7a505e74bf02df4222afbfe8d8065bfcdf",
+	"seed7/gd":            "e0acd7270ae0216335dc8b3722ffd725c8cd09517039a9c87064cae0c1c80d15",
+	"seed7/gd-without":    "7e2aa87affe317c59184435cf3d3d7dff1112a1d8a3e73359b3e6b9b245fbb6d",
+	"seed7/gd-positive":   "06f9eb71e426e6c9ee6d5779ede87073e8af4310dec6da78cc81655e32e14986",
+	"seed7/gd-backed":     "e0acd7270ae0216335dc8b3722ffd725c8cd09517039a9c87064cae0c1c80d15",
+	"seed7/gd-discrete":   "04846bfd5e927f356b1c1e6b76f3e24797bf114f312870b79e6904026a5071ed",
+	"seed7/ratio":         "aa5db7e66df6b3094ed9d7d02cc6258acfd897118fa68cde3d295217feca4124",
+	"seed7/ratio-inf":     "7facaffb4aac0f82ca86168033705207a5e3ad6a3d74c1da8a51fd9a8baf083b",
+	"seed7/ratio-backed":  "aa5db7e66df6b3094ed9d7d02cc6258acfd897118fa68cde3d295217feca4124",
+	"seed3/gd":            "062b3621a2e18dcb1aa186bfe49dbe5ea5248ff1cdfe4246b6090c82b21d4de9",
+	"seed3/gd-without":    "801a5d8d44eefb14b5c97386baf17b5bbb4532eedf4897d3dfc662f612e1bb5f",
+	"seed3/gd-positive":   "7910d286887271a4e0a0ac7b3f591fe1a2691158bb837954492536713cfbc682",
+	"seed3/gd-backed":     "062b3621a2e18dcb1aa186bfe49dbe5ea5248ff1cdfe4246b6090c82b21d4de9",
+	"seed3/gd-discrete":   "9cd850f92b7c652d496fbb34766309ff1c51fa1b3cb894eb38cc3180d5ba92b5",
+	"seed3/ratio":         "cad05fcb6e6d85f58eb5108696754cbcd8812e66c2be51078f6078f92b260ae0",
+	"seed3/ratio-inf":     "12151aeca843f607b786007a234c8d340cb5361ea976394168eb2d370e3a27b6",
+	"seed3/ratio-backed":  "cad05fcb6e6d85f58eb5108696754cbcd8812e66c2be51078f6078f92b260ae0",
+	"seed1/ga-newsea":     "9f5547369147f49ebe726e4a31e0dd9f6f9bfc69456d52b82d7e6240027d8154",
+	"seed1/ga-warm":       "6da050f235db63e3dce4405da70b07f8e28e3a46651d696aaf9013655f34a098",
+	"seed1/ga-seacd-full": "fff5279c532a2bdf83683e91b8ca505828f919667382ff04d2ea213d76bdd478",
+	"seed1/ga-cliques":    "02b863ef9dce74711fa2e468ad684c9af3f55bbe4ae8f66d40e1d7fbee125917",
+	"seed1/ga-topk":       "ddfcd39105c1d6c86c8e0385efd2d09c1ef774274836fd578bf2d7697a58ca1a",
+	"seed7/ga-newsea":     "312279901e5a50403d56f88dff00d7dda055e59c9e6cbbee74b177f181087c5a",
+	"seed7/ga-warm":       "5ea025cf4752cc8a77df6f29531ac4aa3d3ce71ce91d3001dff499a9b0e68452",
+	"seed7/ga-seacd-full": "6091a74e1ad8c37450aead4946f96982ea2b74333d7cafcd5712b69dda2a0fbb",
+	"seed7/ga-cliques":    "09588d7edb3d6d0145857e7bc306cd0e16866ecc9955ecf4ad797bbdfe124fc1",
+	"seed7/ga-topk":       "e08a760d5f1be6f74a89b36f4650efe334248c749ee46bff44302ff057e01349",
+	"seed3/ga-newsea":     "d350e451436ea48374d964b2690caa26efa0d06af2cd5b6650c9520703019ac8",
+	"seed3/ga-warm":       "49f7ef645546008ceb94fcbb668cef38fa13a9ec6b5d7250c857f1f6ece2a7ee",
+	"seed3/ga-seacd-full": "f10acc743fb81860a865456ab99280eeaa3ee8da9896328489aecf9f49f60316",
+	"seed3/ga-cliques":    "0ca2a069e25c86b6bc18014bc42b54ba68745367a680d4d28b7c5880ce6b97bd",
+	"seed3/ga-topk":       "7add225ab972f15b56235e7f01a2d4f1aec65093b12a840c31a2e3247e06c15e",
 }
 
 type goldenHash struct{ hash.Hash }
@@ -89,6 +106,29 @@ func (h goldenHash) ratio(r RatioResult) {
 	h.ints(r.S)
 	h.floats(r.Alpha, r.Density2, r.Density1)
 	h.bools(r.Interrupted)
+}
+
+// embedding digests a simplex vector over the support S it was reported with.
+func (h goldenHash) embedding(S []int, x *simplex.Vector) {
+	h.ints(S)
+	for _, u := range S {
+		h.floats(x.Get(u))
+	}
+}
+
+func (h goldenHash) ga(r GAResult) {
+	h.embedding(r.S, r.X)
+	h.floats(r.Affinity, r.Density, r.EdgeDensity, r.TotalWeight)
+	h.ints([]int{r.Stats.Inits, r.Stats.ShrinkIters, r.Stats.Expansions, r.Stats.ExpansionErrors, r.Stats.RefineSteps})
+	h.bools(r.PositiveClique, r.Interrupted)
+}
+
+func (h goldenHash) cliques(cs []Clique) {
+	h.ints([]int{len(cs)})
+	for _, c := range cs {
+		h.embedding(c.S, c.X)
+		h.floats(c.Affinity)
+	}
 }
 
 // goldenBacked re-hosts g's CSR arrays in caller-owned storage adopted by
@@ -136,6 +176,44 @@ func goldenRatio(g1, g2 *graph.Graph) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// goldenAffinity digests the affinity solvers on one difference graph:
+// NewSEA, its warm start from each prior (with the embedding a positive-clique
+// prior competes with), SEACD+Refine from every vertex,
+// CollectCliques at 1 and 4 workers and the disjoint top-5. SEA+Refine is
+// left out for its run time; the Table VII shape tests pin it.
+func goldenAffinity(got map[string]string, p string, gd *graph.Graph, priors ...[]int) {
+	digest := func(name string, fn func(h goldenHash)) {
+		h := goldenHash{sha256.New()}
+		fn(h)
+		got[p+name] = hex.EncodeToString(h.Sum(nil))
+	}
+	digest("ga-newsea", func(h goldenHash) { h.ga(NewSEA(gd, GAOptions{})) })
+	digest("ga-warm", func(h goldenHash) {
+		for _, prior := range priors {
+			res, hit := NewSEAWarmCtx(context.Background(), gd, prior, GAOptions{})
+			h.ga(res)
+			h.bools(hit)
+			if gd.IsPositiveClique(prior) {
+				x := CliqueEmbedding(gd, prior)
+				h.embedding(x.Support(), x)
+			}
+		}
+	})
+	digest("ga-seacd-full", func(h goldenHash) { h.ga(SEACDRefineFull(gd, GAOptions{})) })
+	digest("ga-cliques", func(h goldenHash) {
+		for _, workers := range []int{1, 4} {
+			cs, cut := CollectCliquesCtx(context.Background(), gd, GAOptions{Parallelism: workers})
+			h.cliques(cs)
+			h.bools(cut)
+		}
+	})
+	digest("ga-topk", func(h goldenHash) {
+		cs, cut := TopKGraphAffinityCtx(context.Background(), gd, 5, GAOptions{})
+		h.cliques(cs)
+		h.bools(cut)
+	})
+}
+
 func TestGoldenBits(t *testing.T) {
 	got := map[string]string{}
 	for _, in := range []struct {
@@ -161,6 +239,7 @@ func TestGoldenBits(t *testing.T) {
 		got[p+"ratio"] = goldenRatio(g1, c.G2)
 		got[p+"ratio-inf"] = goldenRatio(c.G1, c.G2)
 		got[p+"ratio-backed"] = goldenRatio(goldenBacked(t, g1), goldenBacked(t, c.G2))
+		goldenAffinity(got, p, gd, prior, drifted)
 	}
 	for name, want := range goldenDigests {
 		if got[name] != want {
