@@ -27,10 +27,10 @@ race:
 
 # Allocation guards (testing.AllocsPerRun; !race build tag, so `make race`
 # skips them): the peel engine and the average-degree solvers allocate per
-# solve, not per component or per ratio probe; NewSEA allocates per
-# initialization, not per vertex; an incremental watch tick allocates the
-# same whatever the graph size; decoding an upload allocates the same
-# whatever its edge count.
+# solve, not per component or per ratio probe; NewSEA, CollectCliques and
+# SEACD+Refine allocate per initialization, not per vertex (the last two at
+# degrees 1 and 2); an incremental watch tick allocates the same whatever the
+# graph size; decoding an upload allocates the same whatever its edge count.
 allocs:
 	$(GO) test -count=1 -run 'Allocs' ./internal/densest/ ./internal/core/ ./internal/evolve/ ./serve/
 

@@ -29,6 +29,7 @@ import (
 	"github.com/dcslib/dcs/internal/datagen"
 	"github.com/dcslib/dcs/internal/dataio"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // microFixtures are the graphs BenchmarkCore and BenchmarkPar share.
@@ -61,7 +62,7 @@ var micro = sync.OnceValue(func() *microFixtures {
 
 func BenchmarkCore(b *testing.B) {
 	f := micro()
-	topKSeed := core.DCSGreedy(f.gd).S
+	topKSeed := core.DCSGreedy(runstate.New(nil), f.gd, 1).S
 	sub := make([]int, 64)
 	for i := range sub {
 		sub[i] = i * 3
@@ -92,17 +93,17 @@ func BenchmarkCore(b *testing.B) {
 		// constructor recomputes.
 		{"TotalDegreeOf", func() { f.gd.TotalDegreeOf(sub) }},
 		// Algorithm 2 end to end on GD.
-		{"DCSGreedy", func() { core.DCSGreedy(f.gd) }},
+		{"DCSGreedy", func() { core.DCSGreedy(runstate.New(nil), f.gd, 1) }},
 		// The same on the mapped copy of GD.
-		{"DCSGreedyBacked", func() { core.DCSGreedy(mapped.Graph()) }},
+		{"DCSGreedyBacked", func() { core.DCSGreedy(runstate.New(nil), mapped.Graph(), 1) }},
 		// Five vertex-disjoint average-degree DCS (perfbench mine-hot's
 		// top-5 class): the repeated WithoutVertices + re-peeling loop.
-		{"TopK5", func() { core.TopKAverageDegree(f.gd, 5) }},
+		{"TopK5", func() { core.TopKAverageDegree(runstate.New(nil), f.gd, 5, 1) }},
 		// The α-quasi-contrast search on the bounded pair.
-		{"RatioBounded", func() { core.MaxRatioContrast(f.ratioG1, f.ratioG2) }},
+		{"RatioBounded", func() { core.MaxRatioContrast(runstate.New(nil), f.ratioG1, f.ratioG2, 1) }},
 		// The full multi-initialization affinity pipeline behind /v1/topics
 		// (smaller n: it runs one solver per vertex).
-		{"CollectCliques", func() { core.CollectCliques(f.gdSmall, core.GAOptions{}) }},
+		{"CollectCliques", func() { core.CollectCliques(runstate.New(nil), f.gdSmall, core.GAOptions{}) }},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -130,10 +131,10 @@ func BenchmarkPar(b *testing.B) {
 		name string
 		run  func(deg int)
 	}{
-		{"DCSGreedy", func(deg int) { core.DCSGreedyCtx(ctx, f.gd, deg) }},
+		{"DCSGreedy", func(deg int) { core.DCSGreedy(runstate.New(ctx), f.gd, deg) }},
 		{"TopK5", func(deg int) { dcs.TopKAverageDegreeDCSOnParCtx(ctx, f.gd, 5, deg) }},
 		{"Ratio", func(deg int) { dcs.FindMaxRatioContrastParCtx(ctx, f.ratioSmallG1, f.ratioSmallG2, deg) }},
-		{"CollectCliques", func(deg int) { core.CollectCliques(f.gdSmall, core.GAOptions{Parallelism: deg}) }},
+		{"CollectCliques", func(deg int) { core.CollectCliques(runstate.New(nil), f.gdSmall, core.GAOptions{Parallelism: deg}) }},
 	}
 	for _, wl := range workloads {
 		b.Run(wl.name, func(b *testing.B) {

@@ -17,6 +17,7 @@ import (
 	"github.com/dcslib/dcs/internal/datagen"
 	"github.com/dcslib/dcs/internal/egoscan"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // newSuite returns a warmed-up CI-scale suite (datasets pre-built so the
@@ -161,7 +162,7 @@ func benchGD(b *testing.B) *graph.Graph {
 func BenchmarkNewSEA(b *testing.B) {
 	gd := benchGD(b)
 	for i := 0; i < b.N; i++ {
-		core.NewSEA(gd, core.GAOptions{})
+		core.NewSEA(runstate.New(nil), gd, core.GAOptions{})
 	}
 }
 
@@ -170,7 +171,7 @@ func BenchmarkNewSEA(b *testing.B) {
 func BenchmarkSEACDFullInit(b *testing.B) {
 	gd := benchGD(b)
 	for i := 0; i < b.N; i++ {
-		core.SEACDRefineFull(gd, core.GAOptions{})
+		core.SEACDRefineFull(runstate.New(nil), gd, core.GAOptions{})
 	}
 }
 
@@ -179,7 +180,7 @@ func BenchmarkSEACDFullInit(b *testing.B) {
 func BenchmarkSEAFullInit(b *testing.B) {
 	gd := benchGD(b)
 	for i := 0; i < b.N; i++ {
-		core.SEARefineFull(gd, core.GAOptions{})
+		core.SEARefineFull(runstate.New(nil), gd, core.GAOptions{})
 	}
 }
 
@@ -187,6 +188,6 @@ func BenchmarkSEAFullInit(b *testing.B) {
 func BenchmarkEgoScan(b *testing.B) {
 	gd := benchGD(b)
 	for i := 0; i < b.N; i++ {
-		egoscan.Scan(gd)
+		egoscan.Scan(runstate.New(nil), gd)
 	}
 }

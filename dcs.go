@@ -77,6 +77,7 @@ import (
 	"github.com/dcslib/dcs/internal/dataio"
 	"github.com/dcslib/dcs/internal/egoscan"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // Graph is an immutable undirected weighted graph over vertices [0, n). Edge
@@ -187,7 +188,7 @@ type ContrastClique = core.Clique
 // its best-so-far subgraph tagged Interrupted (see the package
 // documentation).
 func FindAverageDegreeDCSOnParCtx(ctx context.Context, gd *Graph, workers int) AverageDegreeResult {
-	return core.DCSGreedyCtx(ctx, gd, workers)
+	return core.DCSGreedy(runstate.New(ctx), gd, workers)
 }
 
 // FindGraphAffinityDCSOnCtx finds the embedding maximizing x'A2x − x'A1x by
@@ -203,7 +204,7 @@ func FindGraphAffinityDCSOnCtx(ctx context.Context, gd *Graph, opt *Options) Gra
 	if opt != nil {
 		o = *opt
 	}
-	return core.NewSEACtx(ctx, gd, o)
+	return core.NewSEA(runstate.New(ctx), gd, o)
 }
 
 // TopContrastCliquesOnCtx mines many density-contrast cliques at once: it
@@ -219,7 +220,7 @@ func TopContrastCliquesOnCtx(ctx context.Context, gd *Graph, opt *Options) (cliq
 	if opt != nil {
 		o = *opt
 	}
-	return core.CollectCliquesCtx(ctx, gd, o)
+	return core.CollectCliques(runstate.New(ctx), gd, o)
 }
 
 // ValidateAverageDegreeResult re-derives every field of an
@@ -251,7 +252,7 @@ type RatioContrastResult = core.RatioResult
 // search stops after the probe in flight and returns the best certified
 // witness so far, tagged Interrupted.
 func FindMaxRatioContrastParCtx(ctx context.Context, g1, g2 *Graph, workers int) RatioContrastResult {
-	return core.MaxRatioContrastCtx(ctx, g1, g2, workers)
+	return core.MaxRatioContrast(runstate.New(ctx), g1, g2, workers)
 }
 
 // TopKAverageDegreeDCSOnParCtx mines up to k vertex-disjoint density
@@ -263,7 +264,7 @@ func FindMaxRatioContrastParCtx(ctx context.Context, g1, g2 *Graph, workers int)
 // solver at every degree. When ctx is done the subgraphs already mined are
 // returned and interrupted reports the early stop.
 func TopKAverageDegreeDCSOnParCtx(ctx context.Context, gd *Graph, k, workers int) (results []AverageDegreeResult, interrupted bool) {
-	return core.TopKAverageDegreeCtx(ctx, gd, k, workers)
+	return core.TopKAverageDegree(runstate.New(ctx), gd, k, workers)
 }
 
 // TopKGraphAffinityDCSOnCtx mines up to k vertex-disjoint positive cliques
@@ -276,7 +277,7 @@ func TopKGraphAffinityDCSOnCtx(ctx context.Context, gd *Graph, k int, opt *Optio
 	if opt != nil {
 		o = *opt
 	}
-	return core.TopKGraphAffinityCtx(ctx, gd, k, o)
+	return core.TopKGraphAffinity(runstate.New(ctx), gd, k, o)
 }
 
 // MaxTotalWeightResult is a subgraph maximizing total weight difference
@@ -291,5 +292,5 @@ type MaxTotalWeightResult = egoscan.Result
 // largest). When ctx is done the scan stops and the best candidate found so
 // far is returned, tagged Interrupted.
 func FindMaxTotalWeightSubgraphOnCtx(ctx context.Context, gd *Graph) MaxTotalWeightResult {
-	return egoscan.ScanCtx(ctx, gd)
+	return egoscan.Scan(runstate.New(ctx), gd)
 }

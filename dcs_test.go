@@ -9,6 +9,7 @@ import (
 
 	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/egoscan"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // fig1 builds the paper's Fig. 1 example pair (vi ↦ i−1).
@@ -147,8 +148,8 @@ func TestFromEdges(t *testing.T) {
 
 // TestSolverWiring checks that every public solver passes its context and
 // worker count through to the engine: with a live context each answer is
-// the internal sequential reference at every degree, and with a
-// pre-cancelled one each reports the interruption.
+// the internal solver's at degree 1 on a never-cancelled State, at every
+// degree, and with a pre-cancelled one each reports the interruption.
 func TestSolverWiring(t *testing.T) {
 	// Every G2 edge overlays a G1 edge (some grew, some shrank), so the
 	// difference graph is signed and the ratio search really binary-searches
@@ -178,28 +179,28 @@ func TestSolverWiring(t *testing.T) {
 		{"FindAverageDegreeDCSOnParCtx", func(ctx context.Context, workers int) (any, bool) {
 			res := FindAverageDegreeDCSOnParCtx(ctx, gd, workers)
 			return res, res.Interrupted
-		}, core.DCSGreedy(gd)},
+		}, core.DCSGreedy(runstate.New(nil), gd, 1)},
 		{"TopKAverageDegreeDCSOnParCtx", func(ctx context.Context, workers int) (any, bool) {
 			return TopKAverageDegreeDCSOnParCtx(ctx, gd, k, workers)
-		}, core.TopKAverageDegree(gd, k)},
+		}, solved(core.TopKAverageDegree(runstate.New(nil), gd, k, 1))},
 		{"FindGraphAffinityDCSOnCtx", func(ctx context.Context, workers int) (any, bool) {
 			res := FindGraphAffinityDCSOnCtx(ctx, gd, &Options{Parallelism: workers})
 			return res, res.Interrupted
-		}, core.NewSEA(gd, core.GAOptions{})},
+		}, core.NewSEA(runstate.New(nil), gd, core.GAOptions{})},
 		{"TopKGraphAffinityDCSOnCtx", func(ctx context.Context, workers int) (any, bool) {
 			return TopKGraphAffinityDCSOnCtx(ctx, gd, k, &Options{Parallelism: workers})
-		}, core.TopKGraphAffinity(gd, k, core.GAOptions{})},
+		}, solved(core.TopKGraphAffinity(runstate.New(nil), gd, k, core.GAOptions{}))},
 		{"TopContrastCliquesOnCtx", func(ctx context.Context, workers int) (any, bool) {
 			return TopContrastCliquesOnCtx(ctx, gd, &Options{Parallelism: workers})
-		}, core.CollectCliques(gd, core.GAOptions{})},
+		}, solved(core.CollectCliques(runstate.New(nil), gd, core.GAOptions{}))},
 		{"FindMaxRatioContrastParCtx", func(ctx context.Context, workers int) (any, bool) {
 			res := FindMaxRatioContrastParCtx(ctx, g1, g2, workers)
 			return res, res.Interrupted
-		}, core.MaxRatioContrast(g1, g2)},
+		}, core.MaxRatioContrast(runstate.New(nil), g1, g2, 1)},
 		{"FindMaxTotalWeightSubgraphOnCtx", func(ctx context.Context, _ int) (any, bool) {
 			res := FindMaxTotalWeightSubgraphOnCtx(ctx, gd)
 			return res, res.Interrupted
-		}, egoscan.Scan(gd)},
+		}, egoscan.Scan(runstate.New(nil), gd)},
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -218,3 +219,6 @@ func TestSolverWiring(t *testing.T) {
 		}
 	}
 }
+
+// solved drops the interrupted flag of a solve known to run uncancelled.
+func solved[T any](res T, _ bool) T { return res }

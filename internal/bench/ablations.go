@@ -8,6 +8,7 @@ import (
 	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/densest"
 	"github.com/dcslib/dcs/internal/oqc"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // AblationRow compares DCSGreedy's heuristic certificate against the exact
@@ -41,14 +42,14 @@ func (s *Suite) Ablations(w io.Writer) []AblationRow {
 		"DBLP/Discrete/Emerging", "DBLP/Discrete/Disappearing",
 	} {
 		d := s.Get(name)
-		res := core.DCSGreedy(d.GD)
+		res := core.DCSGreedy(runstate.New(nil), d.GD, 1)
 		row := AblationRow{Dataset: d, Density: res.Density, GreedyRatio: res.Ratio}
 		row.ExactUBTime = timed(func() {
 			row.ExactRatio = core.ExactUpperBoundRatio(d.GD, res)
 		})
-		row.HeapTime = timed(func() { densest.Greedy(d.GD) })
+		row.HeapTime = timed(func() { densest.Greedy(runstate.New(nil), d.GD, 1) })
 		row.SegTreeTime = timed(func() { densest.GreedySegTree(d.GD) })
-		o := oqc.Best(d.GD, 1.0/3, 0)
+		o := oqc.Best(runstate.New(nil), d.GD, 1.0/3, 0)
 		row.OQCSize = len(o.S)
 		row.OQCSurplus = o.Surplus
 		row.OQCDensity = o.Density

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"github.com/dcslib/dcs/internal/core"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // ADCompareRow is one row of Tables X and XII: the three average-degree
@@ -23,9 +24,9 @@ func (s *Suite) adCompare(w io.Writer, names []string) []ADCompareRow {
 		d := s.Get(name)
 		rows = append(rows, ADCompareRow{
 			Dataset: d,
-			Full:    core.DCSGreedy(d.GD),
-			GDOnly:  core.GreedyGDOnly(d.GD),
-			GDPlus:  core.GreedyGDPlusOnly(d.GD),
+			Full:    core.DCSGreedy(runstate.New(nil), d.GD, 1),
+			GDOnly:  core.GreedyGDOnly(runstate.New(nil), d.GD),
+			GDPlus:  core.GreedyGDPlusOnly(runstate.New(nil), d.GD),
 		})
 	}
 	if w != nil {
@@ -59,7 +60,7 @@ func (s *Suite) gaRows(w io.Writer, names []string) []GARow {
 	var rows []GARow
 	for _, name := range names {
 		d := s.Get(name)
-		res := core.NewSEA(d.GD, s.Opt)
+		res := core.NewSEA(runstate.New(nil), d.GD, s.Opt)
 		rows = append(rows, GARow{Dataset: d, Result: res, NumVertices: len(res.S)})
 	}
 	if w != nil {
@@ -127,7 +128,7 @@ func (s *Suite) Fig3(w io.Writer, movieMin, bookMin int) []Fig3Series {
 		{"Book/—/Social−Interest", bookMin},
 	} {
 		d := s.Get(spec.name)
-		cliques := core.CollectCliques(d.GD, s.Opt)
+		cliques, _ := core.CollectCliques(runstate.New(nil), d.GD, s.Opt)
 		counts := make(map[int]int)
 		for _, c := range cliques {
 			if len(c.S) >= spec.min {

@@ -6,6 +6,7 @@ import (
 
 	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/egoscan"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // TableVIIIRow describes the subgraph EgoScan finds on one DBLP difference
@@ -30,7 +31,7 @@ func (s *Suite) TableVIII(w io.Writer) []TableVIIIRow {
 		"DBLP/Discrete/Emerging", "DBLP/Discrete/Disappearing",
 	} {
 		d := s.Get(name)
-		res := egoscan.Scan(d.GD)
+		res := egoscan.Scan(runstate.New(nil), d.GD)
 		edges := 0
 		sub, _ := d.GD.Induced(res.S)
 		edges = sub.M()
@@ -74,9 +75,9 @@ func (s *Suite) TableIX(w io.Writer) []TableIXRow {
 		"DBLP/Discrete/Emerging", "DBLP/Discrete/Disappearing",
 	} {
 		d := s.Get(name)
-		ad := core.DCSGreedy(d.GD)
-		ga := core.NewSEA(d.GD, s.Opt)
-		eg := egoscan.Scan(d.GD)
+		ad := core.DCSGreedy(runstate.New(nil), d.GD, 1)
+		ga := core.NewSEA(runstate.New(nil), d.GD, s.Opt)
+		eg := egoscan.Scan(runstate.New(nil), d.GD)
 		rows = append(rows, TableIXRow{
 			Setting: d.Setting, GDType: d.GDType,
 			DCSGreedy: ad.TotalWeight, NewSEA: ga.TotalWeight, EgoScan: eg.TotalWeight,

@@ -6,6 +6,7 @@ import (
 
 	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/datagen"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // Integration test: on the synthetic DBLP data the DCS algorithms must
@@ -27,20 +28,20 @@ func TestPlantedGroupRecovery(t *testing.T) {
 	planted := plantedSet(ca.EmergingGroups)
 
 	// DCSGreedy must return one of the planted emerging groups exactly.
-	ad := core.DCSGreedy(gd)
+	ad := core.DCSGreedy(runstate.New(nil), gd, 1)
 	if !planted[key(ad.S)] {
 		t.Errorf("DCSGreedy found %v (density %v), not a planted group", ad.S, ad.Density)
 	}
 
 	// NewSEA must return a planted group or a subset of one (affinity prefers
 	// the tightest core).
-	ga := core.NewSEA(gd, core.GAOptions{})
+	ga := core.NewSEA(runstate.New(nil), gd, core.GAOptions{})
 	if !subsetOfAny(ga.S, ca.EmergingGroups) {
 		t.Errorf("NewSEA found %v, not within any planted group", ga.S)
 	}
 
 	// Top-k AD mining must recover several distinct planted groups.
-	topk := core.TopKAverageDegree(gd, 4)
+	topk, _ := core.TopKAverageDegree(runstate.New(nil), gd, 4, 1)
 	hits := 0
 	for _, r := range topk {
 		if planted[key(r.S)] {
@@ -52,7 +53,7 @@ func TestPlantedGroupRecovery(t *testing.T) {
 	}
 
 	// The disappearing direction must NOT return emerging groups.
-	dis := core.DCSGreedy(ca.DisappearingGD())
+	dis := core.DCSGreedy(runstate.New(nil), ca.DisappearingGD(), 1)
 	if planted[key(dis.S)] {
 		t.Error("disappearing DCS returned an emerging group")
 	}
@@ -93,8 +94,8 @@ func subsetOfAny(S []int, groups [][]int) bool {
 // in the consistent direction, conflicting groups in the conflicting one.
 func TestWikiDirectionality(t *testing.T) {
 	w := datagen.WikiGraphs(datagen.WikiConfig{Seed: 77, N: 1200, GroupSize: 30})
-	cons := core.DCSGreedy(w.ConsistentGD())
-	conf := core.DCSGreedy(w.ConflictingGD())
+	cons := core.DCSGreedy(runstate.New(nil), w.ConsistentGD(), 1)
+	conf := core.DCSGreedy(runstate.New(nil), w.ConflictingGD(), 1)
 	if cons.Density <= 0 || conf.Density <= 0 {
 		t.Fatal("both directions must find positive contrast")
 	}

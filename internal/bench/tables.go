@@ -6,6 +6,7 @@ import (
 
 	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // TableIIRow is one row of Table II: statistics of a difference graph.
@@ -59,14 +60,14 @@ func (s *Suite) TableIV(w io.Writer) []GroupRow {
 		"DBLP/Discrete/Emerging", "DBLP/Discrete/Disappearing",
 	} {
 		d := s.Get(name)
-		ad := core.DCSGreedy(d.GD)
+		ad := core.DCSGreedy(runstate.New(nil), d.GD, 1)
 		rows = append(rows, GroupRow{
 			Setting: d.Setting, GDType: d.GDType, Measure: "Average Degree",
 			Members: ad.S, MemberLabels: labelSet(d.Labels, ad.S, 8),
 			NumAuthors: len(ad.S), PositiveClique: ad.PositiveClique,
 			AvgDegreeDiff: ad.Density, ApproxRatio: ad.Ratio, EdgeDensity: ad.EdgeDensity,
 		})
-		ga := core.NewSEA(d.GD, s.Opt)
+		ga := core.NewSEA(runstate.New(nil), d.GD, s.Opt)
 		rows = append(rows, GroupRow{
 			Setting: d.Setting, GDType: d.GDType, Measure: "Graph Affinity",
 			Members: ga.S, MemberLabels: labelSet(d.Labels, ga.S, 8),
@@ -158,7 +159,7 @@ func (s *Suite) TableVI(w io.Writer, k int) (era1, era2 []TopicRow) {
 // topTopics collects contrast cliques on gd and renders the top k with
 // simplex weights, like "social (0.5), networks (0.5)".
 func (s *Suite) topTopics(gd *graph.Graph, labels []string, k int) []TopicRow {
-	cliques := core.CollectCliques(gd, s.Opt)
+	cliques, _ := core.CollectCliques(runstate.New(nil), gd, s.Opt)
 	var out []TopicRow
 	for i, c := range cliques {
 		if i >= k {
@@ -186,7 +187,7 @@ func (s *Suite) topTopics(gd *graph.Graph, labels []string, k int) []TopicRow {
 // cliqueEmbedding returns the optimal simplex weights over a (positive)
 // clique support, aligned with S's order.
 func cliqueEmbedding(gd *graph.Graph, S []int) []float64 {
-	x := core.CliqueEmbedding(gd, S)
+	x := core.CliqueEmbedding(runstate.New(nil), gd, S)
 	out := make([]float64, len(S))
 	for i, v := range S {
 		out[i] = x.Get(v)

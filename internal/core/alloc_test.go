@@ -1,17 +1,20 @@
 //go:build !race
 
-// Allocation guards for the average-degree solvers: the per-solve workspace
-// makes their allocation count independent of the number of components and
-// of ratio-search probes. The race detector instruments allocations, so
+// Allocation guards for the solvers: the average-degree solvers' per-solve
+// workspace makes their allocation count independent of the number of
+// components and of ratio-search probes, and the affinity solvers allocate a
+// flat amount per initialization. The race detector instruments allocations, so
 // these run only in non-race builds (`make allocs`, and the CI step of the
 // same name).
 
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // allocSlack absorbs a pooled scratch buffer refilled after a GC drained
@@ -49,13 +52,13 @@ func flatAllocs(t *testing.T, what string, small, large func()) {
 
 func TestDCSGreedyAllocsFlatInComponents(t *testing.T) {
 	few, many := componentsGraph(10), componentsGraph(200)
-	flatAllocs(t, "DCSGreedy", func() { DCSGreedy(few) }, func() { DCSGreedy(many) })
+	flatAllocs(t, "DCSGreedy", func() { DCSGreedy(runstate.New(nil), few, 1) }, func() { DCSGreedy(runstate.New(nil), many, 1) })
 }
 
 func TestTopKAllocsFlatInComponents(t *testing.T) {
 	few, many := componentsGraph(10), componentsGraph(200)
 	flatAllocs(t, "TopKAverageDegree k=5",
-		func() { TopKAverageDegree(few, 5) }, func() { TopKAverageDegree(many, 5) })
+		func() { TopKAverageDegree(runstate.New(nil), few, 5, 1) }, func() { TopKAverageDegree(runstate.New(nil), many, 5, 1) })
 }
 
 // TestRatioAllocsFlatInProbes: G1 = c·G2 makes every set's ratio exactly
@@ -75,7 +78,7 @@ func TestRatioAllocsFlatInProbes(t *testing.T) {
 	g2 := b.Build()
 	short, long := g2.Scale(1e6), g2.Scale(1e-3)
 	flatAllocs(t, "MaxRatioContrast",
-		func() { MaxRatioContrast(short, g2) }, func() { MaxRatioContrast(long, g2) })
+		func() { MaxRatioContrast(runstate.New(nil), short, g2, 1) }, func() { MaxRatioContrast(runstate.New(nil), long, g2, 1) })
 }
 
 // TestNewSEAAllocsPerInit: NewSEA's µ-pruned loop runs one initialization
@@ -87,11 +90,11 @@ func TestRatioAllocsFlatInProbes(t *testing.T) {
 // allocation in the per-solve setup breaks that.
 func TestNewSEAAllocsPerInit(t *testing.T) {
 	perInit := func(gd *graph.Graph) (float64, int) {
-		inits := NewSEA(gd, GAOptions{}).Stats.Inits
+		inits := NewSEA(runstate.New(nil), gd, GAOptions{}).Stats.Inits
 		if inits == 0 {
 			t.Fatal("NewSEA ran no initialization")
 		}
-		return testing.AllocsPerRun(10, func() { NewSEA(gd, GAOptions{}) }) / float64(inits), inits
+		return testing.AllocsPerRun(10, func() { NewSEA(runstate.New(nil), gd, GAOptions{}) }) / float64(inits), inits
 	}
 	few := componentsGraph(10)
 	a, fewInits := perInit(few)
@@ -107,9 +110,59 @@ func TestNewSEAAllocsPerInit(t *testing.T) {
 	pb := graph.NewBuilder(few.N() + 2000)
 	few.VisitEdges(func(u, v int, w float64) { pb.AddEdge(u, v, w) })
 	padded := pb.Build()
-	if inits := NewSEA(padded, GAOptions{}).Stats.Inits; inits != fewInits {
+	if inits := NewSEA(runstate.New(nil), padded, GAOptions{}).Stats.Inits; inits != fewInits {
 		t.Fatalf("NewSEA: %d inits with isolated vertices added, %d without", inits, fewInits)
 	}
 	flatAllocs(t, "NewSEA with 2000 isolated vertices",
-		func() { NewSEA(few, GAOptions{}) }, func() { NewSEA(padded, GAOptions{}) })
+		func() { NewSEA(runstate.New(nil), few, GAOptions{}) }, func() { NewSEA(runstate.New(nil), padded, GAOptions{}) })
+}
+
+// TestCollectCliquesAllocsPerInit: the multi-initialization drivers run one
+// initialization per vertex of GD+, so their allocations grow with the
+// vertex count — but no faster, at every degree: a per-vertex allocation
+// inside an init, or a per-init one in the worker pool beyond the forked run
+// state, raises the larger graph's allocations per init. At degree 1 the
+// count per init also stays at or below maxAllocsPerInit.
+func TestCollectCliquesAllocsPerInit(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		opt := GAOptions{Parallelism: workers}
+		for _, d := range []struct {
+			name  string
+			solve func(gd *graph.Graph)
+		}{
+			{"CollectCliques", func(gd *graph.Graph) { CollectCliques(runstate.New(nil), gd, opt) }},
+			{"SEACDRefineFull", func(gd *graph.Graph) { SEACDRefineFull(runstate.New(nil), gd, opt) }},
+		} {
+			perInit := func(gd *graph.Graph) float64 {
+				inits := SEACDRefineFull(runstate.New(nil), gd, opt).Stats.Inits
+				return allocsPerRun(5, func() { d.solve(gd) }) / float64(inits)
+			}
+			a, b := perInit(componentsGraph(10)), perInit(componentsGraph(200))
+			if b > a+allocSlack {
+				t.Errorf("%s at degree %d: %.1f allocations per init on 200 components, %.1f on 10", d.name, workers, b, a)
+			}
+			if workers == 1 && a > maxAllocsPerInit {
+				t.Errorf("%s at degree 1: %.1f allocations per init, want at most %d", d.name, a, maxAllocsPerInit)
+			}
+		}
+	}
+}
+
+// maxAllocsPerInit caps a degree-1 initialization of CollectCliques and
+// SEACDRefineFull: 28.8 and 25.4 allocations per init on componentsGraph(10)
+// when the guard was added, rounded up.
+const maxAllocsPerInit = 29
+
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin, so a
+// parallel solve really runs its workers: the average number of heap
+// allocations per call of f over runs calls, after one warm-up call.
+func allocsPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
+	"github.com/dcslib/dcs/internal/simplex"
 )
 
 // randomDiffGraph builds a signed pseudo-difference graph large enough that
@@ -33,8 +35,8 @@ func cancelledCtx() context.Context {
 
 func TestDCSGreedyCtxBackgroundMatches(t *testing.T) {
 	gd := randomDiffGraph(200, 0.1, 1)
-	plain := DCSGreedy(gd)
-	ctxed := DCSGreedyCtx(context.Background(), gd, 1)
+	plain := DCSGreedy(runstate.New(nil), gd, 1)
+	ctxed := DCSGreedy(runstate.New(context.Background()), gd, 1)
 	if ctxed.Interrupted {
 		t.Fatal("background run tagged Interrupted")
 	}
@@ -45,7 +47,7 @@ func TestDCSGreedyCtxBackgroundMatches(t *testing.T) {
 
 func TestDCSGreedyCtxCancelledReturnsValidPartial(t *testing.T) {
 	gd := randomDiffGraph(400, 0.05, 2)
-	res := DCSGreedyCtx(cancelledCtx(), gd, 1)
+	res := DCSGreedy(runstate.New(cancelledCtx()), gd, 1)
 	if !res.Interrupted {
 		t.Fatal("pre-cancelled run not tagged Interrupted")
 	}
@@ -63,14 +65,14 @@ func TestDCSGreedyCtxCancelledReturnsValidPartial(t *testing.T) {
 
 func TestNewSEACtxCancelledReturnsValidPartial(t *testing.T) {
 	gd := randomDiffGraph(200, 0.15, 3)
-	res := NewSEACtx(cancelledCtx(), gd, GAOptions{})
+	res := NewSEA(runstate.New(cancelledCtx()), gd, GAOptions{})
 	if !res.Interrupted {
 		t.Fatal("pre-cancelled run not tagged Interrupted")
 	}
 	if err := ValidateGA(gd, res); err != nil {
 		t.Fatalf("interrupted result fails validation: %v", err)
 	}
-	full := NewSEA(gd, GAOptions{})
+	full := NewSEA(runstate.New(nil), gd, GAOptions{})
 	if full.Interrupted {
 		t.Fatal("uncancelled run tagged Interrupted")
 	}
@@ -79,16 +81,67 @@ func TestNewSEACtxCancelledReturnsValidPartial(t *testing.T) {
 	}
 }
 
+// TestNewSEAWarmCancelled: the warm start descends the prior on the caller's
+// State, so a cancelled tick stops there too instead of running up to
+// 100 000 coordinate-descent iterations on the prior. The prior is a
+// positive clique with unequal weights, so its uniform embedding is not
+// its descended one.
+func TestNewSEAWarmCancelled(t *testing.T) {
+	prior := []int{1, 2, 3, 4}
+	b := graph.NewBuilder(6)
+	for i, u := range prior {
+		for _, v := range prior[i+1:] {
+			b.AddEdge(u, v, float64(u+v))
+		}
+	}
+	b.AddEdge(0, 5, 1)
+	gd := b.Build()
+	uniform := simplex.Uniform(gd.N(), prior)
+	if descended := CliqueEmbedding(runstate.New(nil), gd, prior); descended.Get(1) == uniform.Get(1) {
+		t.Fatal("fixture: the uniform embedding is already the descended one")
+	}
+	res, hit := NewSEAWarm(runstate.New(cancelledCtx()), gd, prior, GAOptions{})
+	if !res.Interrupted || !hit {
+		t.Fatalf("cancelled warm solve: interrupted %v, warm hit %v; want both", res.Interrupted, hit)
+	}
+	for _, u := range prior {
+		if res.X.Get(u) != uniform.Get(u) {
+			t.Fatalf("cancelled warm solve descended the prior: x[%d] = %v, want the uniform %v", u, res.X.Get(u), uniform.Get(u))
+		}
+	}
+}
+
+// TestFullInitCancelled: the full-initialization baselines take the caller's
+// State like NewSEA — a pre-cancelled run skips every initialization and
+// still returns a valid result, tagged Interrupted, at every degree.
+func TestFullInitCancelled(t *testing.T) {
+	gd := randomDiffGraph(150, 0.2, 4)
+	for _, workers := range []int{1, 4} {
+		opt := GAOptions{Parallelism: workers}
+		for name, res := range map[string]GAResult{
+			"SEACDRefineFull": SEACDRefineFull(runstate.New(cancelledCtx()), gd, opt),
+			"SEARefineFull":   SEARefineFull(runstate.New(cancelledCtx()), gd, opt),
+		} {
+			if !res.Interrupted || res.Stats.Inits != 0 {
+				t.Errorf("%s workers=%d: interrupted %v after %d inits; want interrupted, no init", name, workers, res.Interrupted, res.Stats.Inits)
+			}
+			if err := ValidateGA(gd, res); err != nil {
+				t.Errorf("%s workers=%d: interrupted result fails validation: %v", name, workers, err)
+			}
+		}
+	}
+}
+
 func TestCollectCliquesCtxPartial(t *testing.T) {
 	gd := randomDiffGraph(150, 0.2, 4)
-	full, interrupted := CollectCliquesCtx(context.Background(), gd, GAOptions{})
+	full, interrupted := CollectCliques(runstate.New(context.Background()), gd, GAOptions{})
 	if interrupted {
 		t.Fatal("background run reported interrupted")
 	}
 	if len(full) == 0 {
 		t.Fatal("fixture found no cliques; pick a denser graph")
 	}
-	partial, interrupted := CollectCliquesCtx(cancelledCtx(), gd, GAOptions{})
+	partial, interrupted := CollectCliques(runstate.New(cancelledCtx()), gd, GAOptions{})
 	if !interrupted {
 		t.Fatal("pre-cancelled run not reported interrupted")
 	}
@@ -108,7 +161,7 @@ func TestCollectCliquesCtxParallelCancel(t *testing.T) {
 		cancel()
 		close(done)
 	}()
-	cliques, _ := CollectCliquesCtx(ctx, gd, GAOptions{Parallelism: 4})
+	cliques, _ := CollectCliques(runstate.New(ctx), gd, GAOptions{Parallelism: 4})
 	<-done
 	// However the race resolved, every reported clique must be real.
 	for _, c := range cliques {
@@ -120,12 +173,12 @@ func TestCollectCliquesCtxParallelCancel(t *testing.T) {
 
 func TestTopKAverageDegreeCtxCancelled(t *testing.T) {
 	gd := randomDiffGraph(300, 0.05, 6)
-	results, interrupted := TopKAverageDegreeCtx(cancelledCtx(), gd, 5, 1)
+	results, interrupted := TopKAverageDegree(runstate.New(cancelledCtx()), gd, 5, 1)
 	if !interrupted {
 		t.Fatal("pre-cancelled run not reported interrupted")
 	}
 	// Best-so-far contract: with no completed picks, the truncated first
-	// pick is still returned (what DCSGreedyCtx alone would have given), and
+	// pick is still returned (what DCSGreedy alone would have given), and
 	// it must be a valid tagged subgraph of gd.
 	if len(results) > 1 {
 		t.Fatalf("pre-cancelled run mined %d subgraphs, want at most the truncated first pick", len(results))
@@ -138,11 +191,11 @@ func TestTopKAverageDegreeCtxCancelled(t *testing.T) {
 			t.Fatalf("truncated pick fails validation: %v", err)
 		}
 	}
-	full, interrupted := TopKAverageDegreeCtx(context.Background(), gd, 5, 1)
+	full, interrupted := TopKAverageDegree(runstate.New(context.Background()), gd, 5, 1)
 	if interrupted {
 		t.Fatal("background run reported interrupted")
 	}
-	plain := TopKAverageDegree(gd, 5)
+	plain, _ := TopKAverageDegree(runstate.New(nil), gd, 5, 1)
 	if len(full) != len(plain) {
 		t.Fatalf("ctx and plain top-k disagree: %d vs %d", len(full), len(plain))
 	}
@@ -162,11 +215,11 @@ func TestMaxRatioContrastCtxCancelled(t *testing.T) {
 		}
 	}
 	g1, g2 := b1.Build(), b2.Build()
-	res := MaxRatioContrastCtx(cancelledCtx(), g1, g2, 1)
+	res := MaxRatioContrast(runstate.New(cancelledCtx()), g1, g2, 1)
 	if !res.Interrupted {
 		t.Fatal("pre-cancelled run not tagged Interrupted")
 	}
-	full := MaxRatioContrast(g1, g2)
+	full := MaxRatioContrast(runstate.New(nil), g1, g2, 1)
 	if full.Interrupted {
 		t.Fatal("uncancelled run tagged Interrupted")
 	}
@@ -187,7 +240,7 @@ func TestCancellationLatency(t *testing.T) {
 		close(started)
 		// k is far more subgraphs than the fixture contains, so only the
 		// cancellation can end the loop early.
-		TopKAverageDegreeCtx(ctx, gd, 1<<30, 1)
+		TopKAverageDegree(runstate.New(ctx), gd, 1<<30, 1)
 		close(finished)
 	}()
 	<-started

@@ -11,7 +11,6 @@
 package core
 
 import (
-	"context"
 	"sort"
 
 	"github.com/dcslib/dcs/internal/densest"
@@ -64,22 +63,17 @@ func newADResult(gd *graph.Graph, S []int, ratio float64) ADResult {
 //  4. reports the data-dependent ratio β = 2ρ_{D+}(S2)/ρ_D(S) (Theorem 2).
 //
 // Total cost is O((m+n) log n).
-func DCSGreedy(gd *graph.Graph) ADResult {
-	return dcsGreedyRS(gd, nil, runstate.New(nil), 1, new(adScratch))
-}
-
-// DCSGreedyCtx is DCSGreedy with cooperative cancellation and the expensive
-// parts spread over at most workers goroutines: the Greedy(GD) and
-// Greedy(GD+) peels run concurrently, and each peel fans its connected
-// components out on the worker pool (see densest.Peeler). The candidate
-// comparison, component refinement and certificate arithmetic stay
-// sequential, so the result is bitwise identical to DCSGreedy at every
-// degree; workers ≤ 1 is exactly DCSGreedy. When ctx is done the peeling
-// stops within one checkpoint interval and the best subgraph assembled from
-// the completed peel prefixes is returned, tagged Interrupted (with no
-// approximation certificate).
-func DCSGreedyCtx(ctx context.Context, gd *graph.Graph, workers int) ADResult {
-	return dcsGreedyRS(gd, nil, runstate.New(ctx), workers, new(adScratch))
+//
+// The expensive parts are spread over at most workers goroutines: the
+// Greedy(GD) and Greedy(GD+) peels run concurrently, and each peel fans its
+// connected components out on the worker pool (see densest.Peeler). The
+// candidate comparison, component refinement and certificate arithmetic stay
+// sequential, so the result is bitwise identical at every degree. When rs is
+// cancelled the peeling stops within one checkpoint interval and the best
+// subgraph assembled from the completed peel prefixes is returned, tagged
+// Interrupted (with no approximation certificate).
+func DCSGreedy(rs *runstate.State, gd *graph.Graph, workers int) ADResult {
+	return dcsGreedy(rs, gd, nil, workers, new(adScratch))
 }
 
 // adScratch is the per-solve workspace of the average-degree solvers: the
@@ -97,9 +91,9 @@ type adScratch struct {
 	sorted []int             // a probe's winner, sorted
 }
 
-// dcsGreedyRS runs Algorithm 2 on ws. gdp is GD's positive part when the
+// dcsGreedy runs Algorithm 2 on ws. gdp is GD's positive part when the
 // caller maintains one (top-k masks it alongside GD), nil to derive it.
-func dcsGreedyRS(gd, gdp *graph.Graph, rs *runstate.State, workers int, ws *adScratch) ADResult {
+func dcsGreedy(rs *runstate.State, gd, gdp *graph.Graph, workers int, ws *adScratch) ADResult {
 	maxEdge, ok := gd.MaxEdge()
 	if !ok || maxEdge.W <= 0 {
 		// No positive edge: any single vertex is optimal with density 0.
@@ -128,8 +122,8 @@ func (ws *adScratch) pick(gd, gdp *graph.Graph, maxEdge graph.Edge, rs *runstate
 	var s1, s2 densest.Result
 	workers = par.Workers(workers)
 	if workers <= 1 {
-		s1 = ws.peel[0].Peel(gd, rs, 1, ws.s1)
-		s2 = ws.peel[0].Peel(gdp, rs, 1, ws.s2)
+		s1 = ws.peel[0].Peel(rs, gd, 1, ws.s1)
+		s2 = ws.peel[0].Peel(rs, gdp, 1, ws.s2)
 	} else {
 		graphs := [2]*graph.Graph{gd, gdp}
 		bufs := [2][]int{ws.s1, ws.s2}
@@ -137,7 +131,7 @@ func (ws *adScratch) pick(gd, gdp *graph.Graph, maxEdge graph.Edge, rs *runstate
 		var cut [2]bool
 		par.Run(2, 2, func(i int) {
 			wrs := rs.Fork()
-			out[i] = ws.peel[i].Peel(graphs[i], wrs, workers, bufs[i])
+			out[i] = ws.peel[i].Peel(wrs, graphs[i], workers, bufs[i])
 			cut[i] = wrs.Interrupted()
 		})
 		if cut[0] || cut[1] {
@@ -169,15 +163,15 @@ func (ws *adScratch) pick(gd, gdp *graph.Graph, maxEdge graph.Edge, rs *runstate
 
 // GreedyGDOnly runs plain greedy peeling (Algorithm 1) on GD alone and
 // evaluates the result in GD — the "GD only" column of Tables X and XII.
-func GreedyGDOnly(gd *graph.Graph) ADResult {
-	res := densest.Greedy(gd)
+func GreedyGDOnly(rs *runstate.State, gd *graph.Graph) ADResult {
+	res := densest.Greedy(rs, gd, 1)
 	return newADResult(gd, res.S, 0)
 }
 
 // GreedyGDPlusOnly runs greedy peeling on GD+ and evaluates the resulting set
 // in GD — the "GD+ only" column of Tables X and XII.
-func GreedyGDPlusOnly(gd *graph.Graph) ADResult {
-	res := densest.Greedy(gd.PositivePartCompact())
+func GreedyGDPlusOnly(rs *runstate.State, gd *graph.Graph) ADResult {
+	res := densest.Greedy(rs, gd.PositivePartCompact(), 1)
 	return newADResult(gd, res.S, 0)
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"github.com/dcslib/dcs/internal/clique"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 func almostEqual(a, b float64) bool {
@@ -45,7 +46,7 @@ func randomSignedGraph(rng *rand.Rand, n int, p float64, wmax int) *graph.Graph 
 
 func TestDCSGreedyFigure1(t *testing.T) {
 	gd := figure1GD()
-	res := DCSGreedy(gd)
+	res := DCSGreedy(runstate.New(nil), gd, 1)
 	// Optimum: S = {v1,v3,v4} with W = 2(3+4+3) = 20, ρ = 20/3.
 	bf := BruteForceAD(gd)
 	if !almostEqual(bf.Density, 20.0/3) {
@@ -75,17 +76,17 @@ func TestDCSGreedyNoPositiveEdges(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1, -2)
 	b.AddEdge(2, 3, -1)
-	res := DCSGreedy(b.Build())
+	res := DCSGreedy(runstate.New(nil), b.Build(), 1)
 	if len(res.S) != 1 || res.Density != 0 {
 		t.Fatalf("all-negative GD must yield a single vertex with density 0, got %+v", res)
 	}
 	// Empty graph.
-	empty := DCSGreedy(graph.NewBuilder(0).Build())
+	empty := DCSGreedy(runstate.New(nil), graph.NewBuilder(0).Build(), 1)
 	if len(empty.S) != 0 {
 		t.Fatalf("empty graph: %+v", empty)
 	}
 	// Edgeless graph.
-	edgeless := DCSGreedy(graph.NewBuilder(3).Build())
+	edgeless := DCSGreedy(runstate.New(nil), graph.NewBuilder(3).Build(), 1)
 	if len(edgeless.S) != 1 || edgeless.Density != 0 {
 		t.Fatalf("edgeless graph: %+v", edgeless)
 	}
@@ -100,7 +101,7 @@ func TestDCSGreedySingleHeavyEdge(t *testing.T) {
 	b.AddEdge(2, 3, -8)
 	b.AddEdge(3, 4, -8)
 	b.AddEdge(4, 5, -8)
-	res := DCSGreedy(b.Build())
+	res := DCSGreedy(runstate.New(nil), b.Build(), 1)
 	if !almostEqual(res.Density, 10) {
 		t.Fatalf("density = %v S=%v, want 10 on the heavy edge", res.Density, res.S)
 	}
@@ -151,7 +152,7 @@ func TestDCSGreedyProperties(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(12)
 		gd := randomSignedGraph(rng, n, 0.4, 5)
-		res := DCSGreedy(gd)
+		res := DCSGreedy(runstate.New(nil), gd, 1)
 		if len(res.S) == 0 {
 			return false
 		}
@@ -188,9 +189,9 @@ func TestDCSGreedyDominatesSingleCandidates(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(15)
 		gd := randomSignedGraph(rng, n, 0.35, 4)
-		full := DCSGreedy(gd)
-		gdOnly := GreedyGDOnly(gd)
-		gdpOnly := GreedyGDPlusOnly(gd)
+		full := DCSGreedy(runstate.New(nil), gd, 1)
+		gdOnly := GreedyGDOnly(runstate.New(nil), gd)
+		gdpOnly := GreedyGDPlusOnly(runstate.New(nil), gd)
 		return full.Density+1e-9 >= gdOnly.Density && full.Density+1e-9 >= gdpOnly.Density
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -216,7 +217,7 @@ func TestDCSGreedyTwoApproxOnPositive(t *testing.T) {
 		if gd.M() == 0 {
 			return true
 		}
-		res := DCSGreedy(gd)
+		res := DCSGreedy(runstate.New(nil), gd, 1)
 		bf := BruteForceAD(gd)
 		return 2*res.Density+1e-9 >= bf.Density
 	}
@@ -228,7 +229,7 @@ func TestDCSGreedyTwoApproxOnPositive(t *testing.T) {
 func TestDisappearingViaNegate(t *testing.T) {
 	gd := figure1GD()
 	neg := gd.Negate()
-	res := DCSGreedy(neg)
+	res := DCSGreedy(runstate.New(nil), neg, 1)
 	// In −GD the only positive edge is (v3,v5) with weight 1 → that edge is
 	// the optimum (density 1).
 	bf := BruteForceAD(neg)

@@ -116,7 +116,7 @@ func TestSolveInteriorKKTTriangle(t *testing.T) {
 
 func TestNewSEAFigure1(t *testing.T) {
 	gd := figure1GD()
-	res := NewSEA(gd, GAOptions{})
+	res := NewSEA(runstate.New(nil), gd, GAOptions{})
 	if !almostEqual(res.Affinity, 2.25) {
 		t.Fatalf("NewSEA affinity = %v S=%v, want 2.25 on {0,2,3}", res.Affinity, res.S)
 	}
@@ -140,9 +140,9 @@ func TestGAOnNoPositiveEdges(t *testing.T) {
 	b.AddEdge(0, 1, -1)
 	gd := b.Build()
 	for name, res := range map[string]GAResult{
-		"NewSEA":      NewSEA(gd, GAOptions{}),
-		"SEACDRefine": SEACDRefineFull(gd, GAOptions{}),
-		"SEARefine":   SEARefineFull(gd, GAOptions{}),
+		"NewSEA":      NewSEA(runstate.New(nil), gd, GAOptions{}),
+		"SEACDRefine": SEACDRefineFull(runstate.New(nil), gd, GAOptions{}),
+		"SEARefine":   SEARefineFull(runstate.New(nil), gd, GAOptions{}),
 	} {
 		if res.Affinity != 0 || res.X.SupportSize() != 1 {
 			t.Errorf("%s on all-negative GD: affinity=%v |S|=%d, want 0 and 1",
@@ -150,7 +150,7 @@ func TestGAOnNoPositiveEdges(t *testing.T) {
 		}
 	}
 	// Empty graph.
-	if res := NewSEA(graph.NewBuilder(0).Build(), GAOptions{}); res.Affinity != 0 {
+	if res := NewSEA(runstate.New(nil), graph.NewBuilder(0).Build(), GAOptions{}); res.Affinity != 0 {
 		t.Error("empty graph must give affinity 0")
 	}
 }
@@ -171,7 +171,7 @@ func TestMotzkinStrausUpperBound(t *testing.T) {
 		gd := b.Build()
 		omega := clique.Number(gd)
 		opt := 1 - 1/float64(omega)
-		res := SEACDRefineFull(gd, GAOptions{})
+		res := SEACDRefineFull(runstate.New(nil), gd, GAOptions{})
 		// Never above the Motzkin–Straus optimum...
 		if res.Affinity > opt+1e-6 {
 			return false
@@ -209,7 +209,7 @@ func TestMotzkinStrausAttained(t *testing.T) {
 		}
 		omega := clique.Number(gd)
 		opt := 1 - 1/float64(omega)
-		res := SEACDRefineFull(gd, GAOptions{})
+		res := SEACDRefineFull(runstate.New(nil), gd, GAOptions{})
 		if !almostEqual(res.Affinity, opt) {
 			t.Fatalf("trial %d: affinity = %v, want 1-1/%d = %v (S=%v)",
 				trial, res.Affinity, omega, opt, res.S)
@@ -226,9 +226,9 @@ func TestGASolversBoundedByOracle(t *testing.T) {
 		gd := randomSignedGraph(rng, n, 0.5, 4)
 		opt := bruteForceGA(gd)
 		for _, res := range []GAResult{
-			NewSEA(gd, GAOptions{}),
-			SEACDRefineFull(gd, GAOptions{}),
-			SEARefineFull(gd, GAOptions{}),
+			NewSEA(runstate.New(nil), gd, GAOptions{}),
+			SEACDRefineFull(runstate.New(nil), gd, GAOptions{}),
+			SEARefineFull(runstate.New(nil), gd, GAOptions{}),
 		} {
 			if res.Affinity > opt+1e-6 {
 				return false
@@ -259,7 +259,7 @@ func TestSEACDAttainsOracle(t *testing.T) {
 			continue
 		}
 		opt := bruteForceGA(gd)
-		res := SEACDRefineFull(gd, GAOptions{})
+		res := SEACDRefineFull(runstate.New(nil), gd, GAOptions{})
 		total++
 		if almostEqual(res.Affinity, opt) {
 			hits++
@@ -280,8 +280,8 @@ func TestNewSEAMatchesFullInit(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 3 + rng.Intn(9)
 		gd := randomSignedGraph(rng, n, 0.45, 5)
-		smart := NewSEA(gd, GAOptions{})
-		full := SEACDRefineFull(gd, GAOptions{})
+		smart := NewSEA(runstate.New(nil), gd, GAOptions{})
+		full := SEACDRefineFull(runstate.New(nil), gd, GAOptions{})
 		if !almostEqual(smart.Affinity, full.Affinity) {
 			t.Fatalf("trial %d: NewSEA=%v full=%v", trial, smart.Affinity, full.Affinity)
 		}
@@ -311,7 +311,7 @@ func TestSEACDReachesKKT(t *testing.T) {
 			}
 		}
 		x := simplex.Indicator(n, start)
-		SEACD(gdp, x, GAOptions{})
+		SEACD(runstate.New(nil), gdp, x, GAOptions{})
 		// The shrink precision is EpsBase/|S|; allow that much violation.
 		viol := simplex.KKTViolation(gdp, x)
 		if viol > 2e-2 {
@@ -340,9 +340,9 @@ func TestRefineImprovesToClique(t *testing.T) {
 			}
 		}
 		x := simplex.Indicator(n, start)
-		SEACD(gdp, x, GAOptions{})
+		SEACD(runstate.New(nil), gdp, x, GAOptions{})
 		before := simplex.Affinity(gdp, x)
-		Refine(gdp, x, GAOptions{})
+		Refine(runstate.New(nil), gdp, x, GAOptions{})
 		after := simplex.Affinity(gdp, x)
 		if after < before-1e-9 {
 			return false
@@ -512,7 +512,7 @@ func TestReplicatorMonotone(t *testing.T) {
 func TestCollectCliques(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	gd := randomSignedGraph(rng, 14, 0.4, 5)
-	cs := CollectCliques(gd, GAOptions{})
+	cs, _ := CollectCliques(runstate.New(nil), gd, GAOptions{})
 	if len(cs) == 0 {
 		t.Skip("no cliques on this seed")
 	}
@@ -566,7 +566,7 @@ func TestWeightedTriangleInterior(t *testing.T) {
 	if !ok {
 		t.Fatal("triangle system solvable")
 	}
-	res := NewSEA(gd, GAOptions{})
+	res := NewSEA(runstate.New(nil), gd, GAOptions{})
 	if !almostEqual(res.Affinity, math.Max(lambda, 2)) {
 		t.Fatalf("NewSEA = %v, interior = %v", res.Affinity, lambda)
 	}

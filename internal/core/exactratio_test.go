@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/dcslib/dcs/internal/runstate"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -13,7 +14,7 @@ func TestExactUpperBoundRatio(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(10)
 		gd := randomSignedGraph(rng, n, 0.45, 4)
-		res := DCSGreedy(gd)
+		res := DCSGreedy(runstate.New(nil), gd, 1)
 		beta := ExactUpperBoundRatio(gd, res)
 		if beta < 1 {
 			return false
@@ -31,7 +32,7 @@ func TestExactUpperBoundRatio(t *testing.T) {
 
 func TestExactUpperBoundRatioDegenerate(t *testing.T) {
 	gd := randomSignedGraph(rand.New(rand.NewSource(1)), 4, 0, 1) // edgeless
-	res := DCSGreedy(gd)
+	res := DCSGreedy(runstate.New(nil), gd, 1)
 	if beta := ExactUpperBoundRatio(gd, res); beta != 1 {
 		t.Fatalf("edgeless graph: beta = %v, want 1", beta)
 	}
@@ -41,7 +42,7 @@ func TestExactUpperBoundRatioDegenerate(t *testing.T) {
 // exactly 1 while Theorem 2's bound is 2.
 func TestExactUpperBoundRatioFigure1(t *testing.T) {
 	gd := figure1GD()
-	res := DCSGreedy(gd)
+	res := DCSGreedy(runstate.New(nil), gd, 1)
 	beta := ExactUpperBoundRatio(gd, res)
 	if beta > 1.0+1e-6 {
 		t.Fatalf("beta* = %v, want 1 (DCSGreedy is optimal here)", beta)

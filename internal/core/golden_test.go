@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -13,6 +12,7 @@ import (
 	"github.com/dcslib/dcs/internal/datagen"
 	"github.com/dcslib/dcs/internal/densest"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 	"github.com/dcslib/dcs/internal/simplex"
 )
 
@@ -149,20 +149,21 @@ func goldenBacked(t *testing.T, g *graph.Graph) *graph.Graph {
 // a planted prior, and the raw peel at 1 and 4 workers.
 func goldenAvgDeg(gd *graph.Graph, prior []int) string {
 	h := goldenHash{sha256.New()}
-	h.ad(DCSGreedy(gd))
-	for _, r := range TopKAverageDegree(gd, 5) {
+	h.ad(DCSGreedy(runstate.New(nil), gd, 1))
+	seq, _ := TopKAverageDegree(runstate.New(nil), gd, 5, 1)
+	for _, r := range seq {
 		h.ad(r)
 	}
-	par, cut := TopKAverageDegreeCtx(context.Background(), gd, 5, 4)
+	par, cut := TopKAverageDegree(runstate.New(nil), gd, 5, 4)
 	for _, r := range par {
 		h.ad(r)
 	}
 	h.bools(cut)
-	warm, hit := DCSGreedyWarmCtx(context.Background(), gd, prior)
+	warm, hit := DCSGreedyWarm(runstate.New(nil), gd, prior)
 	h.ad(warm)
 	h.bools(hit)
 	for _, workers := range []int{1, 4} {
-		res := densest.GreedyPar(gd, workers)
+		res := densest.Greedy(runstate.New(nil), gd, workers)
 		h.ints(res.S)
 		h.floats(res.Density)
 	}
@@ -171,8 +172,8 @@ func goldenAvgDeg(gd *graph.Graph, prior []int) string {
 
 func goldenRatio(g1, g2 *graph.Graph) string {
 	h := goldenHash{sha256.New()}
-	h.ratio(MaxRatioContrast(g1, g2))
-	h.ratio(MaxRatioContrastCtx(context.Background(), g1, g2, 4))
+	h.ratio(MaxRatioContrast(runstate.New(nil), g1, g2, 1))
+	h.ratio(MaxRatioContrast(runstate.New(nil), g1, g2, 4))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -187,28 +188,28 @@ func goldenAffinity(got map[string]string, p string, gd *graph.Graph, priors ...
 		fn(h)
 		got[p+name] = hex.EncodeToString(h.Sum(nil))
 	}
-	digest("ga-newsea", func(h goldenHash) { h.ga(NewSEA(gd, GAOptions{})) })
+	digest("ga-newsea", func(h goldenHash) { h.ga(NewSEA(runstate.New(nil), gd, GAOptions{})) })
 	digest("ga-warm", func(h goldenHash) {
 		for _, prior := range priors {
-			res, hit := NewSEAWarmCtx(context.Background(), gd, prior, GAOptions{})
+			res, hit := NewSEAWarm(runstate.New(nil), gd, prior, GAOptions{})
 			h.ga(res)
 			h.bools(hit)
 			if gd.IsPositiveClique(prior) {
-				x := CliqueEmbedding(gd, prior)
+				x := CliqueEmbedding(runstate.New(nil), gd, prior)
 				h.embedding(x.Support(), x)
 			}
 		}
 	})
-	digest("ga-seacd-full", func(h goldenHash) { h.ga(SEACDRefineFull(gd, GAOptions{})) })
+	digest("ga-seacd-full", func(h goldenHash) { h.ga(SEACDRefineFull(runstate.New(nil), gd, GAOptions{})) })
 	digest("ga-cliques", func(h goldenHash) {
 		for _, workers := range []int{1, 4} {
-			cs, cut := CollectCliquesCtx(context.Background(), gd, GAOptions{Parallelism: workers})
+			cs, cut := CollectCliques(runstate.New(nil), gd, GAOptions{Parallelism: workers})
 			h.cliques(cs)
 			h.bools(cut)
 		}
 	})
 	digest("ga-topk", func(h goldenHash) {
-		cs, cut := TopKGraphAffinityCtx(context.Background(), gd, 5, GAOptions{})
+		cs, cut := TopKGraphAffinity(runstate.New(nil), gd, 5, GAOptions{})
 		h.cliques(cs)
 		h.bools(cut)
 	})

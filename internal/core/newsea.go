@@ -1,12 +1,11 @@
 package core
 
 import (
-	"context"
 	"sort"
-	"sync"
 
 	"github.com/dcslib/dcs/internal/cores"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/par"
 	"github.com/dcslib/dcs/internal/runstate"
 	"github.com/dcslib/dcs/internal/simplex"
 )
@@ -48,7 +47,7 @@ func newGAResult(gd *graph.Graph, x *simplex.Vector, st GAStats) GAResult {
 // µu bounds xᵀDx for any clique embedding of GD+ whose support contains u.
 // Total cost O(|ED+|).
 // An interrupted run leaves the unvisited entries at 0, so they sort last
-// and newSEARS's µu ≤ bestF cutoff stops immediately.
+// and NewSEA's µu ≤ bestF cutoff stops immediately.
 func initBounds(gdp *graph.Graph, rs *runstate.State) []float64 {
 	n := gdp.N()
 	// mw[v] = max weight incident to v.
@@ -65,7 +64,7 @@ func initBounds(gdp *graph.Graph, rs *runstate.State) []float64 {
 	}
 	// wu = max over the ego net Tu = {u} ∪ N(u) of incident max-weights:
 	// every edge with an endpoint in Tu contributes to some mw[v], v ∈ Tu.
-	tau := cores.NumbersRS(gdp, rs)
+	tau := cores.Numbers(rs, gdp)
 	mu := make([]float64, n)
 	for u := 0; u < n; u++ {
 		if rs.Checkpoint() {
@@ -89,11 +88,11 @@ func runInit(gdp *graph.Graph, u int, useReplicator bool, opt GAOptions, rs *run
 	x := simplex.Indicator(gdp.N(), u)
 	var st GAStats
 	if useReplicator {
-		st = seaRS(gdp, x, opt, rs)
+		st = SEA(rs, gdp, x, opt)
 	} else {
-		st = seacdRS(gdp, x, opt, rs)
+		st = SEACD(rs, gdp, x, opt)
 	}
-	st.RefineSteps += refineRS(gdp, x, opt, rs)
+	st.RefineSteps += Refine(rs, gdp, x, opt)
 	pruneTiny(gdp, x, opt, rs)
 	return x, st
 }
@@ -104,19 +103,9 @@ func runInit(gdp *graph.Graph, u int, useReplicator bool, opt GAOptions, rs *run
 // which in the paper's experiments prunes all but a handful of the n
 // initializations. Runs on GD+ internally; the result is evaluated against
 // the full difference graph gd (equal by Theorem 5: the support is a positive
-// clique).
-func NewSEA(gd *graph.Graph, opt GAOptions) GAResult {
-	return newSEARS(gd, opt, runstate.New(nil))
-}
-
-// NewSEACtx is NewSEA with cooperative cancellation: when ctx is done the
-// solver stops within one checkpoint interval and returns the best embedding
-// found so far, tagged Interrupted.
-func NewSEACtx(ctx context.Context, gd *graph.Graph, opt GAOptions) GAResult {
-	return newSEARS(gd, opt, runstate.New(ctx))
-}
-
-func newSEARS(gd *graph.Graph, opt GAOptions, rs *runstate.State) GAResult {
+// clique). When rs is cancelled the solver stops within one checkpoint
+// interval and returns the best embedding found so far, tagged Interrupted.
+func NewSEA(rs *runstate.State, gd *graph.Graph, opt GAOptions) GAResult {
 	opt = opt.withDefaults()
 	// Materialize GD+ once (single pass): every initialization below runs
 	// thousands of coordinate-descent sweeps over it, which a flattened CSR
@@ -173,20 +162,21 @@ func newSEARS(gd *graph.Graph, opt GAOptions, rs *runstate.State) GAResult {
 // SEACDRefineFull is the SEACD+Refine baseline of Section VI: one
 // initialization per vertex of GD+ (no smart pruning), keeping the best
 // positive-clique solution.
-func SEACDRefineFull(gd *graph.Graph, opt GAOptions) GAResult {
-	return fullInit(gd, false, opt)
+func SEACDRefineFull(rs *runstate.State, gd *graph.Graph, opt GAOptions) GAResult {
+	return fullInit(gd, false, opt, rs)
 }
 
 // SEARefineFull is the SEA+Refine baseline: the original replicator-dynamics
 // SEA from every vertex, plus Refinement. Its loose shrink convergence
 // produces the expansion errors reported in Stats.ExpansionErrors.
-func SEARefineFull(gd *graph.Graph, opt GAOptions) GAResult {
-	return fullInit(gd, true, opt)
+func SEARefineFull(rs *runstate.State, gd *graph.Graph, opt GAOptions) GAResult {
+	return fullInit(gd, true, opt, rs)
 }
 
-// fullInit drives the uncancellable full-initialization baselines; the
-// cancellable pipelines are NewSEACtx and CollectCliquesCtx.
-func fullInit(gd *graph.Graph, useReplicator bool, opt GAOptions) GAResult {
+// fullInit drives the full-initialization baselines. A cancelled run skips
+// the remaining initializations and keeps the best of those that ran, ranked
+// as NewSEA ranks its leftovers, tagged Interrupted.
+func fullInit(gd *graph.Graph, useReplicator bool, opt GAOptions, rs *runstate.State) GAResult {
 	opt = opt.withDefaults()
 	gdp := gd.PositivePartCompact() // see NewSEA
 	n := gd.N()
@@ -207,75 +197,61 @@ func fullInit(gd *graph.Graph, useReplicator bool, opt GAOptions) GAResult {
 			starts = append(starts, u)
 		}
 	}
-	results, _ := forEachInit(gdp, starts, useReplicator, opt, runstate.New(nil))
+	results, interrupted := forEachInit(gdp, starts, useReplicator, opt, rs)
 	for _, r := range results {
+		if r.x == nil {
+			continue // initialization skipped after cancellation
+		}
 		stats.add(r.st)
 		// Deterministic winner: highest affinity, ties by start vertex order
 		// (results arrive in starts order regardless of parallelism).
-		if f := simplex.Affinity(gdp, r.x); f > bestF {
+		f := simplex.Affinity(gdp, r.x)
+		if interrupted && !gd.IsPositiveClique(r.x.Support()) {
+			f = simplex.Affinity(gd, r.x) // cut mid-Refine: see NewSEA
+		}
+		if f > bestF {
 			best, bestF = r.x, f
 		}
 	}
-	return newGAResult(gd, best, stats)
+	res := newGAResult(gd, best, stats)
+	res.Interrupted = interrupted
+	return res
 }
 
-// initResult pairs one initialization's outcome with its statistics.
+// initResult pairs one initialization's outcome with its statistics; cut
+// records that the initialization observed cancellation (x is nil when it
+// was skipped outright).
 type initResult struct {
-	x  *simplex.Vector
-	st GAStats
+	x   *simplex.Vector
+	st  GAStats
+	cut bool
 }
 
-// forEachInit runs the init pipeline from every start vertex, sequentially or
-// on opt.Parallelism workers, returning results indexed like starts plus
-// whether any of the work was actually cut short. Each worker forks its own
-// run state off rs (a State is single-goroutine) and additionally polls
-// between items, so after cancellation the remaining starts are skipped
-// (their results stay nil) rather than each burning a full checkpoint
-// interval. The interrupted flag aggregates the workers' latches — precise:
-// a cancellation that lands only after every init completed reports false.
+// forEachInit runs the init pipeline from every start vertex on
+// opt.Parallelism workers (see par.Run), returning results indexed like
+// starts plus whether any of the work was actually cut short. At degree 1
+// every init runs inline on rs; with more workers each init forks its own
+// run state (a State is single-goroutine). Every init polls before it
+// starts, so after cancellation the remaining starts are skipped rather than
+// each burning a full checkpoint interval. The interrupted flag ORs the
+// inits' latches after the join — precise: a cancellation that lands only
+// after every init completed reports false.
 func forEachInit(gdp *graph.Graph, starts []int, useReplicator bool, opt GAOptions, rs *runstate.State) ([]initResult, bool) {
 	results := make([]initResult, len(starts))
-	workers := opt.Parallelism
-	if workers <= 1 || len(starts) < 2 {
-		for i, u := range starts {
-			if rs.Cancelled() {
-				break
-			}
-			x, st := runInit(gdp, u, useReplicator, opt, rs)
-			results[i] = initResult{x: x, st: st}
+	workers := par.Workers(opt.Parallelism)
+	par.Run(workers, len(starts), func(i int) {
+		irs := rs
+		if workers > 1 {
+			irs = rs.Fork()
 		}
-		return results, rs.Interrupted()
-	}
-	if workers > len(starts) {
-		workers = len(starts)
-	}
-	var wg sync.WaitGroup
-	next := make(chan int)
-	states := make([]*runstate.State, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		wrs := rs.Fork()
-		states[w] = wrs
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if wrs.Cancelled() {
-					continue // keep draining so the feeder never blocks
-				}
-				x, st := runInit(gdp, starts[i], useReplicator, opt, wrs)
-				results[i] = initResult{x: x, st: st}
-			}
-		}()
-	}
-	for i := range starts {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	interrupted := rs.Interrupted()
-	for _, wrs := range states {
-		// Safe after the join: no worker touches its state anymore.
-		interrupted = interrupted || wrs.Interrupted()
+		if !irs.Cancelled() {
+			results[i].x, results[i].st = runInit(gdp, starts[i], useReplicator, opt, irs)
+		}
+		results[i].cut = irs.Interrupted()
+	})
+	interrupted := false
+	for _, r := range results {
+		interrupted = interrupted || r.cut
 	}
 	return results, interrupted
 }
@@ -291,9 +267,9 @@ type Clique struct {
 // CliqueEmbedding returns the locally-optimal embedding supported on the
 // clique S of gd: coordinate descent from the uniform embedding to a local
 // KKT point on S. For a positive clique this is the affinity-maximizing
-// weighting of its members (the per-keyword weights of Table V).
-func CliqueEmbedding(gd *graph.Graph, S []int) *simplex.Vector {
-	rs := runstate.New(nil)
+// weighting of its members (the per-keyword weights of Table V). When rs is
+// cancelled the descent stops early, at worst on the uniform embedding.
+func CliqueEmbedding(rs *runstate.State, gd *graph.Graph, S []int) *simplex.Vector {
 	x := simplex.Uniform(gd.N(), S)
 	coordinateDescent(gd, x, S, 1e-9, 100000, rs)
 	pruneTiny(gd, x, GAOptions{}, rs)
@@ -304,20 +280,10 @@ func CliqueEmbedding(gd *graph.Graph, S []int) *simplex.Vector {
 // distinct positive cliques found, de-duplicated and with cliques that are
 // strict subsets of other found cliques removed — the procedure behind
 // Table V (top-k topics) and Fig. 3 (clique-count histograms). Results are
-// sorted by decreasing affinity, ties by support.
-func CollectCliques(gd *graph.Graph, opt GAOptions) []Clique {
-	out, _ := collectCliquesRS(gd, opt, runstate.New(nil))
-	return out
-}
-
-// CollectCliquesCtx is CollectCliques with cooperative cancellation: when ctx
-// is done the remaining initializations are skipped and the cliques already
-// found are returned, with interrupted reporting the early stop.
-func CollectCliquesCtx(ctx context.Context, gd *graph.Graph, opt GAOptions) (cliques []Clique, interrupted bool) {
-	return collectCliquesRS(gd, opt, runstate.New(ctx))
-}
-
-func collectCliquesRS(gd *graph.Graph, opt GAOptions, rs *runstate.State) ([]Clique, bool) {
+// sorted by decreasing affinity, ties by support. When rs is cancelled the
+// remaining initializations are skipped and the cliques already found are
+// returned, with interrupted reporting the early stop.
+func CollectCliques(rs *runstate.State, gd *graph.Graph, opt GAOptions) (cliques []Clique, interrupted bool) {
 	opt = opt.withDefaults()
 	gdp := gd.PositivePartCompact() // see NewSEA
 	n := gd.N()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/dcslib/dcs/internal/runstate"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -15,8 +16,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 		n := 10 + rng.Intn(30)
 		gd := randomSignedGraph(rng, n, 0.3, 5)
 
-		seq := SEACDRefineFull(gd, GAOptions{})
-		par := SEACDRefineFull(gd, GAOptions{Parallelism: 4})
+		seq := SEACDRefineFull(runstate.New(nil), gd, GAOptions{})
+		par := SEACDRefineFull(runstate.New(nil), gd, GAOptions{Parallelism: 4})
 		if !almostEqual(seq.Affinity, par.Affinity) {
 			t.Fatalf("trial %d: affinity %v (seq) vs %v (par)", trial, seq.Affinity, par.Affinity)
 		}
@@ -32,8 +33,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("trial %d: stats %+v vs %+v", trial, seq.Stats, par.Stats)
 		}
 
-		cseq := CollectCliques(gd, GAOptions{})
-		cpar := CollectCliques(gd, GAOptions{Parallelism: 4})
+		cseq, _ := CollectCliques(runstate.New(nil), gd, GAOptions{})
+		cpar, _ := CollectCliques(runstate.New(nil), gd, GAOptions{Parallelism: 4})
 		if len(cseq) != len(cpar) {
 			t.Fatalf("trial %d: %d cliques (seq) vs %d (par)", trial, len(cseq), len(cpar))
 		}
@@ -43,7 +44,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 			}
 		}
 		// Bitwise, affinities and embeddings included, at degrees 2 and 4.
-		if c2 := CollectCliques(gd, GAOptions{Parallelism: 2}); !reflect.DeepEqual(cseq, c2) || !reflect.DeepEqual(cseq, cpar) {
+		if c2, _ := CollectCliques(runstate.New(nil), gd, GAOptions{Parallelism: 2}); !reflect.DeepEqual(cseq, c2) || !reflect.DeepEqual(cseq, cpar) {
 			t.Fatalf("trial %d: parallel CollectCliques is not bitwise identical to sequential", trial)
 		}
 	}
@@ -52,8 +53,8 @@ func TestParallelMatchesSequential(t *testing.T) {
 func TestParallelSEAReplicator(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	gd := randomSignedGraph(rng, 25, 0.3, 4)
-	seq := SEARefineFull(gd, GAOptions{})
-	par := SEARefineFull(gd, GAOptions{Parallelism: 3})
+	seq := SEARefineFull(runstate.New(nil), gd, GAOptions{})
+	par := SEARefineFull(runstate.New(nil), gd, GAOptions{Parallelism: 3})
 	if !almostEqual(seq.Affinity, par.Affinity) {
 		t.Fatalf("affinity %v (seq) vs %v (par)", seq.Affinity, par.Affinity)
 	}

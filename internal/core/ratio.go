@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"slices"
 
@@ -29,30 +28,6 @@ type RatioResult struct {
 	// the Algorithm 2 runs, the final witness solve included. Both are equal
 	// at every worker count unless the run was interrupted.
 	Probes, Solves int
-}
-
-// MaxRatioContrast searches for the largest α such that some subgraph
-// satisfies ρ2(S) ≥ α·ρ1(S), using the generalized difference graph of
-// Section III-D: the condition holds for some S iff the DCSAD optimum on
-// GD = G2 − αG1 is positive. DCSGreedy stands in for the (NP-hard) exact
-// feasibility test, so the returned α is a certified *lower bound* on the
-// true supremum: the witness S always satisfies the inequality, which is
-// re-checked before returning.
-//
-// The search runs ratioRounds rounds of binary search over [0, hi], where hi
-// is derived from the heaviest G2 edge against the lightest G1 edge. Most
-// probes are decided by GD's maximum edge alone (see probe below).
-func MaxRatioContrast(g1, g2 *graph.Graph) RatioResult {
-	return maxRatioContrastRS(g1, g2, runstate.New(nil), 1)
-}
-
-// MaxRatioContrastCtx is MaxRatioContrast with cooperative cancellation and
-// each Algorithm 2 run spread over at most workers goroutines, as in
-// DCSGreedyCtx; the probes stay sequential, so the result is bitwise
-// identical at every degree. When ctx is done the probe in flight finishes
-// and the best certified witness so far is returned, tagged Interrupted.
-func MaxRatioContrastCtx(ctx context.Context, g1, g2 *graph.Graph, workers int) RatioResult {
-	return maxRatioContrastRS(g1, g2, runstate.New(ctx), workers)
 }
 
 // ratioRounds caps the binary search. Sixty halvings shrink the bracket
@@ -100,7 +75,23 @@ func ratioBracket(g1, g2 *graph.Graph) (hi float64, res RatioResult, done bool) 
 	return hi, RatioResult{Alpha: 0}, hi == 0
 }
 
-func maxRatioContrastRS(g1, g2 *graph.Graph, rs *runstate.State, workers int) RatioResult {
+// MaxRatioContrast searches for the largest α such that some subgraph
+// satisfies ρ2(S) ≥ α·ρ1(S), using the generalized difference graph of
+// Section III-D: the condition holds for some S iff the DCSAD optimum on
+// GD = G2 − αG1 is positive. DCSGreedy stands in for the (NP-hard) exact
+// feasibility test, so the returned α is a certified *lower bound* on the
+// true supremum: the witness S always satisfies the inequality, which is
+// re-checked before returning.
+//
+// The search runs ratioRounds rounds of binary search over [0, hi], where hi
+// is derived from the heaviest G2 edge against the lightest G1 edge. Most
+// probes are decided by GD's maximum edge alone (see probe below).
+//
+// Each Algorithm 2 run is spread over at most workers goroutines, as in
+// DCSGreedy; the probes stay sequential, so the result is bitwise identical
+// at every degree. When rs is cancelled the probe in flight finishes and the
+// best certified witness so far is returned, tagged Interrupted.
+func MaxRatioContrast(rs *runstate.State, g1, g2 *graph.Graph, workers int) RatioResult {
 	hi, res, done := ratioBracket(g1, g2)
 	if done {
 		return res

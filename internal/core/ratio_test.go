@@ -12,6 +12,7 @@ import (
 	"github.com/dcslib/dcs/internal/datagen"
 	"github.com/dcslib/dcs/internal/graph"
 	"github.com/dcslib/dcs/internal/partest"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 func TestMaxRatioContrastUnbounded(t *testing.T) {
@@ -40,7 +41,7 @@ func TestMaxRatioContrastUnbounded(t *testing.T) {
 		// A G2-only edge takes precedence as the witness.
 		{"both", 4, []edge{{0, 1, -2}}, []edge{{0, 1, 1}, {2, 3, 4}}, []int{2, 3}, 4, 0},
 	} {
-		res := MaxRatioContrast(build(tc.n, tc.g1), build(tc.n, tc.g2))
+		res := MaxRatioContrast(runstate.New(nil), build(tc.n, tc.g1), build(tc.n, tc.g2), 1)
 		if !math.IsInf(res.Alpha, 1) || !slices.Equal(res.S, tc.s) ||
 			res.Density2 != tc.dens2 || res.Density1 != tc.dens1 {
 			t.Fatalf("%s: got α=%v S=%v ρ2=%v ρ1=%v, want +Inf on %v with ρ2=%v ρ1=%v",
@@ -58,7 +59,7 @@ func TestMaxRatioContrastSimple(t *testing.T) {
 	b2 := graph.NewBuilder(3)
 	b2.AddEdge(0, 1, 6)
 	b2.AddEdge(1, 2, 2)
-	res := MaxRatioContrast(b1.Build(), b2.Build())
+	res := MaxRatioContrast(runstate.New(nil), b1.Build(), b2.Build(), 1)
 	if math.Abs(res.Alpha-3) > 1e-6 {
 		t.Fatalf("alpha = %v, want 3", res.Alpha)
 	}
@@ -80,7 +81,7 @@ func TestMaxRatioContrastNoGrowth(t *testing.T) {
 			b2.AddEdge(u, v, 1)
 		}
 	}
-	res := MaxRatioContrast(b1.Build(), b2.Build())
+	res := MaxRatioContrast(runstate.New(nil), b1.Build(), b2.Build(), 1)
 	if math.Abs(res.Alpha-0.5) > 1e-6 {
 		t.Fatalf("alpha = %v, want 0.5", res.Alpha)
 	}
@@ -89,7 +90,7 @@ func TestMaxRatioContrastNoGrowth(t *testing.T) {
 func TestMaxRatioContrastEmptyG2(t *testing.T) {
 	b1 := graph.NewBuilder(3)
 	b1.AddEdge(0, 1, 1)
-	res := MaxRatioContrast(b1.Build(), graph.NewBuilder(3).Build())
+	res := MaxRatioContrast(runstate.New(nil), b1.Build(), graph.NewBuilder(3).Build(), 1)
 	if res.Alpha != 0 {
 		t.Fatalf("alpha = %v, want 0 for edgeless G2", res.Alpha)
 	}
@@ -115,7 +116,7 @@ func TestMaxRatioContrastCertified(t *testing.T) {
 			}
 		}
 		g1, g2 := b1.Build(), b2.Build()
-		res := MaxRatioContrast(g1, g2)
+		res := MaxRatioContrast(runstate.New(nil), g1, g2, 1)
 		if math.IsInf(res.Alpha, 1) {
 			// Witness must be a G2-only edge.
 			return len(res.S) == 2 && g1.Weight(res.S[0], res.S[1]) == 0 &&
@@ -159,7 +160,7 @@ func referenceRatio(g1, g2 *graph.Graph) RatioResult {
 		return res
 	}
 	feasible := func(alpha float64) ([]int, bool) {
-		r := DCSGreedy(graph.DifferenceAlpha(g1, g2, alpha))
+		r := DCSGreedy(runstate.New(nil), graph.DifferenceAlpha(g1, g2, alpha), 1)
 		return r.S, r.Density > 1e-12
 	}
 	bestS, ok := feasible(0)
@@ -189,7 +190,7 @@ func checkRatioReference(t *testing.T, name string, g1, g2 *graph.Graph) {
 	t.Helper()
 	want := referenceRatio(g1, g2)
 	for _, workers := range []int{1, 4} {
-		got := MaxRatioContrastCtx(context.Background(), g1, g2, workers)
+		got := MaxRatioContrast(runstate.New(context.Background()), g1, g2, workers)
 		if math.Float64bits(got.Alpha) != math.Float64bits(want.Alpha) ||
 			!slices.Equal(got.S, want.S) ||
 			math.Float64bits(got.Density1) != math.Float64bits(want.Density1) ||
@@ -321,8 +322,8 @@ func TestRatioWorkCounters(t *testing.T) {
 	}{{1, 600}, {7, 600}, {3, 2000}} {
 		c := datagen.CoauthorPair(datagen.CoauthorConfig{Seed: in.seed, N: in.n})
 		g1 := graph.Blend(c.G1, c.G2, 1, 1)
-		seq := MaxRatioContrast(g1, c.G2)
-		par := MaxRatioContrastCtx(context.Background(), g1, c.G2, 4)
+		seq := MaxRatioContrast(runstate.New(nil), g1, c.G2, 1)
+		par := MaxRatioContrast(runstate.New(context.Background()), g1, c.G2, 4)
 		t.Logf("seed %d: %d probes, %d solves", in.seed, seq.Probes, seq.Solves)
 		if seq.Probes != 40 || seq.Solves > 7 || seq.Solves < 1 {
 			t.Errorf("seed %d: %d probes, %d solves; want 40 probes, 1..7 solves", in.seed, seq.Probes, seq.Solves)

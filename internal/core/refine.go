@@ -20,12 +20,9 @@ import (
 //
 // The graph must be GD+ (non-negative weights); absence of an edge is what
 // "not adjacent" means. x is mutated in place. Returns the number of
-// vertex-removal steps.
-func Refine(gdp *graph.Graph, x *simplex.Vector, opt GAOptions) int {
-	return refineRS(gdp, x, opt, runstate.New(nil))
-}
-
-func refineRS(gdp *graph.Graph, x *simplex.Vector, opt GAOptions, rs *runstate.State) int {
+// vertex-removal steps. A run cancelled through rs stops between steps,
+// possibly short of a positive clique.
+func Refine(rs *runstate.State, gdp *graph.Graph, x *simplex.Vector, opt GAOptions) int {
 	opt = opt.withDefaults()
 	steps := 0
 	for {

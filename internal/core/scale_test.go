@@ -6,6 +6,7 @@ import (
 
 	"github.com/dcslib/dcs/internal/datagen"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // Scalability smoke test: the quasi-linear DCSAD pipeline and the
@@ -20,7 +21,7 @@ func TestLargeGraphScalability(t *testing.T) {
 	t.Logf("graph: n=%d m=%d", gd.N(), gd.M())
 
 	start := time.Now()
-	ad := DCSGreedy(gd)
+	ad := DCSGreedy(runstate.New(nil), gd, 1)
 	tAD := time.Since(start)
 	if err := ValidateAD(gd, ad); err != nil {
 		t.Fatal(err)
@@ -34,7 +35,7 @@ func TestLargeGraphScalability(t *testing.T) {
 	}
 
 	start = time.Now()
-	ga := NewSEA(gd, GAOptions{})
+	ga := NewSEA(runstate.New(nil), gd, GAOptions{})
 	tGA := time.Since(start)
 	if err := ValidateGA(gd, ga); err != nil {
 		t.Fatal(err)

@@ -84,16 +84,14 @@ func cdShrink(g *graph.Graph, x *simplex.Vector, S []int, opt GAOptions, rs *run
 }
 
 // replicatorShrink is the original SEA shrink stage (Appendix A, Eq. 12):
-// xi(t+1) = xi(t)·(Dx)_i / xᵀDx, restricted to S, with the baseline's loose
-// convergence condition f(x) − f(x_old) ≤ ReplicatorEps. Requires D ≥ 0 on S
+// xi(t+1) = xi(t)·(Dx)_i / xᵀDx on the working set, with the baseline's loose
+// convergence condition f(x) − f(x_old) ≤ ReplicatorEps. The working set is
+// x's support: the update only rescales support entries and never adds one,
+// so the iterate stays on it without a membership test. Requires D ≥ 0 there
 // (the replicator breaks on negative entries — the very reason the paper
 // introduces coordinate descent). The loose condition is faithful to [18] and
 // is what produces the expansion errors Table VII reports.
-func replicatorShrink(g *graph.Graph, x *simplex.Vector, S []int, opt GAOptions, rs *runstate.State) int {
-	in := make(map[int]bool, len(S))
-	for _, u := range S {
-		in[u] = true
-	}
+func replicatorShrink(g *graph.Graph, x *simplex.Vector, _ []int, opt GAOptions, rs *runstate.State) int {
 	iters := 0
 	f := simplex.Affinity(g, x)
 	for iters < opt.MaxReplicatorIter {
@@ -107,9 +105,6 @@ func replicatorShrink(g *graph.Graph, x *simplex.Vector, S []int, opt GAOptions,
 		next := simplex.New(x.N())
 		var sum float64
 		x.Visit(func(u int, xu float64) {
-			if !in[u] {
-				return
-			}
 			var dxu float64
 			g.VisitNeighbors(u, func(v int, w float64) {
 				dxu += w * x.Get(v)
@@ -276,11 +271,8 @@ func seaLoop(g *graph.Graph, x *simplex.Vector, shrink shrinkFunc, kktTol func(s
 // initial embedding x (mutated in place) on graph g, converging to a KKT
 // point of max xᵀDx over the simplex. The graph is normally GD+; the
 // algorithm itself tolerates negative weights (unlike the replicator).
-func SEACD(g *graph.Graph, x *simplex.Vector, opt GAOptions) GAStats {
-	return seacdRS(g, x, opt, runstate.New(nil))
-}
-
-func seacdRS(g *graph.Graph, x *simplex.Vector, opt GAOptions, rs *runstate.State) GAStats {
+// Cancellation through rs stops it as described at seaLoop.
+func SEACD(rs *runstate.State, g *graph.Graph, x *simplex.Vector, opt GAOptions) GAStats {
 	opt = opt.withDefaults()
 	// The coordinate-descent shrink guarantees max∇−min∇ ≤ EpsBase/|S| on the
 	// working set; since f is a convex combination of the support gradients,
@@ -295,11 +287,7 @@ func seacdRS(g *graph.Graph, x *simplex.Vector, opt GAOptions, rs *runstate.Stat
 // SEA is the original algorithm of Liu et al. [18] with the replicator-based
 // shrink stage and its loose convergence condition, used as the paper's
 // baseline. Run it on GD+ only (non-negative weights).
-func SEA(g *graph.Graph, x *simplex.Vector, opt GAOptions) GAStats {
-	return seaRS(g, x, opt, runstate.New(nil))
-}
-
-func seaRS(g *graph.Graph, x *simplex.Vector, opt GAOptions, rs *runstate.State) GAStats {
+func SEA(rs *runstate.State, g *graph.Graph, x *simplex.Vector, opt GAOptions) GAStats {
 	opt = opt.withDefaults()
 	// The replicator's improvement-based stop gives no gradient guarantee at
 	// all; the original implementation still tests Z membership at (roughly)

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"github.com/dcslib/dcs/internal/graph"
 	"github.com/dcslib/dcs/internal/runstate"
 )
@@ -20,25 +18,15 @@ import (
 // a heuristic, a later result can occasionally be denser than an earlier one
 // (removal changes the peeling order); results are reported in discovery
 // order.
-func TopKAverageDegree(gd *graph.Graph, k int) []ADResult {
-	out, _ := topKAverageDegreeRS(gd, k, runstate.New(nil), 1)
-	return out
-}
-
-// TopKAverageDegreeCtx is TopKAverageDegree with cooperative cancellation and
-// each DCSGreedy iteration run on at most workers goroutines (see
-// DCSGreedyCtx). The outer loop is inherently sequential — every pick
-// depends on the previous strip — so the parallelism lives inside the per-k
-// solve; results are bitwise identical to the sequential path at every
-// degree. When ctx is done, the subgraphs already mined are returned and
-// interrupted reports the early stop. A DCSGreedy iteration cut mid-peel is
-// discarded rather than reported (its partial pick is not comparable to the
-// completed ones).
-func TopKAverageDegreeCtx(ctx context.Context, gd *graph.Graph, k, workers int) (results []ADResult, interrupted bool) {
-	return topKAverageDegreeRS(gd, k, runstate.New(ctx), workers)
-}
-
-func topKAverageDegreeRS(gd *graph.Graph, k int, rs *runstate.State, workers int) ([]ADResult, bool) {
+//
+// Each DCSGreedy iteration runs on at most workers goroutines (see
+// DCSGreedy). The outer loop is inherently sequential — every pick depends
+// on the previous strip — so the parallelism lives inside the per-k solve;
+// results are bitwise identical at every degree. When rs is cancelled, the
+// subgraphs already mined are returned and interrupted reports the early
+// stop. A DCSGreedy iteration cut mid-peel is discarded rather than reported
+// (its partial pick is not comparable to the completed ones).
+func TopKAverageDegree(rs *runstate.State, gd *graph.Graph, k, workers int) (results []ADResult, interrupted bool) {
 	var out []ADResult
 	// GD+ is derived once; each pick masks it alongside GD (the positive
 	// part of a masked GD is the masked positive part), so a pick costs no
@@ -46,11 +34,11 @@ func topKAverageDegreeRS(gd *graph.Graph, k int, rs *runstate.State, workers int
 	ws := new(adScratch)
 	work, workp := gd, gd.PositivePartInto(&ws.gdp)
 	for len(out) < k {
-		res := dcsGreedyRS(work, workp, rs, workers, ws)
+		res := dcsGreedy(rs, work, workp, workers, ws)
 		if res.Interrupted {
 			// With completed picks in hand, the truncated pick is discarded
 			// (not comparable to them). With none, it *is* the best-so-far
-			// answer — exactly what DCSGreedyCtx alone would have returned —
+			// answer — exactly what DCSGreedy alone would have returned —
 			// so an interrupted k=1 call still carries a result.
 			if len(out) == 0 && len(res.S) > 0 && res.Density > 0 {
 				out = append(out, res)
@@ -75,21 +63,10 @@ func topKAverageDegreeRS(gd *graph.Graph, k int, rs *runstate.State, workers int
 // largest affinity differences: it runs the full CollectCliques pass once and
 // then greedily selects non-overlapping cliques in affinity order. Unlike
 // CollectCliques (which may return overlapping topics), the results here are
-// disjoint communities.
-func TopKGraphAffinity(gd *graph.Graph, k int, opt GAOptions) []Clique {
-	out, _ := topKGraphAffinityRS(gd, k, opt, runstate.New(nil))
-	return out
-}
-
-// TopKGraphAffinityCtx is TopKGraphAffinity with cooperative cancellation;
-// interrupted reports that the underlying clique collection stopped early, so
-// the selection ran over a partial candidate pool.
-func TopKGraphAffinityCtx(ctx context.Context, gd *graph.Graph, k int, opt GAOptions) (results []Clique, interrupted bool) {
-	return topKGraphAffinityRS(gd, k, opt, runstate.New(ctx))
-}
-
-func topKGraphAffinityRS(gd *graph.Graph, k int, opt GAOptions, rs *runstate.State) ([]Clique, bool) {
-	cliques, interrupted := collectCliquesRS(gd, opt, rs)
+// disjoint communities. interrupted reports that the clique collection was
+// cancelled through rs, so the selection ran over a partial candidate pool.
+func TopKGraphAffinity(rs *runstate.State, gd *graph.Graph, k int, opt GAOptions) (results []Clique, interrupted bool) {
+	cliques, interrupted := CollectCliques(rs, gd, opt)
 	taken := make(map[int]bool)
 	var out []Clique
 	for _, c := range cliques {

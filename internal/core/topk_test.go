@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 func TestTopKAverageDegreeTwoPlantedGroups(t *testing.T) {
@@ -27,7 +28,7 @@ func TestTopKAverageDegreeTwoPlantedGroups(t *testing.T) {
 	b.AddEdge(3, 4, -1) // weak bridge between the groups
 	gd := b.Build()
 
-	res := TopKAverageDegree(gd, 5)
+	res, _ := TopKAverageDegree(runstate.New(nil), gd, 5, 1)
 	if len(res) != 2 {
 		t.Fatalf("got %d subgraphs, want 2", len(res))
 	}
@@ -55,8 +56,8 @@ func TestTopKAverageDegreeProperties(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 4 + rng.Intn(15)
 		gd := randomSignedGraph(rng, n, 0.4, 5)
-		res := TopKAverageDegree(gd, 4)
-		first := DCSGreedy(gd)
+		res, _ := TopKAverageDegree(runstate.New(nil), gd, 4, 1)
+		first := DCSGreedy(runstate.New(nil), gd, 1)
 		if len(res) > 0 {
 			if !almostEqual(res[0].Density, first.Density) {
 				return false
@@ -89,7 +90,7 @@ func TestTopKAverageDegreeProperties(t *testing.T) {
 func TestTopKAverageDegreeAllNegative(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1, -1)
-	if res := TopKAverageDegree(b.Build(), 3); len(res) != 0 {
+	if res, _ := TopKAverageDegree(runstate.New(nil), b.Build(), 3, 1); len(res) != 0 {
 		t.Fatalf("all-negative graph must yield no contrast subgraphs, got %d", len(res))
 	}
 }
@@ -106,7 +107,7 @@ func TestTopKGraphAffinityDisjoint(t *testing.T) {
 	b.AddEdge(2, 4, 4)
 	b.AddEdge(3, 5, 2) // fallback pair disjoint from {0,1,2}
 	gd := b.Build()
-	res := TopKGraphAffinity(gd, 3, GAOptions{})
+	res, _ := TopKGraphAffinity(runstate.New(nil), gd, 3, GAOptions{})
 	if len(res) == 0 {
 		t.Fatal("no cliques found")
 	}
@@ -134,10 +135,10 @@ func TestTopKAverageDegreeRecoverIterationCount(t *testing.T) {
 		b.AddEdge(base, base+2, 2)
 	}
 	gd := b.Build()
-	if res := TopKAverageDegree(gd, 2); len(res) != 2 {
+	if res, _ := TopKAverageDegree(runstate.New(nil), gd, 2, 1); len(res) != 2 {
 		t.Fatalf("k=2 must cap output, got %d", len(res))
 	}
-	if res := TopKAverageDegree(gd, 10); len(res) != 3 {
+	if res, _ := TopKAverageDegree(runstate.New(nil), gd, 10, 1); len(res) != 3 {
 		t.Fatalf("expected all 3 triangles, got %d", len(res))
 	}
 }

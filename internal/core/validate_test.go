@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/dcslib/dcs/internal/runstate"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,23 +13,24 @@ func TestSolversProduceValidResults(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(12)
 		gd := randomSignedGraph(rng, n, 0.4, 5)
-		if err := ValidateAD(gd, DCSGreedy(gd)); err != nil {
+		if err := ValidateAD(gd, DCSGreedy(runstate.New(nil), gd, 1)); err != nil {
 			t.Log(err)
 			return false
 		}
-		if err := ValidateAD(gd, GreedyGDOnly(gd)); err != nil {
+		if err := ValidateAD(gd, GreedyGDOnly(runstate.New(nil), gd)); err != nil {
 			t.Log(err)
 			return false
 		}
-		if err := ValidateGA(gd, NewSEA(gd, GAOptions{})); err != nil {
+		if err := ValidateGA(gd, NewSEA(runstate.New(nil), gd, GAOptions{})); err != nil {
 			t.Log(err)
 			return false
 		}
-		if err := ValidateGA(gd, SEARefineFull(gd, GAOptions{})); err != nil {
+		if err := ValidateGA(gd, SEARefineFull(runstate.New(nil), gd, GAOptions{})); err != nil {
 			t.Log(err)
 			return false
 		}
-		for _, r := range TopKAverageDegree(gd, 3) {
+		top, _ := TopKAverageDegree(runstate.New(nil), gd, 3, 1)
+		for _, r := range top {
 			if err := ValidateAD(gd, r); err != nil {
 				t.Log(err)
 				return false
@@ -44,7 +46,7 @@ func TestSolversProduceValidResults(t *testing.T) {
 // Corrupted results must be rejected with a specific complaint.
 func TestValidateRejectsCorruption(t *testing.T) {
 	gd := figure1GD()
-	good := DCSGreedy(gd)
+	good := DCSGreedy(runstate.New(nil), gd, 1)
 	if err := ValidateAD(gd, good); err != nil {
 		t.Fatalf("clean result rejected: %v", err)
 	}
@@ -75,7 +77,7 @@ func TestValidateRejectsCorruption(t *testing.T) {
 		t.Error("out-of-range vertex accepted")
 	}
 
-	goodGA := NewSEA(gd, GAOptions{})
+	goodGA := NewSEA(runstate.New(nil), gd, GAOptions{})
 	if err := ValidateGA(gd, goodGA); err != nil {
 		t.Fatalf("clean GA result rejected: %v", err)
 	}

@@ -15,16 +15,11 @@ import (
 )
 
 // Numbers returns the core number τ(u) of every vertex of g. Edge weights are
-// ignored; only the topology matters.
-func Numbers(g *graph.Graph) []int {
-	return NumbersRS(g, runstate.New(nil))
-}
-
-// NumbersRS is Numbers with cooperative cancellation. An interrupted peel
-// returns the in-progress array: every entry is an upper bound on the true
-// core number (peeling only ever decreases values), so callers using τ for
+// ignored; only the topology matters. A peel interrupted through rs returns
+// the in-progress array: every entry is an upper bound on the true core
+// number (peeling only ever decreases values), so callers using τ for
 // pruning bounds stay sound on a cancelled run.
-func NumbersRS(g *graph.Graph, rs *runstate.State) []int {
+func Numbers(rs *runstate.State, g *graph.Graph) []int {
 	n := g.N()
 	deg := make([]int, n)
 	maxDeg := 0
@@ -83,29 +78,4 @@ func NumbersRS(g *graph.Graph, rs *runstate.State) []int {
 		})
 	}
 	return core
-}
-
-// Degeneracy returns the degeneracy of g: the maximum core number over all
-// vertices (0 for an edgeless or empty graph).
-func Degeneracy(g *graph.Graph) int {
-	best := 0
-	for _, c := range Numbers(g) {
-		if c > best {
-			best = c
-		}
-	}
-	return best
-}
-
-// KCore returns the vertices of the maximal subgraph in which every vertex
-// has unweighted degree ≥ k (the k-core), in increasing vertex order. It may
-// be empty.
-func KCore(g *graph.Graph, k int) []int {
-	var out []int
-	for v, c := range Numbers(g) {
-		if c >= k {
-			out = append(out, v)
-		}
-	}
-	return out
 }

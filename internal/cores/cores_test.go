@@ -19,25 +19,18 @@ func TestTriangleWithTail(t *testing.T) {
 	b.AddEdge(2, 3, 1)
 	b.AddEdge(3, 4, 1)
 	g := b.Build()
-	core := Numbers(g)
+	core := Numbers(runstate.New(nil), g)
 	want := []int{2, 2, 2, 1, 1}
 	for v, w := range want {
 		if core[v] != w {
 			t.Errorf("core[%d] = %d, want %d (all: %v)", v, core[v], w, core)
 		}
 	}
-	if d := Degeneracy(g); d != 2 {
-		t.Errorf("degeneracy = %d, want 2", d)
-	}
-	k2 := KCore(g, 2)
-	if len(k2) != 3 || k2[0] != 0 || k2[1] != 1 || k2[2] != 2 {
-		t.Errorf("2-core = %v, want [0 1 2]", k2)
-	}
 }
 
 func TestCliqueCoreNumbers(t *testing.T) {
 	g := graph.Complete(6, 1)
-	for v, c := range Numbers(g) {
+	for v, c := range Numbers(runstate.New(nil), g) {
 		if c != 5 {
 			t.Fatalf("core[%d] = %d in K6, want 5", v, c)
 		}
@@ -46,12 +39,12 @@ func TestCliqueCoreNumbers(t *testing.T) {
 
 func TestEdgelessAndEmpty(t *testing.T) {
 	g := graph.NewBuilder(4).Build()
-	for v, c := range Numbers(g) {
+	for v, c := range Numbers(runstate.New(nil), g) {
 		if c != 0 {
 			t.Fatalf("core[%d] = %d in edgeless graph, want 0", v, c)
 		}
 	}
-	if got := Numbers(graph.NewBuilder(0).Build()); len(got) != 0 {
+	if got := Numbers(runstate.New(nil), graph.NewBuilder(0).Build()); len(got) != 0 {
 		t.Fatalf("empty graph core numbers = %v", got)
 	}
 }
@@ -62,7 +55,7 @@ func TestNegativeWeightsIgnored(t *testing.T) {
 	b.AddEdge(0, 1, -5)
 	b.AddEdge(1, 2, -5)
 	b.AddEdge(0, 2, -5)
-	core := Numbers(b.Build())
+	core := Numbers(runstate.New(nil), b.Build())
 	for v, c := range core {
 		if c != 2 {
 			t.Fatalf("core[%d] = %d, want 2", v, c)
@@ -118,7 +111,7 @@ func TestMatchesBruteForce(t *testing.T) {
 			}
 		}
 		g := b.Build()
-		got, want := Numbers(g), bruteCore(g)
+		got, want := Numbers(runstate.New(nil), g), bruteCore(g)
 		for v := range got {
 			if got[v] != want[v] {
 				return false
@@ -150,7 +143,7 @@ func TestCoreBoundsPlantedClique(t *testing.T) {
 				b.AddEdge(u, v, 1)
 			}
 		}
-		core := Numbers(b.Build())
+		core := Numbers(runstate.New(nil), b.Build())
 		for v := 0; v < k; v++ {
 			if core[v]+1 < k {
 				t.Fatalf("core[%d]+1 = %d < planted clique size %d", v, core[v]+1, k)
@@ -173,11 +166,11 @@ func TestNumbersRSCancelled(t *testing.T) {
 	b.AddEdge(4, 5, 1)
 	b.AddEdge(5, 6, 1)
 	g := b.Build()
-	exact := Numbers(g)
+	exact := Numbers(runstate.New(nil), g)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	part := NumbersRS(g, runstate.New(ctx))
+	part := Numbers(runstate.New(ctx), g)
 	if len(part) != g.N() {
 		t.Fatalf("partial core numbers have length %d, want %d", len(part), g.N())
 	}
@@ -188,10 +181,10 @@ func TestNumbersRSCancelled(t *testing.T) {
 	}
 
 	// A live (uncancelled) State changes nothing.
-	live := NumbersRS(g, runstate.New(context.Background()))
+	live := Numbers(runstate.New(context.Background()), g)
 	for v := range live {
 		if live[v] != exact[v] {
-			t.Fatalf("NumbersRS with live state: core[%d] = %d, want %d", v, live[v], exact[v])
+			t.Fatalf("Numbers with live state: core[%d] = %d, want %d", v, live[v], exact[v])
 		}
 	}
 }

@@ -37,18 +37,12 @@ type Result struct {
 // average degree. Runs in O((m+n) log n) using an indexed heap.
 //
 // The empty graph yields an empty result; an edgeless graph yields a single
-// vertex with density 0.
-func Greedy(g *graph.Graph) Result {
-	return GreedyPar(g, 1)
-}
-
-// GreedyPar is Greedy with the peel distributed over at most workers
-// goroutines, on a fresh Peeler; see Peeler.Peel for the engine, its
-// parallel round design and cancellation. Results are bitwise identical at
-// every degree.
-func GreedyPar(g *graph.Graph, workers int) Result {
+// vertex with density 0. The peel runs on a fresh Peeler over at most
+// workers goroutines; see Peeler.Peel for the engine, its parallel round
+// design and cancellation. Results are bitwise identical at every degree.
+func Greedy(rs *runstate.State, g *graph.Graph, workers int) Result {
 	var p Peeler
-	return p.Peel(g, runstate.New(nil), workers, nil)
+	return p.Peel(rs, g, workers, nil)
 }
 
 // Peeler is the peel engine with its workspace: component arenas, the
@@ -122,7 +116,7 @@ type Peeler struct {
 // cooperative: each peel checkpoints once per pop, and a cancelled peel
 // merges whatever prefixes completed — still a valid subgraph with an exact
 // density, never empty on a non-empty graph.
-func (p *Peeler) Peel(g *graph.Graph, rs *runstate.State, workers int, S []int) Result {
+func (p *Peeler) Peel(rs *runstate.State, g *graph.Graph, workers int, S []int) Result {
 	n := g.N()
 	if n == 0 {
 		return Result{S: S[:0]}

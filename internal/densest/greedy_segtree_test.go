@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // Property: the segment-tree and heap implementations of greedy peeling are
@@ -22,7 +23,7 @@ func TestGreedySegTreeMatchesHeap(t *testing.T) {
 			}
 		}
 		g := b.Build()
-		a := Greedy(g)
+		a := Greedy(runstate.New(nil), g, 1)
 		s := GreedySegTree(g)
 		if a.Density != s.Density || len(a.S) != len(s.S) {
 			return false
@@ -59,7 +60,7 @@ func BenchmarkGreedyStructures(b *testing.B) {
 	g := gb.Build()
 	b.Run("heap", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Greedy(g)
+			Greedy(runstate.New(nil), g, 1)
 		}
 	})
 	b.Run("segtree", func(b *testing.B) {

@@ -24,15 +24,10 @@ const defaultImproveRounds = 32
 // previous tick's subgraph on a difference graph that has only drifted
 // locally, a handful of rounds re-tracks the optimum without a full peel.
 // Each round costs O(vol(S) + |N(S)|). An empty seed returns an empty result.
-func LocalImprove(g *graph.Graph, seed []int, maxRounds int) Result {
-	return LocalImproveRS(g, seed, maxRounds, runstate.New(nil))
-}
-
-// LocalImproveRS is LocalImprove with cooperative cancellation: an
-// interrupted search stops between moves and returns the current set — every
-// prefix of moves is a valid subgraph whose density is evaluated from
-// scratch on return.
-func LocalImproveRS(g *graph.Graph, seed []int, maxRounds int, rs *runstate.State) Result {
+// A search interrupted through rs stops between moves and returns the
+// current set — every prefix of moves is a valid subgraph whose density is
+// evaluated from scratch on return.
+func LocalImprove(rs *runstate.State, g *graph.Graph, seed []int, maxRounds int) Result {
 	if len(seed) == 0 {
 		return Result{}
 	}

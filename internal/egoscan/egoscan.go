@@ -16,7 +16,6 @@
 package egoscan
 
 import (
-	"context"
 	"sort"
 
 	"github.com/dcslib/dcs/internal/graph"
@@ -41,18 +40,9 @@ const maxGrowRounds = 8
 // Scan runs the ego-net scan on a difference graph and returns the best
 // total-weight subgraph found. Seeds are tried in decreasing positive
 // weighted degree, skipping vertices absorbed into an earlier candidate.
-func Scan(gd *graph.Graph) Result {
-	return scanRS(gd, runstate.New(nil))
-}
-
-// ScanCtx is Scan with cooperative cancellation: when ctx is done the scan
-// stops within one checkpoint interval and returns the best candidate found
-// so far, tagged Interrupted.
-func ScanCtx(ctx context.Context, gd *graph.Graph) Result {
-	return scanRS(gd, runstate.New(ctx))
-}
-
-func scanRS(gd *graph.Graph, rs *runstate.State) Result {
+// When rs is cancelled the scan stops within one checkpoint interval and
+// returns the best candidate found so far, tagged Interrupted.
+func Scan(rs *runstate.State, gd *graph.Graph) Result {
 	n := gd.N()
 	if n == 0 {
 		return Result{}

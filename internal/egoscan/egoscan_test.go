@@ -58,7 +58,7 @@ func TestScanFindsPositiveCluster(t *testing.T) {
 	b.AddEdge(5, 6, 1)
 	b.AddEdge(6, 7, -2)
 	gd := b.Build()
-	res := Scan(gd)
+	res := Scan(runstate.New(nil), gd)
 	if math.Abs(res.TotalWeight-24) > 1e-9 {
 		t.Fatalf("W = %v S=%v, want 24 on the K4", res.TotalWeight, res.S)
 	}
@@ -68,14 +68,14 @@ func TestScanAllNegative(t *testing.T) {
 	b := graph.NewBuilder(4)
 	b.AddEdge(0, 1, -1)
 	b.AddEdge(2, 3, -2)
-	res := Scan(b.Build())
+	res := Scan(runstate.New(nil), b.Build())
 	if res.TotalWeight != 0 || len(res.S) != 1 {
 		t.Fatalf("all-negative scan: %+v, want single vertex W=0", res)
 	}
 }
 
 func TestScanEmpty(t *testing.T) {
-	res := Scan(graph.NewBuilder(0).Build())
+	res := Scan(runstate.New(nil), graph.NewBuilder(0).Build())
 	if len(res.S) != 0 {
 		t.Fatalf("empty graph: %+v", res)
 	}
@@ -88,7 +88,7 @@ func TestScanBoundedByBruteForce(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(10)
 		gd := randomSignedGraph(rng, n, 0.5, 4)
-		res := Scan(gd)
+		res := Scan(runstate.New(nil), gd)
 		if len(res.S) == 0 {
 			return false
 		}
@@ -117,7 +117,7 @@ func TestScanPrefersLargeSets(t *testing.T) {
 		}
 	}
 	gd := b.Build()
-	res := Scan(gd)
+	res := Scan(runstate.New(nil), gd)
 	// Adding any positive-degree vertex helps total weight, so the result
 	// should cover most of the graph's positive component.
 	if len(res.S) < 20 {
@@ -164,7 +164,7 @@ func TestScanDeterministic(t *testing.T) {
 	})
 	want := []int{0, 1, 2, 3}
 	for i := 0; i < 200; i++ {
-		if got := Scan(gd).S; !slices.Equal(got, want) {
+		if got := Scan(runstate.New(nil), gd).S; !slices.Equal(got, want) {
 			t.Fatalf("run %d: Scan returned %v, want %v", i, got, want)
 		}
 	}

@@ -30,6 +30,7 @@ import (
 
 	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // DefaultResyncEvery is the incremental engine's exactness knob when
@@ -278,10 +279,10 @@ func (t *Tracker) CheckpointState() (expect, last *graph.Graph, step int) {
 
 // mineFull runs the configured solver on a full difference graph and builds
 // the (step-less) report plus the solver's raw answer for warm-starting.
-func (t *Tracker) mineFull(ctx context.Context, gd *graph.Graph) (rep Report, solved []int) {
+func (t *Tracker) mineFull(rs *runstate.State, gd *graph.Graph) (rep Report, solved []int) {
 	rep.Mode = ModeScratch
 	if t.cfg.GA {
-		res := core.NewSEACtx(ctx, gd, t.cfg.Opt)
+		res := core.NewSEA(rs, gd, t.cfg.Opt)
 		rep.Interrupted = res.Interrupted
 		if res.Affinity > t.cfg.MinDensity {
 			rep.S = res.S
@@ -290,7 +291,7 @@ func (t *Tracker) mineFull(ctx context.Context, gd *graph.Graph) (rep Report, so
 		}
 		return rep, res.S
 	}
-	res := core.DCSGreedyCtx(ctx, gd, 1)
+	res := core.DCSGreedy(rs, gd, 1)
 	rep.Interrupted = res.Interrupted
 	if res.Density > t.cfg.MinDensity {
 		rep.S = res.S
@@ -362,7 +363,7 @@ func (t *Tracker) ObserveCtx(ctx context.Context, observed *graph.Graph) (Report
 	// Mine and fold on the immutable snapshot — no tracker lock held, so
 	// reads and checkpoints proceed during the solve.
 	gd := graph.Difference(expect, observed)
-	rep, solved := t.mineFull(ctx, gd)
+	rep, solved := t.mineFull(runstate.New(ctx), gd)
 	newExpect := graph.Blend(expect, observed, 1-t.cfg.Lambda, t.cfg.Lambda)
 
 	t.mu.Lock()

@@ -8,6 +8,7 @@ import (
 
 	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // maxRegion bounds the warm-start region: a delta whose one-hop reach (plus
@@ -48,7 +49,7 @@ func validateDelta(n int, delta []graph.Edge) error {
 //     moved the answer through — the previous subgraph, the delta's
 //     vertices, and their difference-graph neighbors — is extracted and
 //     solved, warm-started from the previous subgraph
-//     (core.DCSGreedyWarmCtx / core.NewSEAWarmCtx). Everything outside the
+//     (core.DCSGreedyWarm / core.NewSEAWarm). Everything outside the
 //     region decayed uniformly since last tick, so relative densities there
 //     are unchanged and the argmax can only have shifted through the delta.
 //   - Scratch: the full maintained difference graph is solved exactly like a
@@ -84,6 +85,7 @@ func (t *Tracker) ObserveDeltaCtx(ctx context.Context, delta []graph.Edge) (Repo
 	scratch := prevS == nil || t.sinceScratch+1 >= t.cfg.ResyncEvery
 	t.mu.Unlock()
 
+	rs := runstate.New(ctx)
 	var rep Report
 	var solved []int
 	if !scratch {
@@ -91,7 +93,7 @@ func (t *Tracker) ObserveDeltaCtx(ctx context.Context, delta []graph.Edge) (Repo
 		if !ok {
 			scratch = true
 		} else {
-			rep, solved = t.mineRegion(ctx, mt, region, prevS)
+			rep, solved = t.mineRegion(rs, mt, region, prevS)
 			// Drift rule: a verdict flip must be confirmed globally —
 			// the region solve cannot see a faraway set that crossed
 			// the threshold by pure decay, nor certify that the old
@@ -105,7 +107,7 @@ func (t *Tracker) ObserveDeltaCtx(ctx context.Context, delta []graph.Edge) (Repo
 		t.mu.Lock()
 		gd := mt.DiffGraph()
 		t.mu.Unlock()
-		rep, solved = t.mineFull(ctx, gd)
+		rep, solved = t.mineFull(rs, gd)
 	}
 
 	t.mu.Lock()
@@ -161,12 +163,12 @@ func (t *Tracker) warmRegion(mt *graph.Maintainer, prevS, touched []int) (region
 // tracker's vertex ids. Densities and affinities on the induced graph equal
 // those of the mapped sets on the full difference graph, since the induced
 // subgraph keeps every edge among region members.
-func (t *Tracker) mineRegion(ctx context.Context, mt *graph.Maintainer, region, prevS []int) (rep Report, solved []int) {
+func (t *Tracker) mineRegion(rs *runstate.State, mt *graph.Maintainer, region, prevS []int) (rep Report, solved []int) {
 	ind, orig := mt.DiffInduced(region)
 	prior := localize(region, prevS)
 	rep.Mode = ModeIncremental
 	if t.cfg.GA {
-		res, hit := core.NewSEAWarmCtx(ctx, ind, prior, t.cfg.Opt)
+		res, hit := core.NewSEAWarm(rs, ind, prior, t.cfg.Opt)
 		rep.Interrupted = res.Interrupted
 		rep.WarmHit = hit
 		solved = mapBack(orig, res.S)
@@ -177,7 +179,7 @@ func (t *Tracker) mineRegion(ctx context.Context, mt *graph.Maintainer, region, 
 		}
 		return rep, solved
 	}
-	res, hit := core.DCSGreedyWarmCtx(ctx, ind, prior)
+	res, hit := core.DCSGreedyWarm(rs, ind, prior)
 	rep.Interrupted = res.Interrupted
 	rep.WarmHit = hit
 	solved = mapBack(orig, res.S)

@@ -1,10 +1,11 @@
 // Analyzer ctxflow: cancellation must flow from the caller, never be
 // manufactured in library code.
 //
-// The cancellation chain (PR 3/6/9) is ctx → runstate.State → solver
-// checkpoint polls. A library function that calls context.Background() or
-// context.TODO() silently severs that chain: everything downstream of it
-// becomes uncancellable no matter what the caller passed. So:
+// The cancellation chain is ctx → runstate.State → solver checkpoint polls:
+// the public API turns the caller's ctx into a State once, and every solver
+// below it takes that State. Two calls silently sever the chain —
+// everything downstream becomes uncancellable no matter what the caller
+// passed. So:
 //
 //   - Library code — every package except package main (binary entry
 //     points under cmd/ and examples/ own their root context) — must not
@@ -12,12 +13,9 @@
 //     carries a `//lint:allow ctxflow -- ...` directive with its reason
 //     (the one in the module is serve's detached async jobs).
 //
-//   - A function that has a ctx in scope must thread it: every same-module
-//     callee that has a Ctx-variant sibling (a function named <F>Ctx whose
-//     first parameter is a context.Context — recorded as CtxVariantFact,
-//     so the check crosses package boundaries) must be called through that
-//     variant. Calling plain <F> from ctx-bearing code quietly discards
-//     the caller's deadline and cancel signal.
+//   - A function that has a ctx in scope must not call runstate.New(nil):
+//     that State can never be cancelled, so the solver it is handed ignores
+//     the caller's deadline and cancel signal. runstate.New(ctx) threads it.
 package lint
 
 import (
@@ -28,24 +26,14 @@ import (
 
 var Ctxflow = &Analyzer{
 	Name: "ctxflow",
-	Doc:  "library code must not manufacture contexts (Background/TODO) and must thread a received ctx to Ctx-variant callees",
+	Doc:  "library code must not manufacture contexts (Background/TODO) and must not build an uncancellable runstate.State with a ctx in scope",
 	Run:  runCtxflow,
 }
-
-// CtxVariantFact is exported on a function F when its package also declares
-// FCtx taking a context.Context: callers holding a ctx must use the
-// variant.
-type CtxVariantFact struct {
-	Variant string
-}
-
-func (*CtxVariantFact) AFact() {}
 
 func runCtxflow(pass *Pass) error {
 	if isMainPackage(pass.Pkg) {
 		return nil
 	}
-	variants := exportCtxVariants(pass)
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -60,28 +48,8 @@ func runCtxflow(pass *Pass) error {
 				}
 				if name, made := contextConstructor(pass, call); made {
 					pass.Reportf(call.Pos(), "context.%s() in library code severs the caller's cancellation chain: accept a ctx parameter and pass it through (binary entry points, package main, own root contexts; a deliberate exception carries a function-level lint:allow)", name)
-					return true
-				}
-				if !hasCtx {
-					return true
-				}
-				fn := calleeAnyFunc(pass, call)
-				if fn == nil {
-					return true
-				}
-				variant := ""
-				if v, ok := variants[fn]; ok {
-					variant = v
-				} else {
-					var fact CtxVariantFact
-					if pass.ImportObjectFact(fn, &fact) {
-						variant = fact.Variant
-					}
-				}
-				if variant != "" && fn.Name()+"Ctx" != fd.Name.Name {
-					// (the second clause exempts a Ctx variant implemented by
-					// delegating to its own plain sibling)
-					pass.Reportf(call.Pos(), "ctx is in scope but %s discards it: call %s and pass the ctx so cancellation reaches the solver", fn.Name(), variant)
+				} else if hasCtx && isUncancellableState(pass, call) {
+					pass.Reportf(call.Pos(), "ctx is in scope but runstate.New(nil) builds a State that can never be cancelled: call runstate.New(ctx) so cancellation reaches the solver")
 				}
 				return true
 			})
@@ -90,64 +58,15 @@ func runCtxflow(pass *Pass) error {
 	return nil
 }
 
-// exportCtxVariants pairs each function F with a same-receiver sibling FCtx
-// whose first parameter is a context.Context, exporting CtxVariantFact on F.
-func exportCtxVariants(pass *Pass) map[*types.Func]string {
-	type declKey struct{ recv, name string }
-	decls := map[declKey]*types.Func{}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			fn, ok := pass.Info.Defs[fd.Name].(*types.Func)
-			if !ok {
-				continue
-			}
-			decls[declKey{recvTypeName(fn), fn.Name()}] = fn
-		}
-	}
-	out := map[*types.Func]string{}
-	for k, fn := range decls {
-		if strings.HasSuffix(k.name, "Ctx") {
-			continue
-		}
-		vfn, ok := decls[declKey{k.recv, k.name + "Ctx"}]
-		if !ok || !firstParamIsContext(vfn) {
-			continue
-		}
-		name := vfn.Name()
-		if k.recv != "" {
-			name = k.recv + "." + name
-		}
-		out[fn] = name
-		pass.ExportObjectFact(fn, &CtxVariantFact{Variant: name})
-	}
-	return out
-}
-
-func recvTypeName(fn *types.Func) string {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Recv() == nil {
-		return ""
-	}
-	t := sig.Recv().Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		return named.Obj().Name()
-	}
-	return ""
-}
-
-func firstParamIsContext(fn *types.Func) bool {
-	sig, ok := fn.Type().(*types.Signature)
-	if !ok || sig.Params().Len() == 0 {
+// isUncancellableState matches runstate.New(nil).
+func isUncancellableState(pass *Pass, call *ast.CallExpr) bool {
+	fn := calleeAnyFunc(pass, call)
+	if fn == nil || fn.Name() != "New" || fn.Pkg() == nil ||
+		!strings.HasSuffix(fn.Pkg().Path(), "/internal/runstate") || len(call.Args) != 1 {
 		return false
 	}
-	return isContextType(sig.Params().At(0).Type())
+	tv, ok := pass.Info.Types[call.Args[0]]
+	return ok && tv.IsNil()
 }
 
 func isContextType(t types.Type) bool {

@@ -26,10 +26,10 @@
 //     packages are checked too.
 //
 //   - ctxflow: library code must not mint root contexts — the
-//     cancellation capability flows down from the caller (PR 3/9) — and a
-//     function holding a ctx must call the Ctx variant of any callee that
-//     has one. Binary entry points (package main) own their root
-//     contexts.
+//     cancellation capability flows down from the caller — and a function
+//     holding a ctx must not build an uncancellable runstate.New(nil) for
+//     the solvers below it. Binary entry points (package main) own their
+//     root contexts.
 //
 // Two contracts are guarded at run time instead, by tests: graph storage is
 // never written (internal/partest snapshots every fixture around each solver

@@ -1,12 +1,11 @@
 // Package lib is library code: manufacturing contexts is banned, and a
-// received ctx must be threaded to every callee with a Ctx variant —
-// including variants known only through an imported fact.
+// function holding a ctx must hand it to the run state it builds.
 package lib
 
 import (
 	"context"
 
-	"ctxf.example/internal/solver"
+	"ctxf.example/internal/runstate"
 )
 
 func manufactured(n int) int {
@@ -19,59 +18,23 @@ func todo(n int) int {
 	return n
 }
 
-// solver.Solve's Ctx variant is known here only via CtxVariantFact.
-func discards(ctx context.Context, n int) int {
-	return solver.Solve(n) // want "ctx is in scope but Solve discards it"
+func discards(ctx context.Context) *runstate.State {
+	return runstate.New(nil) // want "ctx is in scope but runstate.New\\(nil\\)"
 }
 
-func threads(ctx context.Context, n int) int {
-	return solver.SolveCtx(ctx, n)
+func threads(ctx context.Context) *runstate.State {
+	return runstate.New(ctx)
 }
 
 // With no ctx in scope there is nothing to thread.
-func noCtx(n int) int {
-	return solver.Solve(n)
+func noCtx() *runstate.State {
+	return runstate.New(nil)
 }
 
-func mine(n int) int { return n }
-
-func mineCtx(ctx context.Context, n int) int {
-	_ = ctx
-	return n
-}
-
-func discardsLocal(ctx context.Context, n int) int {
-	return mine(n) // want "ctx is in scope but mine discards it"
-}
-
-func lower(n int) int { return n }
-
-// A Ctx variant delegating to its own plain sibling is the pairing itself,
-// not a discard.
-func lowerCtx(ctx context.Context, n int) int {
-	poll(ctx)
-	return lower(n)
-}
-
-func poll(ctx context.Context) { _ = ctx }
-
-type Engine struct{}
-
-func (e *Engine) Run(n int) int { return n }
-
-func (e *Engine) RunCtx(ctx context.Context, n int) int {
-	_ = ctx
-	return n
-}
-
-func useEngine(ctx context.Context, e *Engine, n int) int {
-	return e.Run(n) // want "ctx is in scope but Run discards it"
-}
-
-// shim mirrors the public non-Ctx wrappers: the function-level directive
-// suppresses the whole body and exports the documenting AllowFact.
+// shim mirrors a documented never-cancelled entry point: the function-level
+// directive suppresses the whole body and exports the documenting AllowFact.
 //
 //lint:allow ctxflow -- fixture shim: never-cancelled root context by contract
-func shim(n int) int {
-	return solver.SolveCtx(context.Background(), n)
+func shim() *runstate.State {
+	return runstate.New(context.Background())
 }

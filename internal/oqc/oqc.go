@@ -29,15 +29,10 @@ type Result struct {
 // vertex: repeatedly add the outside vertex with the largest positive gain,
 // then drop inside vertices with negative gain, until neither move improves.
 // Each move strictly increases f_α, so termination is guaranteed; maxMoves
-// (≤ 0 means 4n) caps pathological cases.
-func LocalSearch(g *graph.Graph, alpha float64, seed, maxMoves int) Result {
-	return LocalSearchRS(g, alpha, seed, maxMoves, runstate.New(nil))
-}
-
-// LocalSearchRS is LocalSearch with cooperative cancellation: an interrupted
-// climb stops between moves and returns the current (always valid) set, whose
+// (≤ 0 means 4n) caps pathological cases. A climb interrupted through rs
+// stops between moves and returns the current (always valid) set, whose
 // surplus is at least the seed's.
-func LocalSearchRS(g *graph.Graph, alpha float64, seed, maxMoves int, rs *runstate.State) Result {
+func LocalSearch(rs *runstate.State, g *graph.Graph, alpha float64, seed, maxMoves int) Result {
 	n := g.N()
 	if maxMoves <= 0 {
 		maxMoves = 4 * n
@@ -116,15 +111,10 @@ func LocalSearchRS(g *graph.Graph, alpha float64, seed, maxMoves int, rs *runsta
 }
 
 // Best runs LocalSearch from the k highest-positive-degree seeds (k ≤ 0
-// means 16) and keeps the largest surplus.
-func Best(g *graph.Graph, alpha float64, k int) Result {
-	return BestRS(g, alpha, k, runstate.New(nil))
-}
-
-// BestRS is Best with cooperative cancellation: an interrupted run returns
-// the best result over the seeds finished so far (Surplus: -1e300 sentinel if
+// means 16) and keeps the largest surplus. An interrupted run returns the
+// best result over the seeds finished so far (Surplus: -1e300 sentinel if
 // none completed).
-func BestRS(g *graph.Graph, alpha float64, k int, rs *runstate.State) Result {
+func Best(rs *runstate.State, g *graph.Graph, alpha float64, k int) Result {
 	n := g.N()
 	if n == 0 {
 		return Result{}
@@ -161,7 +151,7 @@ func BestRS(g *graph.Graph, alpha float64, k int, rs *runstate.State) Result {
 		if rs.Checkpoint() {
 			break // best over the seeds finished so far
 		}
-		if r := LocalSearchRS(g, alpha, s, 0, rs); r.Surplus > best.Surplus {
+		if r := LocalSearch(rs, g, alpha, s, 0); r.Surplus > best.Surplus {
 			best = r
 		}
 	}

@@ -24,7 +24,7 @@ func TestLocalSearchFindsPlantedClique(t *testing.T) {
 	b.AddEdge(6, 7, 1)
 	b.AddEdge(8, 9, 1)
 	g := b.Build()
-	res := Best(g, 0.9, 0)
+	res := Best(runstate.New(nil), g, 0.9, 0)
 	if len(res.S) != 6 {
 		t.Fatalf("S = %v, want the planted K6", res.S)
 	}
@@ -58,8 +58,8 @@ func TestAlphaControlsSize(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	loose := Best(g, 0.1, 0)
-	tight := Best(g, 0.95, 0)
+	loose := Best(runstate.New(nil), g, 0.1, 0)
+	tight := Best(runstate.New(nil), g, 0.95, 0)
 	if len(loose.S) <= len(tight.S) {
 		t.Fatalf("α=0.1 gave %d vertices, α=0.95 gave %d — want loose > tight",
 			len(loose.S), len(tight.S))
@@ -83,7 +83,7 @@ func TestLocalSearchInvariants(t *testing.T) {
 		g := b.Build()
 		alpha := rng.Float64() * 1.5
 		s := rng.Intn(n)
-		res := LocalSearch(g, alpha, s, 0)
+		res := LocalSearch(runstate.New(nil), g, alpha, s, 0)
 		if len(res.S) == 0 {
 			return false
 		}
@@ -109,14 +109,14 @@ func TestOnSignedDifferenceGraph(t *testing.T) {
 	b.AddEdge(4, 5, -3)
 	b.AddEdge(5, 6, -3)
 	g := b.Build()
-	res := Best(g, 0.5, 0)
+	res := Best(runstate.New(nil), g, 0.5, 0)
 	if len(res.S) != 4 || res.Surplus <= 0 {
 		t.Fatalf("signed OQC failed: %+v", res)
 	}
 }
 
 func TestBestEmptyGraph(t *testing.T) {
-	if res := Best(graph.NewBuilder(0).Build(), 0.5, 0); len(res.S) != 0 {
+	if res := Best(runstate.New(nil), graph.NewBuilder(0).Build(), 0.5, 0); len(res.S) != 0 {
 		t.Fatalf("empty graph: %+v", res)
 	}
 }
@@ -127,35 +127,35 @@ func TestLocalSearchRSCancelled(t *testing.T) {
 	g := graph.Complete(6, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := LocalSearchRS(g, 0.9, 2, 0, runstate.New(ctx))
+	res := LocalSearch(runstate.New(ctx), g, 0.9, 2, 0)
 	if len(res.S) != 1 || res.S[0] != 2 {
-		t.Fatalf("cancelled LocalSearchRS returned S = %v, want just the seed [2]", res.S)
+		t.Fatalf("cancelled LocalSearch returned S = %v, want just the seed [2]", res.S)
 	}
 
 	// A live State reproduces the uncancelled search exactly.
-	want := LocalSearch(g, 0.9, 2, 0)
-	got := LocalSearchRS(g, 0.9, 2, 0, runstate.New(context.Background()))
+	want := LocalSearch(runstate.New(nil), g, 0.9, 2, 0)
+	got := LocalSearch(runstate.New(context.Background()), g, 0.9, 2, 0)
 	if len(got.S) != len(want.S) {
-		t.Fatalf("live LocalSearchRS S = %v, want %v", got.S, want.S)
+		t.Fatalf("live LocalSearch S = %v, want %v", got.S, want.S)
 	}
 	for i := range got.S {
 		if got.S[i] != want.S[i] {
-			t.Fatalf("live LocalSearchRS S = %v, want %v", got.S, want.S)
+			t.Fatalf("live LocalSearch S = %v, want %v", got.S, want.S)
 		}
 	}
 }
 
 func TestBestRSCancelled(t *testing.T) {
-	// With no seed finished, BestRS hands back the documented sentinel
+	// With no seed finished, Best hands back the documented sentinel
 	// instead of hanging or fabricating a set.
 	g := graph.Complete(6, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := BestRS(g, 0.9, 4, runstate.New(ctx))
+	res := Best(runstate.New(ctx), g, 0.9, 4)
 	if len(res.S) != 0 {
-		t.Fatalf("cancelled BestRS returned S = %v, want no set", res.S)
+		t.Fatalf("cancelled Best returned S = %v, want no set", res.S)
 	}
 	if res.Surplus > -1e299 {
-		t.Fatalf("cancelled BestRS surplus = %v, want the -1e300 sentinel", res.Surplus)
+		t.Fatalf("cancelled Best surplus = %v, want the -1e300 sentinel", res.Surplus)
 	}
 }

@@ -1,7 +1,6 @@
 package partest
 
 import (
-	"context"
 	"math/rand"
 	"os"
 	"reflect"
@@ -12,6 +11,7 @@ import (
 	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/densest"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // TestMain raises GOMAXPROCS so that degree 8 of the ladder is a real
@@ -47,9 +47,10 @@ func adFixtures(rng *rand.Rand) []fixture {
 }
 
 // The equivalence tests below run every fixture on each storage layout
-// (forEachLayout): the sequential reference solves the heap fixture, every
-// degree of the ladder solves the layout's copy, and unchanged checks after
-// each solver call that no graph was written.
+// (forEachLayout): the reference is the same solver at degree 1 on a
+// never-cancelled State, run on the heap fixture; every degree of the ladder
+// solves the layout's copy, and unchanged checks after each solver call that
+// no graph was written.
 
 func TestGreedyParMatchesSequential(t *testing.T) {
 	forEachLayout(t, func(t *testing.T, load func(*graph.Graph) *graph.Graph) {
@@ -58,11 +59,11 @@ func TestGreedyParMatchesSequential(t *testing.T) {
 			for _, fx := range adFixtures(rng) {
 				g := load(fx.g)
 				check := unchanged(t, fx.g, g)
-				seq := densest.Greedy(fx.g)
+				seq := densest.Greedy(runstate.New(nil), fx.g, 1)
 				check("%s round %d: Greedy", fx.name, round)
 				for _, deg := range Degrees {
-					got := densest.GreedyPar(g, deg)
-					check("%s round %d: GreedyPar degree %d", fx.name, round, deg)
+					got := densest.Greedy(runstate.New(nil), g, deg)
+					check("%s round %d: Greedy degree %d", fx.name, round, deg)
 					if got.Density != seq.Density {
 						t.Fatalf("%s round %d degree %d: density %v, sequential %v",
 							fx.name, round, deg, got.Density, seq.Density)
@@ -84,14 +85,14 @@ func TestDCSGreedyParMatchesSequential(t *testing.T) {
 			for _, fx := range adFixtures(rng) {
 				g := load(fx.g)
 				check := unchanged(t, fx.g, g)
-				seq := core.DCSGreedy(fx.g)
+				seq := core.DCSGreedy(runstate.New(nil), fx.g, 1)
 				check("%s round %d: DCSGreedy", fx.name, round)
 				if err := core.ValidateAD(fx.g, seq); err != nil {
 					t.Fatalf("%s round %d: sequential result invalid: %v", fx.name, round, err)
 				}
 				for _, deg := range Degrees {
-					got := core.DCSGreedyCtx(context.Background(), g, deg)
-					check("%s round %d: DCSGreedyCtx degree %d", fx.name, round, deg)
+					got := core.DCSGreedy(runstate.New(nil), g, deg)
+					check("%s round %d: DCSGreedy degree %d", fx.name, round, deg)
 					if !reflect.DeepEqual(got, seq) {
 						t.Fatalf("%s round %d degree %d:\n got %+v\nwant %+v", fx.name, round, deg, got, seq)
 					}
@@ -111,11 +112,11 @@ func TestTopKParMatchesSequential(t *testing.T) {
 			for _, fx := range adFixtures(rng) {
 				g := load(fx.g)
 				check := unchanged(t, fx.g, g)
-				seq := core.TopKAverageDegree(fx.g, 4)
+				seq, _ := core.TopKAverageDegree(runstate.New(nil), fx.g, 4, 1)
 				check("%s round %d: TopKAverageDegree", fx.name, round)
 				for _, deg := range Degrees {
-					got, _ := core.TopKAverageDegreeCtx(context.Background(), g, 4, deg)
-					check("%s round %d: TopKAverageDegreeCtx degree %d", fx.name, round, deg)
+					got, _ := core.TopKAverageDegree(runstate.New(nil), g, 4, deg)
+					check("%s round %d: TopKAverageDegree degree %d", fx.name, round, deg)
 					if !reflect.DeepEqual(got, seq) {
 						t.Fatalf("%s round %d degree %d:\n got %+v\nwant %+v", fx.name, round, deg, got, seq)
 					}
@@ -148,11 +149,11 @@ func TestRatioParMatchesSequential(t *testing.T) {
 				h1, h2 := PositivePair(rng, tc.n, tc.p, tc.overlap)
 				g1, g2 := load(h1), load(h2)
 				check := unchanged(t, h1, h2, g1, g2)
-				seq := core.MaxRatioContrast(h1, h2)
+				seq := core.MaxRatioContrast(runstate.New(nil), h1, h2, 1)
 				check("%s round %d: MaxRatioContrast", tc.name, round)
 				for _, deg := range Degrees {
-					got := core.MaxRatioContrastCtx(context.Background(), g1, g2, deg)
-					check("%s round %d: MaxRatioContrastCtx degree %d", tc.name, round, deg)
+					got := core.MaxRatioContrast(runstate.New(nil), g1, g2, deg)
+					check("%s round %d: MaxRatioContrast degree %d", tc.name, round, deg)
 					if !reflect.DeepEqual(got, seq) {
 						t.Fatalf("%s round %d degree %d:\n got %+v\nwant %+v", tc.name, round, deg, got, seq)
 					}

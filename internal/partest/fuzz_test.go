@@ -6,6 +6,7 @@ import (
 
 	"github.com/dcslib/dcs/internal/densest"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // graphFromBytes decodes fuzz input into a small graph: byte 0 picks the
@@ -55,7 +56,7 @@ func FuzzPeelMerge(f *testing.F) {
 		}
 		oracle := densest.GreedySegTree(g)
 		for _, deg := range Degrees {
-			got := densest.GreedyPar(g, deg)
+			got := densest.Greedy(runstate.New(nil), g, deg)
 			if got.Density != oracle.Density {
 				t.Fatalf("degree %d: density %v, oracle %v", deg, got.Density, oracle.Density)
 			}

@@ -19,11 +19,12 @@ import (
 	"github.com/dcslib/dcs/internal/graph"
 )
 
-// Degrees is the parallelism ladder the equivalence tests assert over. 1 is
-// the sequential reference, 2 exercises the minimal fork/merge, 8 exceeds
-// the component count of the small fixtures so worker starvation and task
-// claiming are on the path. TestMain raises GOMAXPROCS so 8 is a real degree
-// even on small CI machines.
+// Degrees is the parallelism ladder the equivalence tests assert over. 1
+// runs every task inline, the path each degree is compared against; 2
+// exercises the minimal fork/merge; 8 exceeds the component count of the
+// small fixtures so worker starvation and task claiming are on the path.
+// TestMain raises GOMAXPROCS so 8 is a real degree even on small CI
+// machines.
 var Degrees = []int{1, 2, 8}
 
 // RandomSigned is a G(n, p) graph with integer weights in [-wmax, wmax]

@@ -10,6 +10,7 @@ import (
 
 	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/densest"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // TestConcurrentSolvesSharedGraph runs many parallel solves against the SAME
@@ -22,9 +23,9 @@ func TestConcurrentSolvesSharedGraph(t *testing.T) {
 	gd := Disconnected(rng, 9, 10, 5)
 	g1, g2 := PositivePair(rng, 30, 0.3, 1.0)
 
-	wantAD := core.DCSGreedy(gd)
-	wantTopK := core.TopKAverageDegree(gd, 3)
-	wantRatio := core.MaxRatioContrast(g1, g2)
+	wantAD := core.DCSGreedy(runstate.New(nil), gd, 1)
+	wantTopK, _ := core.TopKAverageDegree(runstate.New(nil), gd, 3, 1)
+	wantRatio := core.MaxRatioContrast(runstate.New(nil), g1, g2, 1)
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -34,14 +35,14 @@ func TestConcurrentSolvesSharedGraph(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if got := core.DCSGreedyCtx(context.Background(), gd, deg); !reflect.DeepEqual(got, wantAD) {
-				errs <- "DCSGreedyCtx diverged under concurrency"
+			if got := core.DCSGreedy(runstate.New(nil), gd, deg); !reflect.DeepEqual(got, wantAD) {
+				errs <- "DCSGreedy diverged under concurrency"
 			}
-			if got, _ := core.TopKAverageDegreeCtx(context.Background(), gd, 3, deg); !reflect.DeepEqual(got, wantTopK) {
-				errs <- "TopKAverageDegreeCtx diverged under concurrency"
+			if got, _ := core.TopKAverageDegree(runstate.New(nil), gd, 3, deg); !reflect.DeepEqual(got, wantTopK) {
+				errs <- "TopKAverageDegree diverged under concurrency"
 			}
-			if got := core.MaxRatioContrastCtx(context.Background(), g1, g2, deg); !reflect.DeepEqual(got, wantRatio) {
-				errs <- "MaxRatioContrastCtx diverged under concurrency"
+			if got := core.MaxRatioContrast(runstate.New(nil), g1, g2, deg); !reflect.DeepEqual(got, wantRatio) {
+				errs <- "MaxRatioContrast diverged under concurrency"
 			}
 		}()
 	}
@@ -64,7 +65,7 @@ func TestCancelBeforeSolve(t *testing.T) {
 	cancel()
 	for _, deg := range Degrees {
 		start := time.Now()
-		res := core.DCSGreedyCtx(ctx, gd, deg)
+		res := core.DCSGreedy(runstate.New(ctx), gd, deg)
 		if elapsed := time.Since(start); elapsed > 10*time.Second {
 			t.Fatalf("degree %d: cancelled solve took %v", deg, elapsed)
 		}
@@ -94,7 +95,7 @@ func TestCancelMidRound(t *testing.T) {
 	for _, deg := range Degrees {
 		ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
 		start := time.Now()
-		res := core.DCSGreedyCtx(ctx, gd, deg)
+		res := core.DCSGreedy(runstate.New(ctx), gd, deg)
 		elapsed := time.Since(start)
 		cancel()
 		if elapsed > 10*time.Second {
@@ -122,7 +123,7 @@ func TestCancelMidRound(t *testing.T) {
 func TestGreedyParManyComponentsStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	g := Disconnected(rng, 25, 40, 6)
-	want := densest.Greedy(g)
+	want := densest.Greedy(runstate.New(nil), g, 1)
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		deg := Degrees[i%len(Degrees)]
@@ -130,7 +131,7 @@ func TestGreedyParManyComponentsStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 10; r++ {
-				got := densest.GreedyPar(g, deg)
+				got := densest.Greedy(runstate.New(nil), g, deg)
 				if got.Density != want.Density || !reflect.DeepEqual(got.S, want.S) {
 					t.Errorf("degree %d: diverged from sequential", deg)
 					return

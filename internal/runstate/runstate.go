@@ -1,10 +1,14 @@
 // Package runstate threads cooperative cancellation through solver inner
 // loops. The DCS problems are NP-hard, so a caller can never predict how long
-// one request will run; every long-running loop in internal/core, densest and
-// egoscan therefore carries a State and polls it at a fixed amortized rate.
-// When the underlying context is cancelled (client disconnect, deadline, an
-// explicit job cancel) the solver unwinds within one checkpoint interval and
-// returns its best-so-far partial result, tagged Interrupted.
+// one request will run; every long-running loop in the solver packages
+// (internal/core, densest, egoscan, oqc, cores) therefore carries a State and
+// polls it at a fixed amortized rate. A context exists only at the API
+// boundary: the public entry points (package dcs, the evolve tracker) build
+// one State per call with New(ctx), and every solver takes that State as its
+// first parameter. When the underlying context is cancelled (client
+// disconnect, deadline, an explicit job cancel) the solver unwinds within one
+// checkpoint interval and returns its best-so-far partial result, tagged
+// Interrupted.
 //
 // The design keeps the uncancellable path free: a State built from a nil or
 // Background context has no done channel, and Checkpoint then reduces to two
@@ -31,7 +35,9 @@ type State struct {
 
 // New derives a State from ctx. A nil context behaves like
 // context.Background(): the run can never be interrupted and checkpoints are
-// (almost) free.
+// (almost) free. New(nil) is for callers with no cancellation source (batch
+// experiments, offline topic mining); a function holding a ctx passes it,
+// which dcsvet's ctxflow analyzer enforces.
 func New(ctx context.Context) *State {
 	if ctx == nil {
 		return &State{}

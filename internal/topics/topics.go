@@ -17,6 +17,7 @@ import (
 
 	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/runstate"
 )
 
 // DefaultStopwords is a compact English stopword list adequate for titles.
@@ -192,7 +193,7 @@ func (m *Model) TopOfEra(era, k int) []Topic {
 }
 
 func (m *Model) top(gd *graph.Graph, k int) []Topic {
-	cliques := core.CollectCliques(gd, m.opt.GA)
+	cliques, _ := core.CollectCliques(runstate.New(nil), gd, m.opt.GA)
 	var out []Topic
 	for i, c := range cliques {
 		if i >= k {
