@@ -43,8 +43,8 @@ bench:
 
 # The single lint gate: formatting, go vet, the repo's own analyzers, and
 # staticcheck. dcsvet is the part generic linters cannot replace — it
-# enforces the solver-cancellation, determinism, lock-annotation and
-# context-threading invariants documented in CONTRIBUTING.md.
+# enforces the solver-cancellation, lock-annotation and context-threading
+# invariants documented in CONTRIBUTING.md.
 lint: fmt vet dcsvet staticcheck
 
 # The inner-loop lint: formatting plus the repo's own analyzers, which

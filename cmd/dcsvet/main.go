@@ -1,5 +1,5 @@
 // Command dcsvet is the repo's multichecker: it composes the internal/lint
-// analyzers (loopcheck, floatdet, guardedby, ctxflow) over the packages
+// analyzers (loopcheck, guardedby, ctxflow) over the packages
 // matched by its arguments, type-checking and analyzing every package
 // afresh on each run, and exits non-zero on any finding.
 //
@@ -27,7 +27,7 @@
 //	//lint:allow <analyzer> -- <reason>
 //
 // on or immediately above the flagged line, or in a function's doc comment
-// to cover (and fact-annotate) the whole function; an allow without a
+// to cover the whole function; an allow without a
 // reason is itself a finding. See CONTRIBUTING.md for the enforced
 // invariants.
 package main

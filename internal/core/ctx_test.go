@@ -150,6 +150,70 @@ func TestCollectCliquesCtxPartial(t *testing.T) {
 	}
 }
 
+// TestCollectCliquesKeepsCompletedInits pins the partial answer without
+// timing: the first half of the inits complete, the State is then latched,
+// so the second half are skipped, and the harvest must still return every
+// positive clique the completed inits found (each one, or a clique
+// containing it) and nothing from the skipped ones.
+func TestCollectCliquesKeepsCompletedInits(t *testing.T) {
+	gd := randomDiffGraph(150, 0.2, 4)
+	gdp := gd.PositivePartCompact()
+	var starts []int
+	for u := 0; u < gd.N(); u++ {
+		if gdp.OutDegree(u) > 0 {
+			starts = append(starts, u)
+		}
+	}
+	opt := GAOptions{}.withDefaults()
+	ctx, cancel := context.WithCancel(context.Background())
+	rs := runstate.New(ctx)
+	half := len(starts) / 2
+	done, _ := forEachInit(gdp, starts[:half], false, opt, rs)
+	cancel()
+	if !rs.Cancelled() {
+		t.Fatal("State not latched after cancel")
+	}
+	skipped, interrupted := forEachInit(gdp, starts[half:], false, opt, rs)
+	if !interrupted {
+		t.Fatal("inits after the latch not reported interrupted")
+	}
+	got := harvestCliques(gdp, append(done, skipped...))
+	if len(got) == 0 {
+		t.Fatal("interrupted harvest returned no cliques")
+	}
+	for _, c := range got {
+		if !gd.IsPositiveClique(c.S) {
+			t.Fatalf("harvested %v is not a positive clique", c.S)
+		}
+	}
+	covered := func(S []int) bool {
+		for _, c := range got {
+			if isSubset(S, c.S) {
+				return true
+			}
+		}
+		return false
+	}
+	for i, r := range done {
+		if S := r.x.Support(); gd.IsPositiveClique(S) && !covered(S) {
+			t.Fatalf("completed init %d found clique %v, missing from the harvest", i, S)
+		}
+	}
+}
+
+func isSubset(a, b []int) bool {
+	in := make(map[int]bool, len(b))
+	for _, v := range b {
+		in[v] = true
+	}
+	for _, v := range a {
+		if !in[v] {
+			return false
+		}
+	}
+	return true
+}
+
 // TestCollectCliquesCtxParallelCancel exercises worker-side cancellation
 // under the race detector: cancel fires while parallel initializations run.
 func TestCollectCliquesCtxParallelCancel(t *testing.T) {

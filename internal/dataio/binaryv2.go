@@ -324,84 +324,34 @@ func decodeV2Weights(b []byte, e int, palette bool) ([]float64, error) {
 	return ws, nil
 }
 
-// readV2Sections reads the three section payloads sequentially from r
-// (positioned at byte 0), verifying the header and every section CRC.
-// Padding between sections is skipped unverified — no CRC covers it, and no
-// decoder reads it.
-func readV2Sections(r io.Reader) (h *v2Header, sects [3][]byte, err error) {
-	hdr := make([]byte, v2Page)
-	if _, err := io.ReadFull(r, hdr); err != nil {
-		return nil, sects, fmt.Errorf("dataio: truncated binary graph: %w", err)
-	}
-	h, err = parseV2Header(hdr)
-	if err != nil {
-		return nil, sects, err
-	}
-	pos := int64(v2Page)
-	for i, s := range h.sect {
-		if skip := s.off - pos; skip > 0 {
-			if _, err := io.CopyN(io.Discard, r, skip); err != nil {
-				return nil, sects, fmt.Errorf("dataio: truncated binary graph: %w", err)
-			}
-		}
-		b := make([]byte, s.len)
-		if _, err := io.ReadFull(r, b); err != nil {
-			return nil, sects, fmt.Errorf("dataio: truncated binary graph section %d: %w", i, err)
-		}
-		if got := crc32.Checksum(b, crcTable); got != s.crc {
-			return nil, sects, fmt.Errorf("dataio: v2 section %d checksum mismatch: header says %#x, content hashes to %#x", i, s.crc, got)
-		}
-		sects[i] = b
-		pos = s.off + s.len
-	}
-	// The weights section ends the file; anything after it is corruption.
-	var one [1]byte
-	if _, err := r.Read(one[:]); err != io.EOF {
-		return nil, sects, fmt.Errorf("dataio: trailing bytes after final v2 section")
-	}
-	return h, sects, nil
-}
-
-// parseV2Graph decodes verified section payloads into CSR arrays.
-func parseV2Graph(h *v2Header, sects [3][]byte) (off []int, ids []int32, ws []float64, err error) {
-	off, err = decodeV2Offsets(sects[0], h.n, h.e)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if h.flags&v2FlagDeltaIDs != 0 {
-		ids, err = decodeV2IDsDelta(sects[1], off, h.n)
-	} else {
-		ids, err = decodeV2IDsRaw(sects[1], h.e, h.n)
-	}
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	ws, err = decodeV2Weights(sects[2], h.e, h.flags&v2FlagPalette != 0)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return off, ids, ws, nil
-}
-
-// readBinaryV2 is the streaming (heap) reader for v2 files, the io.Reader
-// counterpart of OpenMapped: it verifies every CRC, decodes the sections
-// into heap arrays and returns the graph over them, so the
-// extension-dispatch readers handle both format versions transparently.
+// readBinaryV2 is the heap reader for v2 files, the io.Reader counterpart
+// of OpenMapped: it reads the whole input into one buffer and runs it
+// through decodeV2, so the graph aliases the buffer where the platform
+// allows. size is the input's byte count when the caller knows it (a
+// regular file's Stat) and -1 otherwise. Either way the buffer is bounded
+// by the bytes actually present, never by the header's claims: an unknown
+// size grows the buffer as data arrives, and a header describing more than
+// the input holds fails decodeV2's size check before any section is read.
 // ReadBinary dispatches here on a version-2 header.
-func readBinaryV2(r io.Reader) (*graph.Graph, error) {
-	h, sects, err := readV2Sections(r)
+func readBinaryV2(r io.Reader, size int64) (*graph.Graph, error) {
+	var data []byte
+	var err error
+	if size < 0 {
+		data, err = io.ReadAll(r)
+	} else {
+		data = make([]byte, size)
+		var k int
+		k, err = io.ReadFull(r, data)
+		data = data[:k] // shorter than Stat said: decodeV2's size check judges it
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			err = nil
+		}
+	}
 	if err != nil {
 		return nil, err
 	}
-	off, ids, ws, err := parseV2Graph(h, sects)
-	if err != nil {
-		return nil, err
-	}
-	g, err := graph.FromCSR(h.n, off, ids, ws, nil)
-	if err != nil {
-		return nil, fmt.Errorf("dataio: corrupt binary graph: %w", err)
-	}
-	return g, nil
+	g, _, err := decodeV2(data, nil)
+	return g, err
 }
 
 // memSeeker is a growable in-memory io.WriteSeeker, letting the seek-back

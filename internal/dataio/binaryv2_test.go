@@ -277,6 +277,57 @@ func buildV2File(flags uint16, n, e uint64, sects [3][]byte) []byte {
 	return data
 }
 
+// TestBinaryV2ForgedSizeBoundedAlloc feeds a 4096-byte file whose header
+// (with a valid header CRC) declares n = 2²⁵, a 256 MB offsets section. No
+// reader may allocate for the claim: every path must fail having allocated
+// on the order of the input, not of the header.
+func TestBinaryV2ForgedSizeBoundedAlloc(t *testing.T) {
+	const n = 1 << 25
+	data := make([]byte, v2Page)
+	copy(data[0:4], binaryMagic)
+	binary.LittleEndian.PutUint16(data[4:6], binaryVersion2)
+	offLen := uint64(8 * (n + 1))
+	tail := uint64(v2Align(int64(v2Page) + int64(offLen)))
+	for i, s := range []struct{ off, len uint64 }{{v2Page, offLen}, {tail, 0}, {tail, 0}} {
+		binary.LittleEndian.PutUint64(data[24+16*i:], s.off)
+		binary.LittleEndian.PutUint64(data[32+16*i:], s.len)
+	}
+	binary.LittleEndian.PutUint64(data[8:16], n)
+	rechecksum(data)
+	if _, err := parseV2Header(data); err != nil {
+		t.Fatalf("forged header must pass header validation to reach the readers: %v", err)
+	}
+	path := filepath.Join(t.TempDir(), "forged.dcsg")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	const bound = 4 << 20 // the input plus buffers, far below the 256 MB claim
+	readers := map[string]func() error{
+		"ReadBinary(bytes)": func() error { _, err := ReadBinary(bytes.NewReader(data)); return err },
+		"ReadBinaryFile":    func() error { _, err := ReadBinaryFile(path); return err },
+		"OpenMapped": func() error {
+			m, err := OpenMapped(path)
+			if err == nil {
+				m.Close()
+			}
+			return err
+		},
+	}
+	for name, read := range readers {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s accepted the forged file", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Errorf("%s allocated %d bytes for a %d-byte input", name, got, len(data))
+		}
+	}
+}
+
 // TestBinaryV2HostileVarints feeds hand-built varint ids sections with
 // valid checksums: overlong encodings, 64-bit overflow, zero (non-monotone)
 // deltas, out-of-range ids, and trailing bytes must all be rejected at

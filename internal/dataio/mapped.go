@@ -69,10 +69,8 @@ func (m *Mapped) Close() error {
 // one sequential scan, and the offsets — plus the O(e) ids and weights when
 // the file is uncompressed — are aliased directly into the mapping when the
 // platform allows it (64-bit little-endian), or else decoded into heap
-// shadow buffers.
-// graph.FromCSR re-verifies every structural invariant, so a hostile
-// file with valid CRCs still cannot produce a malformed graph. Version-1
-// files are heap-loaded via ReadBinary and served through the same handle.
+// shadow buffers (see decodeV2). Version-1 files are heap-loaded via
+// ReadBinary and served through the same handle.
 func OpenMapped(path string) (*Mapped, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -111,79 +109,10 @@ func OpenMapped(path string) (*Mapped, error) {
 	if err != nil {
 		return nil, pathErr(path, err)
 	}
-	m, err := openMappedV2(path, data, release, isMapped, size)
+	g, shadow, err := decodeV2(data, release)
 	if err != nil {
 		release()
 		return nil, pathErr(path, err)
-	}
-	return m, nil
-}
-
-// openMappedV2 builds the Mapped handle over the file bytes (mapped or
-// heap-read). On error the caller releases data.
-func openMappedV2(path string, data []byte, release func(), isMapped bool, size int64) (*Mapped, error) {
-	h, err := parseV2Header(data[:v2Page])
-	if err != nil {
-		return nil, err
-	}
-	if h.end() != size {
-		return nil, fmt.Errorf("dataio: v2 file is %d bytes, header describes %d", size, h.end())
-	}
-	var sects [3][]byte
-	for i, s := range h.sect {
-		b := data[s.off : s.off+s.len]
-		if got := crc32.Checksum(b, crcTable); got != s.crc {
-			return nil, fmt.Errorf("dataio: v2 section %d checksum mismatch: header says %#x, content hashes to %#x", i, s.crc, got)
-		}
-		sects[i] = b
-	}
-
-	// Offsets alias the mapping in place when the platform allows it —
-	// FromCSR verifies the monotone cover either way, which subsumes
-	// everything decodeV2Offsets checks — and fall back to a heap decode
-	// (the O(n) resident index) elsewhere.
-	var shadow int64
-	off := aliasInt(sects[0], h.n+1)
-	if off == nil {
-		if off, err = decodeV2Offsets(sects[0], h.n, h.e); err != nil {
-			return nil, err
-		}
-		shadow += int64(len(off)) * 8
-	}
-
-	var ids []int32
-	if h.flags&v2FlagDeltaIDs != 0 {
-		if ids, err = decodeV2IDsDelta(sects[1], off, h.n); err != nil {
-			return nil, err
-		}
-		shadow += int64(h.e) * 4
-	} else if a := aliasInt32(sects[1], h.e); a != nil {
-		ids = a
-	} else {
-		if ids, err = decodeV2IDsRaw(sects[1], h.e, h.n); err != nil {
-			return nil, err
-		}
-		shadow += int64(h.e) * 4
-	}
-
-	var ws []float64
-	if h.flags&v2FlagPalette != 0 {
-		if ws, err = decodeV2Weights(sects[2], h.e, true); err != nil {
-			return nil, err
-		}
-		shadow += int64(h.e) * 8
-	} else if a := aliasFloat64(sects[2], h.e); a != nil {
-		ws = a
-	} else {
-		if ws, err = decodeV2Weights(sects[2], h.e, false); err != nil {
-			return nil, err
-		}
-		shadow += int64(h.e) * 8
-	}
-
-	g, err := graph.FromCSR(h.n, off, ids, ws, release)
-	if err != nil {
-		return nil, fmt.Errorf("dataio: corrupt binary graph: %w", err)
 	}
 	m := &Mapped{g: g, path: path, shadow: shadow}
 	if isMapped {
@@ -194,6 +123,81 @@ func openMappedV2(path string, data []byte, release func(), isMapped bool, size 
 		m.shadow += size
 	}
 	return m, nil
+}
+
+// decodeV2 is the one v2 decoder, shared by OpenMapped (over the mapping or
+// its heap fallback) and ReadBinary (over the bytes it read). It checks
+// that data is exactly the size the header describes before touching any
+// section, verifies every section CRC, and builds the graph: offsets, and
+// ids and weights when uncompressed, alias data in place where the platform
+// allows it (64-bit little-endian); the rest is decoded into heap shadow
+// arrays, whose byte count it returns. release becomes the graph's release
+// hook. graph.FromCSR re-verifies every structural invariant, so a hostile
+// file with valid CRCs still cannot produce a malformed graph.
+func decodeV2(data []byte, release func()) (g *graph.Graph, shadow int64, err error) {
+	h, err := parseV2Header(data)
+	if err != nil {
+		return nil, 0, err
+	}
+	if h.end() != int64(len(data)) {
+		return nil, 0, fmt.Errorf("dataio: v2 file is %d bytes, header describes %d", len(data), h.end())
+	}
+	var sects [3][]byte
+	for i, s := range h.sect {
+		b := data[s.off : s.off+s.len]
+		if got := crc32.Checksum(b, crcTable); got != s.crc {
+			return nil, 0, fmt.Errorf("dataio: v2 section %d checksum mismatch: header says %#x, content hashes to %#x", i, s.crc, got)
+		}
+		sects[i] = b
+	}
+
+	// Offsets alias the mapping in place when the platform allows it —
+	// FromCSR verifies the monotone cover either way, which subsumes
+	// everything decodeV2Offsets checks — and fall back to a heap decode
+	// (the O(n) resident index) elsewhere.
+	off := aliasInt(sects[0], h.n+1)
+	if off == nil {
+		if off, err = decodeV2Offsets(sects[0], h.n, h.e); err != nil {
+			return nil, 0, err
+		}
+		shadow += int64(len(off)) * 8
+	}
+
+	var ids []int32
+	if h.flags&v2FlagDeltaIDs != 0 {
+		if ids, err = decodeV2IDsDelta(sects[1], off, h.n); err != nil {
+			return nil, 0, err
+		}
+		shadow += int64(h.e) * 4
+	} else if a := aliasInt32(sects[1], h.e); a != nil {
+		ids = a
+	} else {
+		if ids, err = decodeV2IDsRaw(sects[1], h.e, h.n); err != nil {
+			return nil, 0, err
+		}
+		shadow += int64(h.e) * 4
+	}
+
+	var ws []float64
+	if h.flags&v2FlagPalette != 0 {
+		if ws, err = decodeV2Weights(sects[2], h.e, true); err != nil {
+			return nil, 0, err
+		}
+		shadow += int64(h.e) * 8
+	} else if a := aliasFloat64(sects[2], h.e); a != nil {
+		ws = a
+	} else {
+		if ws, err = decodeV2Weights(sects[2], h.e, false); err != nil {
+			return nil, 0, err
+		}
+		shadow += int64(h.e) * 8
+	}
+
+	g, err = graph.FromCSR(h.n, off, ids, ws, release)
+	if err != nil {
+		return nil, 0, fmt.Errorf("dataio: corrupt binary graph: %w", err)
+	}
+	return g, shadow, nil
 }
 
 // readFileFallback reads f (already open, any position) fully into a heap

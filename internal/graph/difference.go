@@ -19,7 +19,7 @@ func Difference(g1, g2 *Graph) *Graph {
 // analysis in Section IV-B) and performs a constant number of allocations
 // regardless of n.
 func DifferenceAlpha(g1, g2 *Graph, alpha float64) *Graph {
-	return merge2(g1, g2, func(w1, w2 float64) float64 { return w2 - alpha*w1 })
+	return mergeRows(g1, g2, func(w1, w2 float64, _, _ bool) float64 { return w2 - alpha*w1 })
 }
 
 // Blend returns the weighted sum a·g1 + b·g2 over the shared vertex set.
@@ -27,19 +27,7 @@ func DifferenceAlpha(g1, g2 *Graph, alpha float64) *Graph {
 // of an expectation graph is Blend(expect, observed, 1−λ, λ). Edges whose
 // blended weight is exactly zero are dropped.
 func Blend(g1, g2 *Graph, a, b float64) *Graph {
-	return merge2(g1, g2, func(w1, w2 float64) float64 { return a*w1 + b*w2 })
-}
-
-// merge2 builds the plain CSR graph whose edge weights are f(w1, w2) over the
-// union of the two edge sets, with absent edges contributing weight 0 and
-// zero results dropped. View inputs are compacted first so the row merge is a
-// plain array walk.
-func merge2(g1, g2 *Graph, f func(w1, w2 float64) float64) *Graph {
-	if g1.N() != g2.N() {
-		panic(fmt.Sprintf("graph: combining graphs with different vertex counts %d vs %d", g1.N(), g2.N()))
-	}
-	return mergeRows(g1.Compact(), g2.Compact(),
-		func(w1, w2 float64, _, _ bool) float64 { return f(w1, w2) })
+	return mergeRows(g1, g2, func(w1, w2 float64, _, _ bool) float64 { return a*w1 + b*w2 })
 }
 
 // Union is the merged topology of two graphs over one vertex set: each
@@ -54,9 +42,44 @@ type Union struct {
 	ent []unionEntry
 }
 
+// unionEntry is one neighbor in the union of two graphs' rows: its id, its
+// weight in each graph (0 where absent) and whether each graph holds the
+// edge at all.
 type unionEntry struct {
-	to     int32
-	w1, w2 float64
+	to       int32
+	in1, in2 bool
+	w1, w2   float64
+}
+
+// mergeRow appends to dst the union of row u of a and row u of b, in
+// ascending neighbor order — the one three-way sorted-row merge behind
+// mergeRows, NewUnion and NewMaintainer. Only the arrays are read; masks
+// are ignored (callers compact views first).
+func mergeRow(a, b *Graph, u int, dst []unionEntry) []unionEntry {
+	ai, aw := a.ids[a.off[u]:a.off[u+1]], a.ws[a.off[u]:a.off[u+1]]
+	bi, bw := b.ids[b.off[u]:b.off[u+1]], b.ws[b.off[u]:b.off[u+1]]
+	i, j := 0, 0
+	for i < len(ai) && j < len(bi) {
+		x, y := ai[i], bi[j]
+		e := unionEntry{to: min(x, y), in1: x <= y, in2: y <= x}
+		if e.in1 {
+			e.w1 = aw[i]
+			i++
+		}
+		if e.in2 {
+			e.w2 = bw[j]
+			j++
+		}
+		dst = append(dst, e)
+	}
+	// At most one row has entries left: copy its tail.
+	for ; i < len(ai); i++ {
+		dst = append(dst, unionEntry{to: ai[i], in1: true, w1: aw[i]})
+	}
+	for ; j < len(bi); j++ {
+		dst = append(dst, unionEntry{to: bi[j], in2: true, w2: bw[j]})
+	}
+	return dst
 }
 
 // NewUnion merges the rows of g1 and g2, which must have the same vertex
@@ -69,22 +92,7 @@ func NewUnion(g1, g2 *Graph) *Union {
 	u := &Union{n: g1.n, off: make([]int, g1.n+1), ent: make([]unionEntry, 0, len(g1.ids)+len(g2.ids))}
 	for v := 0; v < u.n; v++ {
 		u.off[v] = len(u.ent)
-		i, ie := g1.off[v], g1.off[v+1]
-		j, je := g2.off[v], g2.off[v+1]
-		for i < ie || j < je {
-			switch {
-			case j >= je || (i < ie && g1.ids[i] < g2.ids[j]):
-				u.ent = append(u.ent, unionEntry{to: g1.ids[i], w1: g1.ws[i]})
-				i++
-			case i >= ie || g2.ids[j] < g1.ids[i]:
-				u.ent = append(u.ent, unionEntry{to: g2.ids[j], w2: g2.ws[j]})
-				j++
-			default:
-				u.ent = append(u.ent, unionEntry{to: g1.ids[i], w1: g1.ws[i], w2: g2.ws[j]})
-				i++
-				j++
-			}
-		}
+		u.ent = mergeRow(g1, g2, v, u.ent)
 	}
 	u.off[u.n] = len(u.ent)
 	return u
@@ -123,52 +131,45 @@ func (u *Union) DifferenceAlphaInto(alpha float64, dst *Graph) *Graph {
 }
 
 // mergeRows is the linear-merge machinery behind Difference, Blend and
-// ApplyDelta: it walks the sorted rows of a and b in tandem and builds the
-// plain CSR graph whose edge weights are f(w1, w2, in1, in2) over the union
-// of the two edge sets. Only the arrays of a and b are read, and their masks
-// are ignored (callers compact views first). Absent entries contribute
-// weight 0 with their presence flag false — the flags let combiners like
-// ApplyDelta treat "present with weight 0" (remove the edge) differently
-// from "absent" (keep the other side's weight). Zero results are dropped.
-// Each undirected edge must appear in both endpoint rows.
+// ApplyDelta: it walks the sorted rows of a and b in tandem (mergeRow) and
+// builds the plain CSR graph whose edge weights are f(w1, w2, in1, in2)
+// over the union of the two edge sets. a and b must have the same vertex
+// count; views are compacted first so the row merge is a plain array walk.
+// Absent entries contribute weight 0 with their presence flag false — the
+// flags let combiners like ApplyDelta treat "present with weight 0" (remove
+// the edge) differently from "absent" (keep the other side's weight). Zero
+// results are dropped. Each undirected edge must appear in both endpoint
+// rows.
 func mergeRows(a, b *Graph, f func(w1, w2 float64, in1, in2 bool) float64) *Graph {
+	if a.N() != b.N() {
+		panic(fmt.Sprintf("graph: combining graphs with different vertex counts %d vs %d", a.N(), b.N()))
+	}
+	a, b = a.Compact(), b.Compact()
 	n := a.n
 	off := make([]int, n+1)
-	ids := make([]int32, 0, len(a.ids)+len(b.ids))
-	ws := make([]float64, 0, len(a.ids)+len(b.ids))
-	m := 0
+	ids := make([]int32, len(a.ids)+len(b.ids))
+	ws := make([]float64, len(ids))
+	k, m := 0, 0
 	var tw float64
-	emit := func(u int, to int32, w float64) {
-		if w == 0 {
-			return
-		}
-		ids, ws = append(ids, to), append(ws, w)
-		if int(to) > u {
-			m++
-			tw += w
-		}
-	}
+	var row []unionEntry
 	for u := 0; u < n; u++ {
-		off[u] = len(ids)
-		i, ie := a.off[u], a.off[u+1]
-		j, je := b.off[u], b.off[u+1]
-		for i < ie || j < je {
-			switch {
-			case j >= je || (i < ie && a.ids[i] < b.ids[j]):
-				emit(u, a.ids[i], f(a.ws[i], 0, true, false))
-				i++
-			case i >= ie || b.ids[j] < a.ids[i]:
-				emit(u, b.ids[j], f(0, b.ws[j], false, true))
-				j++
-			default: // same neighbor in both rows
-				emit(u, a.ids[i], f(a.ws[i], b.ws[j], true, true))
-				i++
-				j++
+		off[u] = k
+		row = mergeRow(a, b, u, row[:0])
+		for _, e := range row {
+			w := f(e.w1, e.w2, e.in1, e.in2)
+			if w == 0 {
+				continue
+			}
+			ids[k], ws[k] = e.to, w
+			k++
+			if int(e.to) > u {
+				m++
+				tw += w
 			}
 		}
 	}
-	off[n] = len(ids)
-	return &Graph{n: n, m: m, totalW: tw, off: off, ids: ids, ws: ws}
+	off[n] = k
+	return &Graph{n: n, m: m, totalW: tw, off: off, ids: ids[:k], ws: ws[:k]}
 }
 
 // CapWeights returns a copy of the graph where every edge weight above cap is

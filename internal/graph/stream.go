@@ -101,26 +101,15 @@ func NewMaintainer(expect, obs *Graph, lambda float64) *Maintainer {
 	expect, obs = expect.Compact(), obs.Compact()
 	n := expect.n
 	m := &Maintainer{n: n, lambda: lambda, scale: 1, rows: make([][]streamEntry, n)}
+	var union []unionEntry
 	for u := 0; u < n; u++ {
-		i, ie := expect.off[u], expect.off[u+1]
-		j, je := obs.off[u], obs.off[u+1]
-		if i == ie && j == je {
+		union = mergeRow(expect, obs, u, union[:0])
+		if len(union) == 0 {
 			continue
 		}
-		row := make([]streamEntry, 0, ie-i+je-j)
-		for i < ie || j < je {
-			switch {
-			case j >= je || (i < ie && expect.ids[i] < obs.ids[j]):
-				row = append(row, streamEntry{To: int(expect.ids[i]), Obs: 0, H: -expect.ws[i]})
-				i++
-			case i >= ie || obs.ids[j] < expect.ids[i]:
-				row = append(row, streamEntry{To: int(obs.ids[j]), Obs: obs.ws[j], H: obs.ws[j]})
-				j++
-			default:
-				row = append(row, streamEntry{To: int(expect.ids[i]), Obs: obs.ws[j], H: obs.ws[j] - expect.ws[i]})
-				i++
-				j++
-			}
+		row := make([]streamEntry, len(union))
+		for i, e := range union {
+			row[i] = streamEntry{To: int(e.to), Obs: e.w2, H: e.w2 - e.w1}
 		}
 		m.rows[u] = row
 	}

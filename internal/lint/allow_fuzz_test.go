@@ -24,8 +24,8 @@ func FuzzParseAllowDirective(f *testing.F) {
 		"//lint:allow two names -- reason",
 		"//lint:allowance keep going",
 		"//lint:allow",
-		"//lint:allow floatdet -- first // want \"second\"",
-		"//lint:allow floatdet -- reason //lint:allow guardedby -- другой",
+		"//lint:allow ctxflow -- first // want \"second\"",
+		"//lint:allow ctxflow -- reason //lint:allow guardedby -- другой",
 		"//lint:allow loop–check -- unicode dash in the name",
 		"//lint:allow loopcheck — em-dash instead of the separator",
 		"//lint:allow loopcheck -- reason\r",

@@ -1,6 +1,5 @@
 package lint
 
-// All is the suite cmd/dcsvet composes, in reporting order: the three
-// invariant checks of the original suite, then ctxflow, the interprocedural
-// analyzer added with driver v2.
-var All = []*Analyzer{Loopcheck, Floatdet, Guardedby, Ctxflow}
+// All is the suite cmd/dcsvet composes, in reporting order: the two
+// invariant checks of the original suite that stayed, then ctxflow.
+var All = []*Analyzer{Loopcheck, Guardedby, Ctxflow}

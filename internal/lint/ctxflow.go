@@ -70,7 +70,7 @@ func isUncancellableState(pass *Pass, call *ast.CallExpr) bool {
 }
 
 func isContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
+	named, ok := types.Unalias(t).(*types.Named)
 	if !ok {
 		return false
 	}

@@ -19,9 +19,10 @@
 //     literal are exempt — the value is not shared yet.
 //
 // The annotation is self-limiting: packages without annotations produce no
-// work. The repo annotates serve and internal/evolve. Intentional unlocked
-// accesses (e.g. reads serialized by a coarser lock) take
-// `//lint:allow guardedby -- <reason>`.
+// work, and it is checked within the declaring package only (every
+// annotated field in the repo is unexported). The repo annotates serve and
+// internal/evolve. Intentional unlocked accesses (e.g. reads serialized by
+// a coarser lock) take `//lint:allow guardedby -- <reason>`.
 package lint
 
 import (
@@ -36,16 +37,6 @@ var Guardedby = &Analyzer{
 	Run:  runGuardedby,
 }
 
-// GuardedByFact is exported on every annotated field so the annotation is
-// enforced in *consuming* packages too: serve code reaching into an
-// exported internal/evolve field is checked against evolve's own
-// annotation. Mutex names the guarding sibling field.
-type GuardedByFact struct {
-	Mutex string
-}
-
-func (*GuardedByFact) AFact() {}
-
 var guardedByRe = regexp.MustCompile(`guarded by ([A-Za-z_][A-Za-z0-9_]*)`)
 
 // guardedField is one annotated field and the sibling mutex that guards it.
@@ -56,16 +47,12 @@ type guardedField struct {
 
 func runGuardedby(pass *Pass) error {
 	guarded := collectGuardedFields(pass)
-	for _, g := range guarded {
-		pass.ExportObjectFact(g.field, &GuardedByFact{Mutex: g.mutex.Name()})
-	}
 	ctxs := buildLockContexts(pass)
 	solveHolders(pass, ctxs)
 	byObj := map[types.Object]guardedField{}
 	for _, g := range guarded {
 		byObj[g.field] = g
 	}
-	impCache := map[*types.Var]*guardedField{}
 	for _, c := range ctxs {
 		fresh := freshLocals(pass, c)
 		ast.Inspect(c.body, func(node ast.Node) bool {
@@ -80,11 +67,7 @@ func runGuardedby(pass *Pass) error {
 			if !ok || selection.Kind() != types.FieldVal {
 				return true
 			}
-			fv := selection.Obj().(*types.Var)
-			g, ok := byObj[fv]
-			if !ok {
-				g, ok = importedGuard(pass, fv, impCache)
-			}
+			g, ok := byObj[selection.Obj()]
 			if !ok {
 				return true
 			}
@@ -100,70 +83,6 @@ func runGuardedby(pass *Pass) error {
 				g.field.Name(), g.mutex.Name(), c.name)
 			return true
 		})
-	}
-	return nil
-}
-
-// importedGuard checks whether a field defined in another package carries a
-// GuardedByFact, resolving the named mutex to the sibling field of the
-// owning struct in the importer's (export-data) view, so it shares identity
-// with what lockedMutex resolves in this package.
-func importedGuard(pass *Pass, field *types.Var, cache map[*types.Var]*guardedField) (guardedField, bool) {
-	if g, hit := cache[field]; hit {
-		if g == nil {
-			return guardedField{}, false
-		}
-		return *g, true
-	}
-	cache[field] = nil
-	if field.Pkg() == nil || field.Pkg() == pass.Pkg {
-		return guardedField{}, false
-	}
-	var fact GuardedByFact
-	if !pass.ImportObjectFact(field, &fact) {
-		return guardedField{}, false
-	}
-	mu := siblingMutex(field, fact.Mutex)
-	if mu == nil {
-		return guardedField{}, false
-	}
-	g := &guardedField{field: field, mutex: mu}
-	cache[field] = g
-	return *g, true
-}
-
-// siblingMutex locates the struct owning field and returns its lock-bearing
-// field named name, or nil.
-func siblingMutex(field *types.Var, name string) *types.Var {
-	pkg := field.Pkg()
-	if pkg == nil {
-		return nil
-	}
-	scope := pkg.Scope()
-	for _, n := range scope.Names() {
-		tn, ok := scope.Lookup(n).(*types.TypeName)
-		if !ok {
-			continue
-		}
-		st, ok := tn.Type().Underlying().(*types.Struct)
-		if !ok {
-			continue
-		}
-		owns := false
-		for i := 0; i < st.NumFields(); i++ {
-			if st.Field(i) == field {
-				owns = true
-				break
-			}
-		}
-		if !owns {
-			continue
-		}
-		for i := 0; i < st.NumFields(); i++ {
-			if f := st.Field(i); f.Name() == name && hasLockMethod(f.Type()) {
-				return f
-			}
-		}
 	}
 	return nil
 }

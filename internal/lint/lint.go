@@ -1,4 +1,4 @@
-// Package lint is the repo's static-analysis suite: four custom analyzers
+// Package lint is the repo's static-analysis suite: three custom analyzers
 // that machine-enforce contracts which are otherwise only guarded by code
 // review. The cmd/dcsvet multichecker composes them; CI runs it as a
 // required step, and a repo-wide clean run is asserted by a meta-test so a
@@ -12,18 +12,10 @@
 //     iterate Ω(n) times without a reachable Checkpoint/Cancelled call makes
 //     a request uncancellable for its whole duration.
 //
-//   - floatdet: solver arithmetic must be order-deterministic
-//     because the parallel and incremental-watch harnesses assert bitwise
-//     equivalence against sequential oracles. Accumulating floats (or
-//     selecting an argmax key) while ranging over a map re-introduces
-//     iteration-order dependence.
-//
 //   - guardedby: `// guarded by <mu>` field comments are checked
 //     against the (direct) call graph: a field so annotated may only be
 //     touched by functions that lock the named mutex, or are only called by
-//     functions that do. Since driver v2 the annotation is exported as a
-//     fact on the field, so accesses to exported guarded fields from other
-//     packages are checked too.
+//     functions that do.
 //
 //   - ctxflow: library code must not mint root contexts — the
 //     cancellation capability flows down from the caller — and a function
@@ -31,17 +23,20 @@
 //     the solvers below it. Binary entry points (package main) own their
 //     root contexts.
 //
-// Two contracts are guarded at run time instead, by tests: graph storage is
-// never written (internal/partest snapshots every fixture around each solver
-// call and reruns its suite over read-only mmapped .dcsg files), and serve
-// leaks no mapping, pin or goroutine (its TestMain and the memory-budget
-// tests check the counts return to zero).
+// Three contracts are guarded at run time instead, by tests: solver output
+// is run-to-run bitwise deterministic (internal/partest's TestRepeatBitwise
+// reruns a call into every solver and graph package and compares output
+// digests, which exposes any fold over Go's randomized map order), graph
+// storage is never written (internal/partest snapshots every fixture around
+// each solver call and reruns its suite over read-only mmapped .dcsg
+// files), and serve leaks no mapping, pin or goroutine (its TestMain and the
+// memory-budget tests check the counts return to zero).
 //
 // The framework below deliberately mirrors the golang.org/x/tools
-// go/analysis API (Analyzer, Pass, object Facts, Reportf, an
-// analysistest-style fixture harness in linttest) but is built on the
-// standard library alone, so the module keeps its zero-dependency property
-// and the gate cannot be skipped for want of a network. Loading uses
+// go/analysis API (Analyzer, Pass, Reportf, an analysistest-style fixture
+// harness in linttest) but is built on the standard library alone, so the
+// module keeps its zero-dependency property and the gate cannot be skipped
+// for want of a network. Loading uses
 // `go list -export` plus the gc export-data importer; see load.go. There is
 // one driver path — LoadPackages then Analyze — shared by cmd/dcsvet, the
 // repo-wide clean test and the linttest fixtures, and it keeps no state
@@ -54,9 +49,8 @@
 // on (or immediately above) the flagged line. The reason is mandatory and
 // machine-enforced: an allow comment without one is itself a diagnostic.
 // The same directive in a function's doc comment suppresses the analyzer
-// for the whole function and is exported as an allow-fact on the function
-// object — the sanctioned way to tag a documented whole-function contract
-// rather than sprinkling per-line allows.
+// for the whole function — the sanctioned way to tag a documented
+// whole-function contract rather than sprinkling per-line allows.
 package lint
 
 import (
@@ -80,11 +74,9 @@ type Analyzer struct {
 }
 
 // A Pass is one (analyzer, package) unit of work, carrying the typed syntax
-// of the package under analysis plus the fact store of the run.
-// Report/Reportf append diagnostics; the driver applies //lint:allow
-// filtering afterwards, so analyzers never need to know about suppression.
-// ExportObjectFact/ImportObjectFact (fact.go) communicate typed summaries
-// across packages: the driver guarantees dependencies are analyzed first.
+// of the package under analysis. Reportf appends diagnostics; the driver
+// applies //lint:allow filtering afterwards, so analyzers never need to
+// know about suppression.
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
@@ -92,7 +84,6 @@ type Pass struct {
 	Pkg      *types.Package
 	Info     *types.Info
 
-	facts *factStore
 	diags *[]Diagnostic
 }
 
@@ -136,23 +127,21 @@ func RelFile(d Diagnostic, root string) string {
 // builds them for testdata fixtures.
 type Target struct {
 	PkgPath string
-	Imports []string // import paths, for dependency-order scheduling
 	Fset    *token.FileSet
 	Files   []*ast.File
 	Pkg     *types.Package
 	Info    *types.Info
 }
 
-// Analyze runs every analyzer over every target in dependency order and
-// returns the surviving diagnostics sorted by position:
-// //lint:allow-suppressed findings are dropped, and malformed allow comments
-// (missing reason, unknown analyzer name) are reported as diagnostics of the
-// pseudo-analyzer "allow", which cannot itself be suppressed.
+// Analyze runs every analyzer over every target and returns the surviving
+// diagnostics sorted by position: //lint:allow-suppressed findings are
+// dropped, and malformed allow comments (missing reason, unknown analyzer
+// name) are reported as diagnostics of the pseudo-analyzer "allow", which
+// cannot itself be suppressed.
 func Analyze(targets []*Target, analyzers []*Analyzer) ([]Diagnostic, error) {
-	store := newFactStore()
 	var all []Diagnostic
-	for _, t := range sortTargets(targets) {
-		diags, err := analyzeTarget(t, analyzers, store)
+	for _, t := range targets {
+		diags, err := analyzeTarget(t, analyzers)
 		if err != nil {
 			return nil, err
 		}
@@ -164,9 +153,7 @@ func Analyze(targets []*Target, analyzers []*Analyzer) ([]Diagnostic, error) {
 
 // analyzeTarget runs the analyzers over one package and applies that
 // package's //lint:allow suppression, returning its final diagnostics.
-// Exported facts (including function-level allow-facts) land in store for
-// later packages.
-func analyzeTarget(t *Target, analyzers []*Analyzer, store *factStore) ([]Diagnostic, error) {
+func analyzeTarget(t *Target, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -175,14 +162,13 @@ func analyzeTarget(t *Target, analyzers []*Analyzer, store *factStore) ([]Diagno
 			Files:    t.Files,
 			Pkg:      t.Pkg,
 			Info:     t.Info,
-			facts:    store,
 			diags:    &diags,
 		}
 		if err := a.Run(pass); err != nil {
 			return nil, fmt.Errorf("%s: %s: %w", a.Name, t.PkgPath, err)
 		}
 	}
-	allows, policy := collectAllows(t, analyzers, store)
+	allows, policy := collectAllows(t, analyzers)
 	kept := policy
 	for _, d := range diags {
 		if !suppressed(d, allows) {
@@ -209,37 +195,6 @@ func sortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// sortTargets orders targets so every target's in-run dependencies precede
-// it (facts flow dependency→dependent). `go list -deps` already emits this
-// order; the explicit topological sort makes the driver independent of that
-// detail and keeps linttest fixture loads correct too. Ties keep input
-// order, so the result is deterministic.
-func sortTargets(targets []*Target) []*Target {
-	byPath := make(map[string]*Target, len(targets))
-	for _, t := range targets {
-		byPath[t.PkgPath] = t
-	}
-	seen := make(map[string]bool, len(targets))
-	out := make([]*Target, 0, len(targets))
-	var visit func(t *Target)
-	visit = func(t *Target) {
-		if seen[t.PkgPath] {
-			return
-		}
-		seen[t.PkgPath] = true
-		for _, imp := range t.Imports {
-			if dep, ok := byPath[imp]; ok {
-				visit(dep)
-			}
-		}
-		out = append(out, t)
-	}
-	for _, t := range targets {
-		visit(t)
-	}
-	return out
-}
-
 // An allow is one parsed //lint:allow comment. A line allow suppresses
 // diagnostics of the named analyzer on its own line and the line below (so
 // it can trail the flagged statement or sit on its own line above it); a
@@ -254,18 +209,6 @@ type allow struct {
 }
 
 const allowPrefix = "//lint:allow"
-
-// AllowFact marks a function carrying a function-level
-// `//lint:allow <analyzer> -- <reason>` directive in its doc comment: the
-// documented, reviewable contract exempting the whole function. It is
-// exported on the function object under the named analyzer so dependent
-// packages and tools can see the exemption.
-type AllowFact struct {
-	Reason string
-}
-
-// AFact marks AllowFact as a Fact.
-func (*AllowFact) AFact() {}
 
 // allowDirective is the parsed form of one //lint:allow comment line.
 type allowDirective struct {
@@ -336,9 +279,8 @@ func isAnalyzerName(s string) bool {
 // collectAllows parses every //lint:allow comment in the target, returning
 // the usable allows and policy diagnostics for malformed ones. Line allows
 // suppress their own and the following line; an allow inside a function's
-// doc comment suppresses the whole function and exports an AllowFact on the
-// function object.
-func collectAllows(t *Target, analyzers []*Analyzer, store *factStore) ([]allow, []Diagnostic) {
+// doc comment suppresses the whole function.
+func collectAllows(t *Target, analyzers []*Analyzer) ([]allow, []Diagnostic) {
 	known := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
 		known[a.Name] = true
@@ -381,31 +323,12 @@ func collectAllows(t *Target, analyzers []*Analyzer, store *factStore) ([]allow,
 				if fd, ok := funcDocs[cg]; ok {
 					a.startLine = t.Fset.Position(fd.Pos()).Line
 					a.endLine = t.Fset.Position(fd.End()).Line
-					if fn, ok := t.Info.Defs[fd.Name].(*types.Func); ok && store != nil {
-						exportAllowFact(store, d.analyzer, fn, d.reason)
-					}
 				}
 				allows = append(allows, a)
 			}
 		}
 	}
 	return allows, policy
-}
-
-// exportAllowFact records a function-level allow as a fact on fn under the
-// named analyzer, bypassing the Pass plumbing (allows are parsed by the
-// driver, after the passes ran).
-func exportAllowFact(store *factStore, analyzer string, fn *types.Func, reason string) {
-	key, ok := objKey(fn)
-	if !ok || fn.Pkg() == nil {
-		return
-	}
-	store.m[factKey{
-		analyzer: analyzer,
-		pkg:      fn.Pkg().Path(),
-		obj:      key,
-		typ:      factTypeName(&AllowFact{}),
-	}] = &AllowFact{Reason: reason}
 }
 
 func suppressed(d Diagnostic, allows []allow) bool {
@@ -457,49 +380,6 @@ func isRunstateState(t types.Type) bool {
 // root contexts, so ctxflow exempts them.
 func isMainPackage(pkg *types.Package) bool {
 	return pkg.Name() == "main"
-}
-
-// rootObj strips indexing, slicing, field selection and parens down to the
-// base identifier's object: the variable an expression ultimately names.
-func rootObj(pass *Pass, e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SliceExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			// v[i].W → v; but pkg.Var or s.field roots at the selection.
-			if _, ok := x.X.(*ast.Ident); ok {
-				if _, isPkg := pass.Info.Uses[x.X.(*ast.Ident)].(*types.PkgName); isPkg {
-					return pass.Info.Uses[x.Sel]
-				}
-			}
-			e = x.X
-		case *ast.Ident:
-			if obj := pass.Info.Uses[x]; obj != nil {
-				return obj
-			}
-			return pass.Info.Defs[x]
-		default:
-			return nil
-		}
-	}
-}
-
-// selectorPkg returns the package name of a qualified selector pkg.X, or
-// "" when sel.X is not a package name.
-func selectorPkg(pass *Pass, sel *ast.SelectorExpr) string {
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return ""
-	}
-	if pn, ok := pass.Info.Uses[id].(*types.PkgName); ok {
-		return pn.Imported().Name()
-	}
-	return ""
 }
 
 // calleeAnyFunc resolves a call to its *types.Func target in any package,

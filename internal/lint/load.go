@@ -31,7 +31,6 @@ type listPkg struct {
 	Dir        string
 	Export     string
 	GoFiles    []string
-	Imports    []string
 	ImportMap  map[string]string
 	DepOnly    bool
 	Standard   bool
@@ -147,7 +146,7 @@ func (ml *moduleList) checkPackage(p *listPkg) (*Target, error) {
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %v", p.ImportPath, err)
 	}
-	return &Target{PkgPath: p.ImportPath, Imports: p.Imports, Fset: ml.fset, Files: files, Pkg: pkg, Info: info}, nil
+	return &Target{PkgPath: p.ImportPath, Fset: ml.fset, Files: files, Pkg: pkg, Info: info}, nil
 }
 
 // NewInfo allocates the types.Info maps the analyzers rely on; linttest

@@ -34,7 +34,7 @@ func unknownAnalyzer() {
 
 // Multiple names are rejected: one allow, one analyzer, one reason.
 func twoNames() {
-	//lint:allow loopcheck floatdet -- greedy // want "single analyzer name"
+	//lint:allow loopcheck ctxflow -- greedy // want "single analyzer name"
 	for !converged() { // want "no .runstate.State in scope"
 	}
 }

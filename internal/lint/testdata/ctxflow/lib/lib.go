@@ -32,7 +32,7 @@ func noCtx() *runstate.State {
 }
 
 // shim mirrors a documented never-cancelled entry point: the function-level
-// directive suppresses the whole body and exports the documenting AllowFact.
+// directive suppresses the whole body.
 //
 //lint:allow ctxflow -- fixture shim: never-cancelled root context by contract
 func shim() *runstate.State {

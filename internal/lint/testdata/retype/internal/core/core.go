@@ -1,14 +1,14 @@
-// Package core folds a map of weights inside a floatdet-scoped path. The
-// fold is clean while weight.W is an integer and a floatdet finding once W
-// becomes a float, although this file never changes.
+// Package core builds an uncancellable run state. That is clean while its
+// parameter dep.T is an integer and a ctxflow finding once T becomes a
+// context, although this file never changes.
 package core
 
-import "retype.example/weight"
+import (
+	"retype.example/dep"
+	"retype.example/internal/runstate"
+)
 
-func Sum(m map[int]weight.W) weight.W {
-	var s weight.W
-	for _, v := range m {
-		s += v
-	}
-	return s
+func Solve(t dep.T) *runstate.State {
+	_ = t
+	return runstate.New(nil)
 }
