@@ -12,6 +12,7 @@ import (
 	"github.com/dcslib/dcs/internal/datagen"
 	"github.com/dcslib/dcs/internal/densest"
 	"github.com/dcslib/dcs/internal/graph"
+	"github.com/dcslib/dcs/internal/oqc"
 	"github.com/dcslib/dcs/internal/runstate"
 	"github.com/dcslib/dcs/internal/simplex"
 )
@@ -33,6 +34,7 @@ var goldenDigests = map[string]string{
 	"seed1/ratio":         "dfa5968c5165be6923ad7290e421bd7a505e74bf02df4222afbfe8d8065bfcdf",
 	"seed1/ratio-inf":     "e39007e38de751fcc74d4f9239da5a84290956b2b6e27ca2e762d67aaa692049",
 	"seed1/ratio-backed":  "dfa5968c5165be6923ad7290e421bd7a505e74bf02df4222afbfe8d8065bfcdf",
+	"seed1/local":         "6cceaeb0517175f4a5136454fe1b5ee8b9eb8ac0b59d0c19e7190ff7d6a89293",
 	"seed7/gd":            "e0acd7270ae0216335dc8b3722ffd725c8cd09517039a9c87064cae0c1c80d15",
 	"seed7/gd-without":    "7e2aa87affe317c59184435cf3d3d7dff1112a1d8a3e73359b3e6b9b245fbb6d",
 	"seed7/gd-positive":   "06f9eb71e426e6c9ee6d5779ede87073e8af4310dec6da78cc81655e32e14986",
@@ -41,6 +43,7 @@ var goldenDigests = map[string]string{
 	"seed7/ratio":         "aa5db7e66df6b3094ed9d7d02cc6258acfd897118fa68cde3d295217feca4124",
 	"seed7/ratio-inf":     "7facaffb4aac0f82ca86168033705207a5e3ad6a3d74c1da8a51fd9a8baf083b",
 	"seed7/ratio-backed":  "aa5db7e66df6b3094ed9d7d02cc6258acfd897118fa68cde3d295217feca4124",
+	"seed7/local":         "da4e4c9e6f453b44c78c8cf2937ebc67c69a7e6763df50290eef4f613a9ceb51",
 	"seed3/gd":            "062b3621a2e18dcb1aa186bfe49dbe5ea5248ff1cdfe4246b6090c82b21d4de9",
 	"seed3/gd-without":    "801a5d8d44eefb14b5c97386baf17b5bbb4532eedf4897d3dfc662f612e1bb5f",
 	"seed3/gd-positive":   "7910d286887271a4e0a0ac7b3f591fe1a2691158bb837954492536713cfbc682",
@@ -49,18 +52,22 @@ var goldenDigests = map[string]string{
 	"seed3/ratio":         "cad05fcb6e6d85f58eb5108696754cbcd8812e66c2be51078f6078f92b260ae0",
 	"seed3/ratio-inf":     "12151aeca843f607b786007a234c8d340cb5361ea976394168eb2d370e3a27b6",
 	"seed3/ratio-backed":  "cad05fcb6e6d85f58eb5108696754cbcd8812e66c2be51078f6078f92b260ae0",
+	"seed3/local":         "a25918ada337f4362a2a083bf1738cfa16e7427e8b23c13f81a2e71b75b09e96",
 	"seed1/ga-newsea":     "9f5547369147f49ebe726e4a31e0dd9f6f9bfc69456d52b82d7e6240027d8154",
 	"seed1/ga-warm":       "6da050f235db63e3dce4405da70b07f8e28e3a46651d696aaf9013655f34a098",
+	"seed1/ga-sea":        "470ee273d19bc88e478dacee1d8477303bdb5f3b0bf4d72a4e6bcd4ba033e1bb",
 	"seed1/ga-seacd-full": "fff5279c532a2bdf83683e91b8ca505828f919667382ff04d2ea213d76bdd478",
 	"seed1/ga-cliques":    "02b863ef9dce74711fa2e468ad684c9af3f55bbe4ae8f66d40e1d7fbee125917",
 	"seed1/ga-topk":       "ddfcd39105c1d6c86c8e0385efd2d09c1ef774274836fd578bf2d7697a58ca1a",
 	"seed7/ga-newsea":     "312279901e5a50403d56f88dff00d7dda055e59c9e6cbbee74b177f181087c5a",
 	"seed7/ga-warm":       "5ea025cf4752cc8a77df6f29531ac4aa3d3ce71ce91d3001dff499a9b0e68452",
+	"seed7/ga-sea":        "e239cbb705dcca0fd32fb8c91c70aed83c8598de82894f6abacbe67b8ec7b38f",
 	"seed7/ga-seacd-full": "6091a74e1ad8c37450aead4946f96982ea2b74333d7cafcd5712b69dda2a0fbb",
 	"seed7/ga-cliques":    "09588d7edb3d6d0145857e7bc306cd0e16866ecc9955ecf4ad797bbdfe124fc1",
 	"seed7/ga-topk":       "e08a760d5f1be6f74a89b36f4650efe334248c749ee46bff44302ff057e01349",
 	"seed3/ga-newsea":     "d350e451436ea48374d964b2690caa26efa0d06af2cd5b6650c9520703019ac8",
 	"seed3/ga-warm":       "49f7ef645546008ceb94fcbb668cef38fa13a9ec6b5d7250c857f1f6ece2a7ee",
+	"seed3/ga-sea":        "b1a0cb86ba31e0f68ad5ee066f45f0392dabe3643d2dc3495065bdb0a9b67cbd",
 	"seed3/ga-seacd-full": "f10acc743fb81860a865456ab99280eeaa3ee8da9896328489aecf9f49f60316",
 	"seed3/ga-cliques":    "0ca2a069e25c86b6bc18014bc42b54ba68745367a680d4d28b7c5880ce6b97bd",
 	"seed3/ga-topk":       "7add225ab972f15b56235e7f01a2d4f1aec65093b12a840c31a2e3247e06c15e",
@@ -170,6 +177,26 @@ func goldenAvgDeg(gd *graph.Graph, prior []int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// goldenLocal digests the local searches that no solver digest pins on its
+// own: densest.LocalImprove from each prior (DCSGreedyWarm's digest shows it
+// only when the warm candidate wins) and oqc's Best and LocalSearch.
+func goldenLocal(gd *graph.Graph, seed int, priors ...[]int) string {
+	h := goldenHash{sha256.New()}
+	for _, prior := range priors {
+		res := densest.LocalImprove(runstate.New(nil), gd, prior, 0)
+		h.ints(res.S)
+		h.floats(res.Density)
+	}
+	for _, res := range []oqc.Result{
+		oqc.Best(runstate.New(nil), gd, 1.0/3, 0),
+		oqc.LocalSearch(runstate.New(nil), gd, 1.0/3, seed, 0),
+	} {
+		h.ints(res.S)
+		h.floats(res.Surplus, res.Density)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 func goldenRatio(g1, g2 *graph.Graph) string {
 	h := goldenHash{sha256.New()}
 	h.ratio(MaxRatioContrast(runstate.New(nil), g1, g2, 1))
@@ -180,8 +207,9 @@ func goldenRatio(g1, g2 *graph.Graph) string {
 // goldenAffinity digests the affinity solvers on one difference graph:
 // NewSEA, its warm start from each prior (with the embedding a positive-clique
 // prior competes with), SEACD+Refine from every vertex,
-// CollectCliques at 1 and 4 workers and the disjoint top-5. SEA+Refine is
-// left out for its run time; the Table VII shape tests pin it.
+// CollectCliques at 1 and 4 workers and the disjoint top-5. SEA+Refine runs
+// from 8 fixed starts only: SEARefineFull from every vertex is left out for
+// its run time.
 func goldenAffinity(got map[string]string, p string, gd *graph.Graph, priors ...[]int) {
 	digest := func(name string, fn func(h goldenHash)) {
 		h := goldenHash{sha256.New()}
@@ -198,6 +226,22 @@ func goldenAffinity(got map[string]string, p string, gd *graph.Graph, priors ...
 				x := CliqueEmbedding(runstate.New(nil), gd, prior)
 				h.embedding(x.Support(), x)
 			}
+		}
+	})
+	digest("ga-sea", func(h goldenHash) {
+		gdp := gd.PositivePartCompact()
+		var starts []int
+		for u := 0; u < gdp.N(); u++ {
+			if gdp.OutDegree(u) > 0 {
+				starts = append(starts, u)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			x := simplex.Indicator(gdp.N(), starts[i*len(starts)/8])
+			st := SEA(runstate.New(nil), gdp, x, GAOptions{})
+			st.RefineSteps = Refine(runstate.New(nil), gdp, x, GAOptions{})
+			h.embedding(x.Support(), x)
+			h.ints([]int{st.Inits, st.ShrinkIters, st.Expansions, st.ExpansionErrors, st.RefineSteps})
 		}
 	})
 	digest("ga-seacd-full", func(h goldenHash) { h.ga(SEACDRefineFull(runstate.New(nil), gd, GAOptions{})) })
@@ -240,6 +284,7 @@ func TestGoldenBits(t *testing.T) {
 		got[p+"ratio"] = goldenRatio(g1, c.G2)
 		got[p+"ratio-inf"] = goldenRatio(c.G1, c.G2)
 		got[p+"ratio-backed"] = goldenRatio(goldenBacked(t, g1), goldenBacked(t, c.G2))
+		got[p+"local"] = goldenLocal(gd, prior[0], prior, drifted)
 		goldenAffinity(got, p, gd, prior, drifted)
 	}
 	for name, want := range goldenDigests {
