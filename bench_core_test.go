@@ -84,8 +84,6 @@ func BenchmarkCore(b *testing.B) {
 	}{
 		// Building GD = G2 − G1 from two snapshots.
 		{"DifferenceBuild", func() { graph.Difference(f.d.G1, f.d.G2) }},
-		// Deriving GD+ from a built difference graph.
-		{"PositivePart", func() { f.gd.PositivePart() }},
 		// Stripping a small found subgraph from GD, the per-iteration step
 		// of top-k mining.
 		{"WithoutVertices", func() { f.gd.WithoutVertices(topKSeed) }},

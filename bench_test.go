@@ -162,7 +162,7 @@ func benchGD(b *testing.B) *graph.Graph {
 func BenchmarkNewSEA(b *testing.B) {
 	gd := benchGD(b)
 	for i := 0; i < b.N; i++ {
-		core.NewSEA(runstate.New(nil), gd, core.GAOptions{})
+		core.NewSEA(runstate.New(nil), gd)
 	}
 }
 

@@ -95,7 +95,6 @@ func main() {
 	if par < 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	opt := &dcs.Options{Parallelism: par}
 
 	switch *measure {
 	case "ad":
@@ -107,7 +106,7 @@ func main() {
 		}
 	case "ga":
 		if *top > 1 {
-			cs, interrupted := dcs.TopContrastCliquesOnCtx(ctx, gd, opt)
+			cs, interrupted := dcs.TopContrastCliquesOnCtx(ctx, gd, &dcs.Options{Parallelism: par})
 			if interrupted {
 				fmt.Println("(interrupted: partial clique list)")
 			}
@@ -123,7 +122,7 @@ func main() {
 			}
 			return
 		}
-		res := dcs.FindGraphAffinityDCSOnCtx(ctx, gd, opt)
+		res := dcs.FindGraphAffinityDCSOnCtx(ctx, gd, nil)
 		fmt.Printf("DCS (graph affinity): |S|=%d f=%.6g clique=%v%s\n",
 			len(res.S), res.Affinity, res.PositiveClique, mark(res.Interrupted))
 		for _, v := range res.S {

@@ -57,9 +57,11 @@
 // (FindAverageDegreeDCSOnParCtx, TopKAverageDegreeDCSOnParCtx,
 // FindMaxRatioContrastParCtx); the multi-initialization affinity solvers
 // (TopContrastCliquesOnCtx, TopKGraphAffinityDCSOnCtx) read
-// Options.Parallelism. FindGraphAffinityDCSOnCtx is always sequential: its
-// pruned initialization order depends on every earlier result. Degrees ≤ 1
-// select the sequential path and degrees above GOMAXPROCS are capped.
+// Options.Parallelism, the one field of Options: the affinity solvers
+// otherwise run at the fixed settings of the paper's experiments.
+// FindGraphAffinityDCSOnCtx is always sequential: its pruned initialization
+// order depends on every earlier result. Degrees ≤ 1 select the sequential
+// path and degrees above GOMAXPROCS are capped.
 // Parallel solves are bitwise-deterministic: for a fixed input the result is
 // identical at every parallelism degree, including degree 1 — the engines
 // only parallelize steps whose reduction order is fixed (per-component peels
@@ -171,9 +173,19 @@ type AverageDegreeResult = core.ADResult
 // GraphAffinityResult is a DCS under the graph-affinity measure.
 type GraphAffinityResult = core.GAResult
 
-// Options tunes the graph-affinity solvers; the zero value (or nil pointer)
-// matches the paper's experimental settings.
+// Options sets the worker count of the multi-initialization graph-affinity
+// solvers (Parallelism); a nil pointer means sequential. Every other setting
+// of the affinity solvers is fixed at the paper's experimental values
+// (Section VI-A).
 type Options = core.GAOptions
+
+// gaOptions dereferences an optional Options; nil is the zero value.
+func gaOptions(opt *Options) Options {
+	if opt == nil {
+		return Options{}
+	}
+	return *opt
+}
 
 // ContrastClique is one positive clique found by the multi-initialization
 // affinity solver, used for top-k contrast mining.
@@ -194,17 +206,13 @@ func FindAverageDegreeDCSOnParCtx(ctx context.Context, gd *Graph, workers int) A
 // FindGraphAffinityDCSOnCtx finds the embedding maximizing x'A2x − x'A1x by
 // running NewSEA on the difference graph gd = G2 − G1. The result's support
 // is always a positive clique of GD (every pair inside strengthened its
-// connection from G1 to G2). Pass nil options for the paper's defaults. The
-// solve is sequential whatever Options.Parallelism says: NewSEA's pruned
-// initialization loop needs each init's result before it can decide the
-// next. When ctx is done the solver returns the best embedding found so far
-// tagged Interrupted (see the package documentation).
+// connection from G1 to G2). opt is ignored; pass nil. NewSEA runs at the
+// paper's settings and always sequentially: its pruned initialization loop
+// needs each init's result before it can decide the next. When ctx is done
+// the solver returns the best embedding found so far tagged Interrupted (see
+// the package documentation).
 func FindGraphAffinityDCSOnCtx(ctx context.Context, gd *Graph, opt *Options) GraphAffinityResult {
-	var o Options
-	if opt != nil {
-		o = *opt
-	}
-	return core.NewSEA(runstate.New(ctx), gd, o)
+	return core.NewSEA(runstate.New(ctx), gd)
 }
 
 // TopContrastCliquesOnCtx mines many density-contrast cliques at once: it
@@ -214,13 +222,10 @@ func FindGraphAffinityDCSOnCtx(ctx context.Context, gd *Graph, opt *Options) Gra
 // This is the procedure behind the paper's top-k emerging/disappearing topic
 // lists. When ctx is done the remaining initializations are skipped and the
 // cliques already found are returned, with interrupted reporting the early
-// stop.
+// stop. The initializations run on opt.Parallelism workers (nil:
+// sequential), bitwise identical at every degree.
 func TopContrastCliquesOnCtx(ctx context.Context, gd *Graph, opt *Options) (cliques []ContrastClique, interrupted bool) {
-	var o Options
-	if opt != nil {
-		o = *opt
-	}
-	return core.CollectCliques(runstate.New(ctx), gd, o)
+	return core.CollectCliques(runstate.New(ctx), gd, gaOptions(opt))
 }
 
 // ValidateAverageDegreeResult re-derives every field of an
@@ -269,15 +274,14 @@ func TopKAverageDegreeDCSOnParCtx(ctx context.Context, gd *Graph, k, workers int
 
 // TopKGraphAffinityDCSOnCtx mines up to k vertex-disjoint positive cliques
 // with the largest affinity differences (disjoint communities rather than
-// the possibly-overlapping topics of TopContrastCliquesOnCtx). When ctx is
-// done, interrupted reports that the underlying clique collection stopped
-// early, so the selection ran over a partial candidate pool.
+// the possibly-overlapping topics of TopContrastCliquesOnCtx). The clique
+// collection runs on opt.Parallelism workers (nil: sequential), bitwise
+// identical at every degree; a k ≤ 0 returns no cliques without collecting.
+// When ctx is done, interrupted reports that the underlying clique
+// collection stopped early, so the selection ran over a partial candidate
+// pool.
 func TopKGraphAffinityDCSOnCtx(ctx context.Context, gd *Graph, k int, opt *Options) (cliques []ContrastClique, interrupted bool) {
-	var o Options
-	if opt != nil {
-		o = *opt
-	}
-	return core.TopKGraphAffinity(runstate.New(ctx), gd, k, o)
+	return core.TopKGraphAffinity(runstate.New(ctx), gd, k, gaOptions(opt))
 }
 
 // MaxTotalWeightResult is a subgraph maximizing total weight difference

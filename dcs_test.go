@@ -186,7 +186,7 @@ func TestSolverWiring(t *testing.T) {
 		{"FindGraphAffinityDCSOnCtx", func(ctx context.Context, workers int) (any, bool) {
 			res := FindGraphAffinityDCSOnCtx(ctx, gd, &Options{Parallelism: workers})
 			return res, res.Interrupted
-		}, core.NewSEA(runstate.New(nil), gd, core.GAOptions{})},
+		}, core.NewSEA(runstate.New(nil), gd)},
 		{"TopKGraphAffinityDCSOnCtx", func(ctx context.Context, workers int) (any, bool) {
 			return TopKGraphAffinityDCSOnCtx(ctx, gd, k, &Options{Parallelism: workers})
 		}, solved(core.TopKGraphAffinity(runstate.New(nil), gd, k, core.GAOptions{}))},

@@ -49,7 +49,7 @@ func (s *Suite) Ablations(w io.Writer) []AblationRow {
 		})
 		row.HeapTime = timed(func() { densest.Greedy(runstate.New(nil), d.GD, 1) })
 		row.SegTreeTime = timed(func() { densest.GreedySegTree(d.GD) })
-		o := oqc.Best(runstate.New(nil), d.GD, 1.0/3, 0)
+		o := oqc.Best(runstate.New(nil), d.GD, 1.0/3)
 		row.OQCSize = len(o.S)
 		row.OQCSurplus = o.Surplus
 		row.OQCDensity = o.Density

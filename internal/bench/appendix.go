@@ -60,7 +60,7 @@ func (s *Suite) gaRows(w io.Writer, names []string) []GARow {
 	var rows []GARow
 	for _, name := range names {
 		d := s.Get(name)
-		res := core.NewSEA(runstate.New(nil), d.GD, s.Opt)
+		res := core.NewSEA(runstate.New(nil), d.GD)
 		rows = append(rows, GARow{Dataset: d, Result: res, NumVertices: len(res.S)})
 	}
 	if w != nil {
@@ -128,7 +128,7 @@ func (s *Suite) Fig3(w io.Writer, movieMin, bookMin int) []Fig3Series {
 		{"Book/—/Social−Interest", bookMin},
 	} {
 		d := s.Get(spec.name)
-		cliques, _ := core.CollectCliques(runstate.New(nil), d.GD, s.Opt)
+		cliques, _ := core.CollectCliques(runstate.New(nil), d.GD, core.GAOptions{})
 		counts := make(map[int]int)
 		for _, c := range cliques {
 			if len(c.S) >= spec.min {

@@ -76,7 +76,7 @@ func (s *Suite) TableIX(w io.Writer) []TableIXRow {
 	} {
 		d := s.Get(name)
 		ad := core.DCSGreedy(runstate.New(nil), d.GD, 1)
-		ga := core.NewSEA(runstate.New(nil), d.GD, s.Opt)
+		ga := core.NewSEA(runstate.New(nil), d.GD)
 		eg := egoscan.Scan(runstate.New(nil), d.GD)
 		rows = append(rows, TableIXRow{
 			Setting: d.Setting, GDType: d.GDType,

@@ -33,9 +33,9 @@ func (s *Suite) TableVII(w io.Writer) []TableVIIRow {
 	for _, d := range s.Datasets() {
 		row := TableVIIRow{Dataset: d}
 		var rNew, rCD, rSEA core.GAResult
-		row.NewSEA = timed(func() { rNew = core.NewSEA(runstate.New(nil), d.GD, s.Opt) })
-		row.SEACDRefine = timed(func() { rCD = core.SEACDRefineFull(runstate.New(nil), d.GD, s.Opt) })
-		row.SEARefine = timed(func() { rSEA = core.SEARefineFull(runstate.New(nil), d.GD, s.Opt) })
+		row.NewSEA = timed(func() { rNew = core.NewSEA(runstate.New(nil), d.GD) })
+		row.SEACDRefine = timed(func() { rCD = core.SEACDRefineFull(runstate.New(nil), d.GD, core.GAOptions{}) })
+		row.SEARefine = timed(func() { rSEA = core.SEARefineFull(runstate.New(nil), d.GD, core.GAOptions{}) })
 		row.SEAErrors = rSEA.Stats.ExpansionErrors
 		row.NewSEAErrors = rNew.Stats.ExpansionErrors
 		row.SEACDErrors = rCD.Stats.ExpansionErrors
@@ -76,8 +76,8 @@ func (s *Suite) Fig2(w io.Writer) []Fig2Point {
 	for _, p := range pts {
 		st := p.GD.ComputeStats()
 		var rCD, rSEA core.GAResult
-		tCD := timed(func() { rCD = core.SEACDRefineFull(runstate.New(nil), p.GD, s.Opt) })
-		tSEA := timed(func() { rSEA = core.SEARefineFull(runstate.New(nil), p.GD, s.Opt) })
+		tCD := timed(func() { rCD = core.SEACDRefineFull(runstate.New(nil), p.GD, core.GAOptions{}) })
+		tSEA := timed(func() { rSEA = core.SEARefineFull(runstate.New(nil), p.GD, core.GAOptions{}) })
 		pt := Fig2Point{
 			DensityPos:  st.Density,
 			SpeedUp:     tSEA.Seconds() / max(tCD.Seconds(), 1e-9),

@@ -35,7 +35,7 @@ func TestPlantedGroupRecovery(t *testing.T) {
 
 	// NewSEA must return a planted group or a subset of one (affinity prefers
 	// the tightest core).
-	ga := core.NewSEA(runstate.New(nil), gd, core.GAOptions{})
+	ga := core.NewSEA(runstate.New(nil), gd)
 	if !subsetOfAny(ga.S, ca.EmergingGroups) {
 		t.Errorf("NewSEA found %v, not within any planted group", ga.S)
 	}

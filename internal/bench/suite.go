@@ -15,7 +15,6 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"github.com/dcslib/dcs/internal/core"
 	"github.com/dcslib/dcs/internal/datagen"
 	"github.com/dcslib/dcs/internal/graph"
 )
@@ -25,7 +24,6 @@ import (
 type Suite struct {
 	Quick bool
 	Seed  int64
-	Opt   core.GAOptions
 
 	once sync.Once
 	data map[string]*Dataset

@@ -67,7 +67,7 @@ func (s *Suite) TableIV(w io.Writer) []GroupRow {
 			NumAuthors: len(ad.S), PositiveClique: ad.PositiveClique,
 			AvgDegreeDiff: ad.Density, ApproxRatio: ad.Ratio, EdgeDensity: ad.EdgeDensity,
 		})
-		ga := core.NewSEA(runstate.New(nil), d.GD, s.Opt)
+		ga := core.NewSEA(runstate.New(nil), d.GD)
 		rows = append(rows, GroupRow{
 			Setting: d.Setting, GDType: d.GDType, Measure: "Graph Affinity",
 			Members: ga.S, MemberLabels: labelSet(d.Labels, ga.S, 8),
@@ -159,7 +159,7 @@ func (s *Suite) TableVI(w io.Writer, k int) (era1, era2 []TopicRow) {
 // topTopics collects contrast cliques on gd and renders the top k with
 // simplex weights, like "social (0.5), networks (0.5)".
 func (s *Suite) topTopics(gd *graph.Graph, labels []string, k int) []TopicRow {
-	cliques, _ := core.CollectCliques(runstate.New(nil), gd, s.Opt)
+	cliques, _ := core.CollectCliques(runstate.New(nil), gd, core.GAOptions{})
 	var out []TopicRow
 	for i, c := range cliques {
 		if i >= k {

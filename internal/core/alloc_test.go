@@ -90,11 +90,11 @@ func TestRatioAllocsFlatInProbes(t *testing.T) {
 // allocation in the per-solve setup breaks that.
 func TestNewSEAAllocsPerInit(t *testing.T) {
 	perInit := func(gd *graph.Graph) (float64, int) {
-		inits := NewSEA(runstate.New(nil), gd, GAOptions{}).Stats.Inits
+		inits := NewSEA(runstate.New(nil), gd).Stats.Inits
 		if inits == 0 {
 			t.Fatal("NewSEA ran no initialization")
 		}
-		return testing.AllocsPerRun(10, func() { NewSEA(runstate.New(nil), gd, GAOptions{}) }) / float64(inits), inits
+		return testing.AllocsPerRun(10, func() { NewSEA(runstate.New(nil), gd) }) / float64(inits), inits
 	}
 	few := componentsGraph(10)
 	a, fewInits := perInit(few)
@@ -110,11 +110,11 @@ func TestNewSEAAllocsPerInit(t *testing.T) {
 	pb := graph.NewBuilder(few.N() + 2000)
 	few.VisitEdges(func(u, v int, w float64) { pb.AddEdge(u, v, w) })
 	padded := pb.Build()
-	if inits := NewSEA(runstate.New(nil), padded, GAOptions{}).Stats.Inits; inits != fewInits {
+	if inits := NewSEA(runstate.New(nil), padded).Stats.Inits; inits != fewInits {
 		t.Fatalf("NewSEA: %d inits with isolated vertices added, %d without", inits, fewInits)
 	}
 	flatAllocs(t, "NewSEA with 2000 isolated vertices",
-		func() { NewSEA(runstate.New(nil), few, GAOptions{}) }, func() { NewSEA(runstate.New(nil), padded, GAOptions{}) })
+		func() { NewSEA(runstate.New(nil), few) }, func() { NewSEA(runstate.New(nil), padded) })
 }
 
 // TestCollectCliquesAllocsPerInit: the multi-initialization drivers run one

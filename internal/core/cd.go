@@ -28,7 +28,7 @@ type cdState struct {
 // before reading them.
 func newCDState(g *graph.Graph, x *simplex.Vector, S []int, rs *runstate.State) *cdState {
 	g = g.Compact()
-	off, ids, ws, _, _ := g.CSR()
+	off, ids, ws, _ := g.CSR()
 	st := &cdState{
 		g:   g,
 		off: off,

@@ -65,14 +65,14 @@ func TestDCSGreedyCtxCancelledReturnsValidPartial(t *testing.T) {
 
 func TestNewSEACtxCancelledReturnsValidPartial(t *testing.T) {
 	gd := randomDiffGraph(200, 0.15, 3)
-	res := NewSEA(runstate.New(cancelledCtx()), gd, GAOptions{})
+	res := NewSEA(runstate.New(cancelledCtx()), gd)
 	if !res.Interrupted {
 		t.Fatal("pre-cancelled run not tagged Interrupted")
 	}
 	if err := ValidateGA(gd, res); err != nil {
 		t.Fatalf("interrupted result fails validation: %v", err)
 	}
-	full := NewSEA(runstate.New(nil), gd, GAOptions{})
+	full := NewSEA(runstate.New(nil), gd)
 	if full.Interrupted {
 		t.Fatal("uncancelled run tagged Interrupted")
 	}
@@ -100,7 +100,7 @@ func TestNewSEAWarmCancelled(t *testing.T) {
 	if descended := CliqueEmbedding(runstate.New(nil), gd, prior); descended.Get(1) == uniform.Get(1) {
 		t.Fatal("fixture: the uniform embedding is already the descended one")
 	}
-	res, hit := NewSEAWarm(runstate.New(cancelledCtx()), gd, prior, GAOptions{})
+	res, hit := NewSEAWarm(runstate.New(cancelledCtx()), gd, prior)
 	if !res.Interrupted || !hit {
 		t.Fatalf("cancelled warm solve: interrupted %v, warm hit %v; want both", res.Interrupted, hit)
 	}
@@ -157,14 +157,14 @@ func TestCollectCliquesCtxPartial(t *testing.T) {
 // containing it) and nothing from the skipped ones.
 func TestCollectCliquesKeepsCompletedInits(t *testing.T) {
 	gd := randomDiffGraph(150, 0.2, 4)
-	gdp := gd.PositivePartCompact()
+	gdp := gd.PositivePart()
 	var starts []int
 	for u := 0; u < gd.N(); u++ {
 		if gdp.OutDegree(u) > 0 {
 			starts = append(starts, u)
 		}
 	}
-	opt := GAOptions{}.withDefaults()
+	var opt GAOptions
 	ctx, cancel := context.WithCancel(context.Background())
 	rs := runstate.New(ctx)
 	half := len(starts) / 2
@@ -231,6 +231,19 @@ func TestCollectCliquesCtxParallelCancel(t *testing.T) {
 	for _, c := range cliques {
 		if len(c.S) == 0 {
 			t.Fatal("empty clique reported")
+		}
+	}
+}
+
+// TestTopKGraphAffinityZeroK: k ≤ 0 selects nothing, so no clique
+// collection runs — a pre-cancelled State is never polled and the call
+// reports no interruption.
+func TestTopKGraphAffinityZeroK(t *testing.T) {
+	gd := randomDiffGraph(100, 0.1, 7)
+	for _, k := range []int{0, -1} {
+		cliques, interrupted := TopKGraphAffinity(runstate.New(cancelledCtx()), gd, k, GAOptions{})
+		if len(cliques) != 0 || interrupted {
+			t.Fatalf("k=%d: %d cliques, interrupted=%v; want none and false", k, len(cliques), interrupted)
 		}
 	}
 }

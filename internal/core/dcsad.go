@@ -171,7 +171,7 @@ func GreedyGDOnly(rs *runstate.State, gd *graph.Graph) ADResult {
 // GreedyGDPlusOnly runs greedy peeling on GD+ and evaluates the resulting set
 // in GD — the "GD+ only" column of Tables X and XII.
 func GreedyGDPlusOnly(rs *runstate.State, gd *graph.Graph) ADResult {
-	res := densest.Greedy(rs, gd.PositivePartCompact(), 1)
+	res := densest.Greedy(rs, gd.PositivePart(), 1)
 	return newADResult(gd, res.S, 0)
 }
 
@@ -197,7 +197,7 @@ func ExactUpperBoundRatio(gd *graph.Graph, res ADResult) float64 {
 		return 1
 	}
 	// Materialized GD+: Exact scans its edges once per binary-search probe.
-	exact := densest.Exact(gd.PositivePartCompact())
+	exact := densest.Exact(gd.PositivePart())
 	beta := exact.Density / res.Density
 	if beta < 1 {
 		// Numerical guard: the witness itself proves OPT ≥ ρ_D(S).

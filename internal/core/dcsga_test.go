@@ -116,7 +116,7 @@ func TestSolveInteriorKKTTriangle(t *testing.T) {
 
 func TestNewSEAFigure1(t *testing.T) {
 	gd := figure1GD()
-	res := NewSEA(runstate.New(nil), gd, GAOptions{})
+	res := NewSEA(runstate.New(nil), gd)
 	if !almostEqual(res.Affinity, 2.25) {
 		t.Fatalf("NewSEA affinity = %v S=%v, want 2.25 on {0,2,3}", res.Affinity, res.S)
 	}
@@ -140,7 +140,7 @@ func TestGAOnNoPositiveEdges(t *testing.T) {
 	b.AddEdge(0, 1, -1)
 	gd := b.Build()
 	for name, res := range map[string]GAResult{
-		"NewSEA":      NewSEA(runstate.New(nil), gd, GAOptions{}),
+		"NewSEA":      NewSEA(runstate.New(nil), gd),
 		"SEACDRefine": SEACDRefineFull(runstate.New(nil), gd, GAOptions{}),
 		"SEARefine":   SEARefineFull(runstate.New(nil), gd, GAOptions{}),
 	} {
@@ -150,7 +150,7 @@ func TestGAOnNoPositiveEdges(t *testing.T) {
 		}
 	}
 	// Empty graph.
-	if res := NewSEA(runstate.New(nil), graph.NewBuilder(0).Build(), GAOptions{}); res.Affinity != 0 {
+	if res := NewSEA(runstate.New(nil), graph.NewBuilder(0).Build()); res.Affinity != 0 {
 		t.Error("empty graph must give affinity 0")
 	}
 }
@@ -226,7 +226,7 @@ func TestGASolversBoundedByOracle(t *testing.T) {
 		gd := randomSignedGraph(rng, n, 0.5, 4)
 		opt := bruteForceGA(gd)
 		for _, res := range []GAResult{
-			NewSEA(runstate.New(nil), gd, GAOptions{}),
+			NewSEA(runstate.New(nil), gd),
 			SEACDRefineFull(runstate.New(nil), gd, GAOptions{}),
 			SEARefineFull(runstate.New(nil), gd, GAOptions{}),
 		} {
@@ -280,7 +280,7 @@ func TestNewSEAMatchesFullInit(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		n := 3 + rng.Intn(9)
 		gd := randomSignedGraph(rng, n, 0.45, 5)
-		smart := NewSEA(runstate.New(nil), gd, GAOptions{})
+		smart := NewSEA(runstate.New(nil), gd)
 		full := SEACDRefineFull(runstate.New(nil), gd, GAOptions{})
 		if !almostEqual(smart.Affinity, full.Affinity) {
 			t.Fatalf("trial %d: NewSEA=%v full=%v", trial, smart.Affinity, full.Affinity)
@@ -311,8 +311,8 @@ func TestSEACDReachesKKT(t *testing.T) {
 			}
 		}
 		x := simplex.Indicator(n, start)
-		SEACD(runstate.New(nil), gdp, x, GAOptions{})
-		// The shrink precision is EpsBase/|S|; allow that much violation.
+		SEACD(runstate.New(nil), gdp, x)
+		// The shrink precision is epsBase/|S|; allow that much violation.
 		viol := simplex.KKTViolation(gdp, x)
 		if viol > 2e-2 {
 			t.Fatalf("trial %d: KKT violation = %v after SEACD (support %v)",
@@ -340,9 +340,9 @@ func TestRefineImprovesToClique(t *testing.T) {
 			}
 		}
 		x := simplex.Indicator(n, start)
-		SEACD(runstate.New(nil), gdp, x, GAOptions{})
+		SEACD(runstate.New(nil), gdp, x)
 		before := simplex.Affinity(gdp, x)
-		Refine(runstate.New(nil), gdp, x, GAOptions{})
+		Refine(runstate.New(nil), gdp, x)
 		after := simplex.Affinity(gdp, x)
 		if after < before-1e-9 {
 			return false
@@ -498,7 +498,7 @@ func TestReplicatorMonotone(t *testing.T) {
 		}
 		x.Normalize()
 		before := simplex.Affinity(g, x)
-		replicatorShrink(g, x, S, GAOptions{}.withDefaults(), runstate.New(nil))
+		replicatorShrink(g, x, S, runstate.New(nil))
 		after := simplex.Affinity(g, x)
 		return after >= before-1e-9 && math.Abs(x.Sum()-1) < 1e-6
 	}
@@ -566,7 +566,7 @@ func TestWeightedTriangleInterior(t *testing.T) {
 	if !ok {
 		t.Fatal("triangle system solvable")
 	}
-	res := NewSEA(runstate.New(nil), gd, GAOptions{})
+	res := NewSEA(runstate.New(nil), gd)
 	if !almostEqual(res.Affinity, math.Max(lambda, 2)) {
 		t.Fatalf("NewSEA = %v, interior = %v", res.Affinity, lambda)
 	}

@@ -142,7 +142,7 @@ func (h goldenHash) cliques(cs []Clique) {
 // graph.FromCSR, the way dcsd serves mmapped snapshots.
 func goldenBacked(t *testing.T, g *graph.Graph) *graph.Graph {
 	t.Helper()
-	off, ids, ws, _, _ := g.CSR()
+	off, ids, ws, _ := g.CSR()
 	b, err := graph.FromCSR(g.N(), append([]int(nil), off...), append([]int32(nil), ids...),
 		append([]float64(nil), ws...), nil)
 	if err != nil {
@@ -183,13 +183,13 @@ func goldenAvgDeg(gd *graph.Graph, prior []int) string {
 func goldenLocal(gd *graph.Graph, seed int, priors ...[]int) string {
 	h := goldenHash{sha256.New()}
 	for _, prior := range priors {
-		res := densest.LocalImprove(runstate.New(nil), gd, prior, 0)
+		res := densest.LocalImprove(runstate.New(nil), gd, prior)
 		h.ints(res.S)
 		h.floats(res.Density)
 	}
 	for _, res := range []oqc.Result{
-		oqc.Best(runstate.New(nil), gd, 1.0/3, 0),
-		oqc.LocalSearch(runstate.New(nil), gd, 1.0/3, seed, 0),
+		oqc.Best(runstate.New(nil), gd, 1.0/3),
+		oqc.LocalSearch(runstate.New(nil), gd, 1.0/3, seed),
 	} {
 		h.ints(res.S)
 		h.floats(res.Surplus, res.Density)
@@ -216,10 +216,10 @@ func goldenAffinity(got map[string]string, p string, gd *graph.Graph, priors ...
 		fn(h)
 		got[p+name] = hex.EncodeToString(h.Sum(nil))
 	}
-	digest("ga-newsea", func(h goldenHash) { h.ga(NewSEA(runstate.New(nil), gd, GAOptions{})) })
+	digest("ga-newsea", func(h goldenHash) { h.ga(NewSEA(runstate.New(nil), gd)) })
 	digest("ga-warm", func(h goldenHash) {
 		for _, prior := range priors {
-			res, hit := NewSEAWarm(runstate.New(nil), gd, prior, GAOptions{})
+			res, hit := NewSEAWarm(runstate.New(nil), gd, prior)
 			h.ga(res)
 			h.bools(hit)
 			if gd.IsPositiveClique(prior) {
@@ -229,7 +229,7 @@ func goldenAffinity(got map[string]string, p string, gd *graph.Graph, priors ...
 		}
 	})
 	digest("ga-sea", func(h goldenHash) {
-		gdp := gd.PositivePartCompact()
+		gdp := gd.PositivePart()
 		var starts []int
 		for u := 0; u < gdp.N(); u++ {
 			if gdp.OutDegree(u) > 0 {
@@ -238,8 +238,8 @@ func goldenAffinity(got map[string]string, p string, gd *graph.Graph, priors ...
 		}
 		for i := 0; i < 8; i++ {
 			x := simplex.Indicator(gdp.N(), starts[i*len(starts)/8])
-			st := SEA(runstate.New(nil), gdp, x, GAOptions{})
-			st.RefineSteps = Refine(runstate.New(nil), gdp, x, GAOptions{})
+			st := SEA(runstate.New(nil), gdp, x)
+			st.RefineSteps = Refine(runstate.New(nil), gdp, x)
 			h.embedding(x.Support(), x)
 			h.ints([]int{st.Inits, st.ShrinkIters, st.Expansions, st.ExpansionErrors, st.RefineSteps})
 		}

@@ -84,16 +84,16 @@ func initBounds(gdp *graph.Graph, rs *runstate.State) []float64 {
 
 // runInit performs one initialization of the DCSGA pipeline: x = e_u, SEACD
 // (or SEA) to a KKT point on GD+, then Refinement to a positive clique.
-func runInit(gdp *graph.Graph, u int, useReplicator bool, opt GAOptions, rs *runstate.State) (*simplex.Vector, GAStats) {
+func runInit(gdp *graph.Graph, u int, useReplicator bool, rs *runstate.State) (*simplex.Vector, GAStats) {
 	x := simplex.Indicator(gdp.N(), u)
 	var st GAStats
 	if useReplicator {
-		st = SEA(rs, gdp, x, opt)
+		st = SEA(rs, gdp, x)
 	} else {
-		st = SEACD(rs, gdp, x, opt)
+		st = SEACD(rs, gdp, x)
 	}
-	st.RefineSteps += Refine(rs, gdp, x, opt)
-	pruneTiny(gdp, x, opt, rs)
+	st.RefineSteps += Refine(rs, gdp, x)
+	pruneTiny(gdp, x, rs)
 	return x, st
 }
 
@@ -105,12 +105,11 @@ func runInit(gdp *graph.Graph, u int, useReplicator bool, opt GAOptions, rs *run
 // the full difference graph gd (equal by Theorem 5: the support is a positive
 // clique). When rs is cancelled the solver stops within one checkpoint
 // interval and returns the best embedding found so far, tagged Interrupted.
-func NewSEA(rs *runstate.State, gd *graph.Graph, opt GAOptions) GAResult {
-	opt = opt.withDefaults()
-	// Materialize GD+ once (single pass): every initialization below runs
-	// thousands of coordinate-descent sweeps over it, which a flattened CSR
-	// serves without per-edge filtering.
-	gdp := gd.PositivePartCompact()
+func NewSEA(rs *runstate.State, gd *graph.Graph) GAResult {
+	// GD+ is materialized once (single pass, memoized on gd): every
+	// initialization below runs thousands of coordinate-descent sweeps over
+	// it, which a flattened CSR serves without per-edge filtering.
+	gdp := gd.PositivePart()
 	n := gd.N()
 	if n == 0 {
 		return GAResult{X: simplex.New(0), PositiveClique: true}
@@ -140,7 +139,7 @@ func NewSEA(rs *runstate.State, gd *graph.Graph, opt GAOptions) GAResult {
 		if rs.Cancelled() {
 			break
 		}
-		x, st := runInit(gdp, u, false, opt, rs)
+		x, st := runInit(gdp, u, false, rs)
 		stats.add(st)
 		f := simplex.Affinity(gdp, x)
 		if rs.Interrupted() && !gd.IsPositiveClique(x.Support()) {
@@ -177,8 +176,7 @@ func SEARefineFull(rs *runstate.State, gd *graph.Graph, opt GAOptions) GAResult 
 // the remaining initializations and keeps the best of those that ran, ranked
 // as NewSEA ranks its leftovers, tagged Interrupted.
 func fullInit(gd *graph.Graph, useReplicator bool, opt GAOptions, rs *runstate.State) GAResult {
-	opt = opt.withDefaults()
-	gdp := gd.PositivePartCompact() // see NewSEA
+	gdp := gd.PositivePart() // see NewSEA
 	n := gd.N()
 	if n == 0 {
 		return GAResult{X: simplex.New(0), PositiveClique: true}
@@ -245,7 +243,7 @@ func forEachInit(gdp *graph.Graph, starts []int, useReplicator bool, opt GAOptio
 			irs = rs.Fork()
 		}
 		if !irs.Cancelled() {
-			results[i].x, results[i].st = runInit(gdp, starts[i], useReplicator, opt, irs)
+			results[i].x, results[i].st = runInit(gdp, starts[i], useReplicator, irs)
 		}
 		results[i].cut = irs.Interrupted()
 	})
@@ -272,7 +270,7 @@ type Clique struct {
 func CliqueEmbedding(rs *runstate.State, gd *graph.Graph, S []int) *simplex.Vector {
 	x := simplex.Uniform(gd.N(), S)
 	coordinateDescent(gd, x, S, 1e-9, 100000, rs)
-	pruneTiny(gd, x, GAOptions{}, rs)
+	pruneTiny(gd, x, rs)
 	return x
 }
 
@@ -284,8 +282,7 @@ func CliqueEmbedding(rs *runstate.State, gd *graph.Graph, S []int) *simplex.Vect
 // remaining initializations are skipped and the cliques of the inits that
 // completed are returned, with interrupted reporting the early stop.
 func CollectCliques(rs *runstate.State, gd *graph.Graph, opt GAOptions) (cliques []Clique, interrupted bool) {
-	opt = opt.withDefaults()
-	gdp := gd.PositivePartCompact() // see NewSEA
+	gdp := gd.PositivePart() // see NewSEA
 	n := gd.N()
 	var starts []int
 	for u := 0; u < n; u++ {

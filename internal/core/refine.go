@@ -22,8 +22,7 @@ import (
 // "not adjacent" means. x is mutated in place. Returns the number of
 // vertex-removal steps. A run cancelled through rs stops between steps,
 // possibly short of a positive clique.
-func Refine(rs *runstate.State, gdp *graph.Graph, x *simplex.Vector, opt GAOptions) int {
-	opt = opt.withDefaults()
+func Refine(rs *runstate.State, gdp *graph.Graph, x *simplex.Vector) int {
 	steps := 0
 	for {
 		if rs.Checkpoint() {
@@ -45,8 +44,7 @@ func Refine(rs *runstate.State, gdp *graph.Graph, x *simplex.Vector, opt GAOptio
 		x.Set(u, x.Get(u)+x.Get(v))
 		x.Set(v, 0)
 		S = x.Support()
-		eps := opt.EpsBase / float64(max(len(S), 1))
-		coordinateDescent(gdp, x, S, eps, opt.MaxShrinkIter, rs)
+		coordinateDescent(gdp, x, S, shrinkEps(len(S)), maxShrinkIter, rs)
 	}
 }
 
@@ -56,8 +54,7 @@ func Refine(rs *runstate.State, gdp *graph.Graph, x *simplex.Vector, opt GAOptio
 // weight is 0) and only add noise to the reported support. After dropping
 // them the embedding is renormalized and re-descended to a local KKT point on
 // the smaller support, so the objective change is O(ε).
-func pruneTiny(gdp *graph.Graph, x *simplex.Vector, opt GAOptions, rs *runstate.State) {
-	opt = opt.withDefaults()
+func pruneTiny(gdp *graph.Graph, x *simplex.Vector, rs *runstate.State) {
 	for {
 		if rs.Checkpoint() {
 			return
@@ -83,8 +80,7 @@ func pruneTiny(gdp *graph.Graph, x *simplex.Vector, opt GAOptions, rs *runstate.
 		}
 		x.Normalize()
 		S := x.Support()
-		eps := opt.EpsBase / float64(max(len(S), 1))
-		coordinateDescent(gdp, x, S, eps, opt.MaxShrinkIter, rs)
+		coordinateDescent(gdp, x, S, shrinkEps(len(S)), maxShrinkIter, rs)
 	}
 }
 

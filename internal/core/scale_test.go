@@ -35,7 +35,7 @@ func TestLargeGraphScalability(t *testing.T) {
 	}
 
 	start = time.Now()
-	ga := NewSEA(runstate.New(nil), gd, GAOptions{})
+	ga := NewSEA(runstate.New(nil), gd)
 	tGA := time.Since(start)
 	if err := ValidateGA(gd, ga); err != nil {
 		t.Fatal(err)

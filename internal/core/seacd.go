@@ -9,50 +9,42 @@ import (
 	"github.com/dcslib/dcs/internal/simplex"
 )
 
-// GAOptions tunes the DCSGA solvers. The zero value selects the defaults the
-// paper uses in its experiments (Section VI-A).
+// GAOptions tunes the DCSGA multi-initialization drivers. The zero value runs
+// them sequentially.
 type GAOptions struct {
-	// EpsBase controls the shrink-stage convergence condition
-	// max_{k∈S} ∇k − min_{k∈S} ∇k ≤ EpsBase·(1/|S|); the paper sets 10⁻².
-	EpsBase float64
-	// MaxShrinkIter bounds 2-CD iterations per shrink stage. Default 200000.
-	MaxShrinkIter int
-	// MaxRounds bounds shrink+expansion rounds per initialization. Default 200.
-	MaxRounds int
-	// ReplicatorEps is the (intentionally faithful, intentionally flawed)
-	// convergence condition of the original SEA baseline: stop the replicator
-	// dynamic when the objective improves by less than this. Default 10⁻⁶.
-	ReplicatorEps float64
-	// MaxReplicatorIter bounds replicator iterations per shrink stage.
-	// Default 20000.
-	MaxReplicatorIter int
 	// Parallelism is the number of worker goroutines used by the
 	// multi-initialization drivers (SEACDRefineFull, SEARefineFull,
-	// CollectCliques). 0 or 1 means sequential; results are bitwise
-	// identical at every degree. Degrees above GOMAXPROCS are capped.
-	// NewSEA ignores it: its µ-pruned loop decides each init from the best
-	// objective of the inits before it, so it always runs sequentially.
+	// CollectCliques, TopKGraphAffinity). 0 or 1 means sequential; results
+	// are bitwise identical at every degree. Degrees above GOMAXPROCS are
+	// capped. NewSEA takes no options: its µ-pruned loop decides each init
+	// from the best objective of the inits before it, so it always runs
+	// sequentially.
 	Parallelism int
 }
 
-func (o GAOptions) withDefaults() GAOptions {
-	if o.EpsBase == 0 {
-		o.EpsBase = 1e-2
-	}
-	if o.MaxShrinkIter == 0 {
-		o.MaxShrinkIter = 200000
-	}
-	if o.MaxRounds == 0 {
-		o.MaxRounds = 200
-	}
-	if o.ReplicatorEps == 0 {
-		o.ReplicatorEps = 1e-6
-	}
-	if o.MaxReplicatorIter == 0 {
-		o.MaxReplicatorIter = 20000
-	}
-	return o
-}
+// The DCSGA solvers run at the settings of the paper's experiments
+// (Section VI-A).
+const (
+	// epsBase controls the shrink-stage convergence condition
+	// max_{k∈S} ∇k − min_{k∈S} ∇k ≤ epsBase·(1/|S|); the paper sets 10⁻².
+	epsBase = 1e-2
+	// maxShrinkIter bounds 2-CD iterations per shrink stage.
+	maxShrinkIter = 200000
+	// maxRounds bounds shrink+expansion rounds per initialization.
+	maxRounds = 200
+	// replicatorEps is the (intentionally faithful, intentionally flawed)
+	// convergence condition of the original SEA baseline: stop the replicator
+	// dynamic when the objective improves by less than this. The stop is
+	// deliberately loose: it is Liu et al.'s [18], and it is what produces
+	// the expansion errors of Table VII.
+	replicatorEps = 1e-6
+	// maxReplicatorIter bounds replicator iterations per shrink stage.
+	maxReplicatorIter = 20000
+)
+
+// shrinkEps is the coordinate-descent precision on a working set of sz
+// vertices: epsBase/|S|.
+func shrinkEps(sz int) float64 { return epsBase / float64(max(sz, 1)) }
 
 // GAStats aggregates work and error counters across one solver run.
 type GAStats struct {
@@ -74,27 +66,26 @@ func (s *GAStats) add(o GAStats) {
 // shrinkFunc runs one shrink stage on the working set S, mutating x toward a
 // local KKT point, and returns the iterations spent. rs carries the run's
 // cancellation checkpoint into the iteration loop.
-type shrinkFunc func(g *graph.Graph, x *simplex.Vector, S []int, opt GAOptions, rs *runstate.State) int
+type shrinkFunc func(g *graph.Graph, x *simplex.Vector, S []int, rs *runstate.State) int
 
 // cdShrink is the paper's 2-coordinate-descent shrink stage with the correct
-// convergence condition max∇ − min∇ ≤ EpsBase/|S|.
-func cdShrink(g *graph.Graph, x *simplex.Vector, S []int, opt GAOptions, rs *runstate.State) int {
-	eps := opt.EpsBase / float64(max(len(S), 1))
-	return coordinateDescent(g, x, S, eps, opt.MaxShrinkIter, rs)
+// convergence condition max∇ − min∇ ≤ epsBase/|S|.
+func cdShrink(g *graph.Graph, x *simplex.Vector, S []int, rs *runstate.State) int {
+	return coordinateDescent(g, x, S, shrinkEps(len(S)), maxShrinkIter, rs)
 }
 
 // replicatorShrink is the original SEA shrink stage (Appendix A, Eq. 12):
 // xi(t+1) = xi(t)·(Dx)_i / xᵀDx on the working set, with the baseline's loose
-// convergence condition f(x) − f(x_old) ≤ ReplicatorEps. The working set is
+// convergence condition f(x) − f(x_old) ≤ replicatorEps. The working set is
 // x's support: the update only rescales support entries and never adds one,
 // so the iterate stays on it without a membership test. Requires D ≥ 0 there
 // (the replicator breaks on negative entries — the very reason the paper
 // introduces coordinate descent). The loose condition is faithful to [18] and
 // is what produces the expansion errors Table VII reports.
-func replicatorShrink(g *graph.Graph, x *simplex.Vector, _ []int, opt GAOptions, rs *runstate.State) int {
+func replicatorShrink(g *graph.Graph, x *simplex.Vector, _ []int, rs *runstate.State) int {
 	iters := 0
 	f := simplex.Affinity(g, x)
-	for iters < opt.MaxReplicatorIter {
+	for iters < maxReplicatorIter {
 		if f <= 0 {
 			break // dynamic undefined (single vertex / no positive mass pairs)
 		}
@@ -123,7 +114,7 @@ func replicatorShrink(g *graph.Graph, x *simplex.Vector, _ []int, opt GAOptions,
 		next.Visit(func(u int, v float64) { next.Set(u, v/sum) })
 		*x = *next
 		fNew := simplex.Affinity(g, x)
-		if fNew-f <= opt.ReplicatorEps {
+		if fNew-f <= replicatorEps {
 			f = fNew
 			break
 		}
@@ -243,14 +234,14 @@ func expand(g *graph.Graph, x *simplex.Vector, kktTol float64, rs *runstate.Stat
 // it to decide membership in Z. It mutates x and returns per-init statistics.
 // Cancellation (rs) stops the loop between rounds, inside the shrink stage,
 // and inside the expansion's boundary sweep (which bails before mutating x).
-func seaLoop(g *graph.Graph, x *simplex.Vector, shrink shrinkFunc, kktTol func(sz int) float64, opt GAOptions, rs *runstate.State) GAStats {
+func seaLoop(g *graph.Graph, x *simplex.Vector, shrink shrinkFunc, kktTol func(sz int) float64, rs *runstate.State) GAStats {
 	var st GAStats
-	for round := 0; round < opt.MaxRounds; round++ {
+	for round := 0; round < maxRounds; round++ {
 		if rs.Checkpoint() {
 			break
 		}
 		S := x.Support()
-		st.ShrinkIters += shrink(g, x, S, opt, rs)
+		st.ShrinkIters += shrink(g, x, S, rs)
 		if rs.Interrupted() {
 			break // shrink stopped mid-descent: skip the unsafe expansion
 		}
@@ -272,14 +263,11 @@ func seaLoop(g *graph.Graph, x *simplex.Vector, shrink shrinkFunc, kktTol func(s
 // point of max xᵀDx over the simplex. The graph is normally GD+; the
 // algorithm itself tolerates negative weights (unlike the replicator).
 // Cancellation through rs stops it as described at seaLoop.
-func SEACD(rs *runstate.State, g *graph.Graph, x *simplex.Vector, opt GAOptions) GAStats {
-	opt = opt.withDefaults()
-	// The coordinate-descent shrink guarantees max∇−min∇ ≤ EpsBase/|S| on the
+func SEACD(rs *runstate.State, g *graph.Graph, x *simplex.Vector) GAStats {
+	// The coordinate-descent shrink guarantees max∇−min∇ ≤ epsBase/|S| on the
 	// working set; since f is a convex combination of the support gradients,
 	// no support vertex can exceed f by more than that — expansion is safe.
-	st := seaLoop(g, x, cdShrink, func(sz int) float64 {
-		return opt.EpsBase / float64(max(sz, 1))
-	}, opt, rs)
+	st := seaLoop(g, x, cdShrink, shrinkEps, rs)
 	st.Inits = 1
 	return st
 }
@@ -287,16 +275,15 @@ func SEACD(rs *runstate.State, g *graph.Graph, x *simplex.Vector, opt GAOptions)
 // SEA is the original algorithm of Liu et al. [18] with the replicator-based
 // shrink stage and its loose convergence condition, used as the paper's
 // baseline. Run it on GD+ only (non-negative weights).
-func SEA(rs *runstate.State, g *graph.Graph, x *simplex.Vector, opt GAOptions) GAStats {
-	opt = opt.withDefaults()
+func SEA(rs *runstate.State, g *graph.Graph, x *simplex.Vector) GAStats {
 	// The replicator's improvement-based stop gives no gradient guarantee at
 	// all; the original implementation still tests Z membership at (roughly)
 	// its objective precision. When the dynamic stalls far from a local KKT
 	// point, support vertices leak into Z and the expansion can reduce the
 	// objective — the error counted in Table VII.
 	st := seaLoop(g, x, replicatorShrink, func(int) float64 {
-		return opt.ReplicatorEps
-	}, opt, rs)
+		return replicatorEps
+	}, rs)
 	st.Inits = 1
 	return st
 }

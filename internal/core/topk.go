@@ -65,7 +65,11 @@ func TopKAverageDegree(rs *runstate.State, gd *graph.Graph, k, workers int) (res
 // CollectCliques (which may return overlapping topics), the results here are
 // disjoint communities. interrupted reports that the clique collection was
 // cancelled through rs, so the selection ran over a partial candidate pool.
+// A k ≤ 0 selects nothing and returns at once, without collecting.
 func TopKGraphAffinity(rs *runstate.State, gd *graph.Graph, k int, opt GAOptions) (results []Clique, interrupted bool) {
+	if k <= 0 {
+		return nil, false
+	}
 	cliques, interrupted := CollectCliques(rs, gd, opt)
 	taken := make(map[int]bool)
 	var out []Clique

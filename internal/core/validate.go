@@ -34,14 +34,8 @@ func ValidateAD(gd *graph.Graph, res ADResult) error {
 		seen[v] = true
 		prev = v
 	}
-	if got := gd.AverageDegreeOf(res.S); !approxEq(got, res.Density) {
-		return fmt.Errorf("dcs: density %v does not match recomputation %v", res.Density, got)
-	}
-	if got := gd.TotalDegreeOf(res.S); !approxEq(got, res.TotalWeight) {
-		return fmt.Errorf("dcs: total weight %v does not match recomputation %v", res.TotalWeight, got)
-	}
-	if got := gd.EdgeDensityOf(res.S); !approxEq(got, res.EdgeDensity) {
-		return fmt.Errorf("dcs: edge density %v does not match recomputation %v", res.EdgeDensity, got)
+	if err := checkMetrics(gd, res.S, res.TotalWeight, res.Density, res.EdgeDensity); err != nil {
+		return err
 	}
 	if got := gd.IsPositiveClique(res.S); got != res.PositiveClique {
 		return fmt.Errorf("dcs: positive-clique flag %v, recomputed %v", res.PositiveClique, got)
@@ -56,7 +50,7 @@ func ValidateAD(gd *graph.Graph, res ADResult) error {
 }
 
 // ValidateGA checks a GAResult: the embedding is on the simplex, the support
-// matches, the affinity and density metrics recompute, and the
+// matches, the affinity and all three density figures recompute, and the
 // positive-clique promise of Theorem 5 holds when flagged.
 func ValidateGA(gd *graph.Graph, res GAResult) error {
 	if res.X == nil {
@@ -83,11 +77,27 @@ func ValidateGA(gd *graph.Graph, res GAResult) error {
 	if got := simplex.Affinity(gd, res.X); !approxEq(got, res.Affinity) {
 		return fmt.Errorf("dcs: affinity %v does not match recomputation %v", res.Affinity, got)
 	}
-	if got := gd.AverageDegreeOf(res.S); !approxEq(got, res.Density) {
-		return fmt.Errorf("dcs: density %v does not match recomputation %v", res.Density, got)
+	if err := checkMetrics(gd, res.S, res.TotalWeight, res.Density, res.EdgeDensity); err != nil {
+		return err
 	}
 	if got := gd.IsPositiveClique(res.S); got != res.PositiveClique {
 		return fmt.Errorf("dcs: positive-clique flag %v, recomputed %v", res.PositiveClique, got)
+	}
+	return nil
+}
+
+// checkMetrics recomputes S's three density figures in one walk and compares
+// them with a result's reported W(S), ρ(S) and edge density.
+func checkMetrics(gd *graph.Graph, S []int, w, density, edgeDensity float64) error {
+	gotW, gotDensity, gotEdgeDensity := gd.SubgraphMetrics(S)
+	if !approxEq(gotDensity, density) {
+		return fmt.Errorf("dcs: density %v does not match recomputation %v", density, gotDensity)
+	}
+	if !approxEq(gotW, w) {
+		return fmt.Errorf("dcs: total weight %v does not match recomputation %v", w, gotW)
+	}
+	if !approxEq(gotEdgeDensity, edgeDensity) {
+		return fmt.Errorf("dcs: edge density %v does not match recomputation %v", edgeDensity, gotEdgeDensity)
 	}
 	return nil
 }

@@ -21,7 +21,7 @@ func TestSolversProduceValidResults(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		if err := ValidateGA(gd, NewSEA(runstate.New(nil), gd, GAOptions{})); err != nil {
+		if err := ValidateGA(gd, NewSEA(runstate.New(nil), gd)); err != nil {
 			t.Log(err)
 			return false
 		}
@@ -77,7 +77,7 @@ func TestValidateRejectsCorruption(t *testing.T) {
 		t.Error("out-of-range vertex accepted")
 	}
 
-	goodGA := NewSEA(runstate.New(nil), gd, GAOptions{})
+	goodGA := NewSEA(runstate.New(nil), gd)
 	if err := ValidateGA(gd, goodGA); err != nil {
 		t.Fatalf("clean GA result rejected: %v", err)
 	}
@@ -85,6 +85,16 @@ func TestValidateRejectsCorruption(t *testing.T) {
 	badGA.Affinity *= 2
 	if ValidateGA(gd, badGA) == nil {
 		t.Error("wrong affinity accepted")
+	}
+	badGA = goodGA
+	badGA.TotalWeight += 1
+	if ValidateGA(gd, badGA) == nil {
+		t.Error("wrong GA total weight accepted")
+	}
+	badGA = goodGA
+	badGA.EdgeDensity += 1
+	if ValidateGA(gd, badGA) == nil {
+		t.Error("wrong GA edge density accepted")
 	}
 	badGA = goodGA
 	badGA.S = badGA.S[:1]

@@ -23,7 +23,7 @@ func DCSGreedyWarm(rs *runstate.State, gd *graph.Graph, prior []int) (res ADResu
 	if len(prior) == 0 {
 		return res, false
 	}
-	imp := densest.LocalImprove(rs, gd, prior, 0)
+	imp := densest.LocalImprove(rs, gd, prior)
 	if len(imp.S) == 0 || imp.Density <= res.Density {
 		return res, false
 	}
@@ -47,8 +47,8 @@ func DCSGreedyWarm(rs *runstate.State, gd *graph.Graph, prior []int) (res ADResu
 // discarded (its gdp-affinity would overstate the true objective, the same
 // honesty rule the interrupted path applies). A cancelled rs cuts the
 // prior's descent short as it cuts the solver's.
-func NewSEAWarm(rs *runstate.State, gd *graph.Graph, prior []int, opt GAOptions) (res GAResult, warmHit bool) {
-	res = NewSEA(rs, gd, opt)
+func NewSEAWarm(rs *runstate.State, gd *graph.Graph, prior []int) (res GAResult, warmHit bool) {
+	res = NewSEA(rs, gd)
 	if len(prior) == 0 || !gd.IsPositiveClique(prior) {
 		return res, false
 	}

@@ -134,11 +134,11 @@ const (
 // entries in.
 const v1ChunkBytes = 24 * 256
 
-// fixtureView is a WithoutVertices + PositivePart view of a 5-vertex
+// fixtureView is a WithoutVertices view of the positive part of a 5-vertex
 // graph; it encodes as its compacted visible graph (n=5, one edge 0–1).
 func fixtureView() *graph.Graph {
 	g := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1, W: 2}, {U: 1, V: 2, W: -3}, {U: 3, V: 4, W: 1}})
-	return g.WithoutVertices([]int{4}).PositivePart()
+	return g.PositivePart().WithoutVertices([]int{4})
 }
 
 // v1Fixtures maps each v1 fixture to the graph it encodes.

@@ -433,7 +433,7 @@ func WriteBinaryV2File(path string, g *graph.Graph, compress bool) error {
 }
 
 func writeBinaryV2(w io.WriteSeeker, g *graph.Graph, compress bool) error {
-	off, ids, ws, _, _ := g.Compact().CSR()
+	off, ids, ws, _ := g.Compact().CSR()
 	n, e := g.N(), len(ids)
 
 	flags := uint16(0)

@@ -53,11 +53,10 @@ func Greedy(rs *runstate.State, g *graph.Graph, workers int) Result {
 // not safe for concurrent use.
 type Peeler struct {
 	// The graph of the current (or last) peel, as graph.CSR returned it.
-	off     []int
-	ids     []int32
-	ws      []float64
-	drop    []bool
-	posOnly bool
+	off  []int
+	ids  []int32
+	ws   []float64
+	drop []bool
 
 	heap  vheap.Heap
 	cid   []int32   // component id per vertex
@@ -111,7 +110,7 @@ type Peeler struct {
 // the deterministic merge, so the result is the same at every parallelism
 // degree; degree 1 runs the same kernel inline on p's single heap, while
 // parallel workers each take a heap of their own. Rows are read straight
-// from the CSR arrays with the view masks applied inline (see graph.CSR),
+// from the CSR arrays with the view mask applied inline (see graph.CSR),
 // whoever owns them — the heap or a file mapping. Cancellation is
 // cooperative: each peel checkpoints once per pop, and a cancelled peel
 // merges whatever prefixes completed — still a valid subgraph with an exact
@@ -121,7 +120,7 @@ func (p *Peeler) Peel(rs *runstate.State, g *graph.Graph, workers int, S []int) 
 	if n == 0 {
 		return Result{S: S[:0]}
 	}
-	p.off, p.ids, p.ws, p.drop, p.posOnly = g.CSR()
+	p.off, p.ids, p.ws, p.drop = g.CSR()
 	nc, ok := p.components(n, rs)
 	if !ok {
 		// Cancelled during component discovery: fall back to the degenerate
@@ -165,9 +164,9 @@ func (p *Peeler) Peel(rs *runstate.State, g *graph.Graph, workers int, S []int) 
 	return p.merge(n, nc, rs, S)
 }
 
-// visible reports whether the row entry (to, w) survives the view masks.
-func (p *Peeler) visible(to int32, w float64) bool {
-	return !(p.posOnly && w <= 0) && (p.drop == nil || !p.drop[to])
+// visible reports whether a row entry to vertex to survives the view mask.
+func (p *Peeler) visible(to int32) bool {
+	return p.drop == nil || !p.drop[to]
 }
 
 // grow returns s resliced to length n, reallocated only when too small.
@@ -216,7 +215,7 @@ func (p *Peeler) components(n int, rs *runstate.State) (nc int, ok bool) {
 			lo, hi := p.off[u], p.off[u+1]
 			ws := p.ws[lo:hi]
 			for i, to := range p.ids[lo:hi] {
-				if !p.visible(to, ws[i]) {
+				if !p.visible(to) {
 					continue
 				}
 				d += ws[i]
@@ -290,7 +289,7 @@ func (p *Peeler) peelComponent(c int, h *vheap.Heap, rs *runstate.State) {
 		lo, hi := p.off[v], p.off[v+1]
 		ws := p.ws[lo:hi]
 		for i, to := range p.ids[lo:hi] {
-			if !p.visible(to, ws[i]) {
+			if !p.visible(to) {
 				continue
 			}
 			if j := int(p.loc[to]); h.Contains(j) {

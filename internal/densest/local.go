@@ -7,16 +7,16 @@ import (
 	"github.com/dcslib/dcs/internal/runstate"
 )
 
-// defaultImproveRounds bounds LocalImprove's steepest-ascent loop when the
-// caller passes maxRounds ≤ 0. Each round moves one vertex, so the bound also
-// caps how far the result can drift from its seed.
-const defaultImproveRounds = 32
+// improveRounds bounds LocalImprove's steepest-ascent loop. Each round moves
+// one vertex, so the bound also caps how far the result can drift from its
+// seed.
+const improveRounds = 32
 
 // LocalImprove runs steepest-ascent local search from a seed set: each round
 // considers every single-vertex move — adding a neighbor v of S (profitable
 // when 2·w(v,S) > ρ(S)) or removing a member u (profitable when
 // 2·w(u,S∖u) < ρ(S)) — applies the one that raises the density most, and
-// stops at a local optimum or after maxRounds moves (≤ 0 means the default).
+// stops at a local optimum or after improveRounds moves.
 // Density follows the package convention ρ(S) = W(S)/|S| with edges counted
 // twice.
 //
@@ -27,12 +27,9 @@ const defaultImproveRounds = 32
 // A search interrupted through rs stops between moves and returns the
 // current set — every prefix of moves is a valid subgraph whose density is
 // evaluated from scratch on return.
-func LocalImprove(rs *runstate.State, g *graph.Graph, seed []int, maxRounds int) Result {
+func LocalImprove(rs *runstate.State, g *graph.Graph, seed []int) Result {
 	if len(seed) == 0 {
 		return Result{}
-	}
-	if maxRounds <= 0 {
-		maxRounds = defaultImproveRounds
 	}
 	n := g.N()
 	in := make([]bool, n)
@@ -55,7 +52,7 @@ func LocalImprove(rs *runstate.State, g *graph.Graph, seed []int, maxRounds int)
 		g.VisitNeighbors(u, func(v int, wt float64) { conn[v] += wt })
 	}
 
-	for round := 0; round < maxRounds; round++ {
+	for round := 0; round < improveRounds; round++ {
 		if rs.Checkpoint() {
 			break // current S is valid; density recomputed from scratch below
 		}

@@ -53,7 +53,9 @@ type Config struct {
 	// GA selects graph-affinity mining (small positive-clique anomalies)
 	// instead of the default average-degree mining.
 	GA bool
-	// Opt tunes the affinity solver when GA is set.
+	// Opt is unread: the affinity solver (NewSEA) takes no options and
+	// always runs sequentially. The field is kept so that code setting it
+	// still compiles.
 	Opt core.GAOptions
 	// ResyncEvery forces every K-th delta tick to re-solve the full
 	// difference graph from scratch instead of mining incrementally —
@@ -282,7 +284,7 @@ func (t *Tracker) CheckpointState() (expect, last *graph.Graph, step int) {
 func (t *Tracker) mineFull(rs *runstate.State, gd *graph.Graph) (rep Report, solved []int) {
 	rep.Mode = ModeScratch
 	if t.cfg.GA {
-		res := core.NewSEA(rs, gd, t.cfg.Opt)
+		res := core.NewSEA(rs, gd)
 		rep.Interrupted = res.Interrupted
 		if res.Affinity > t.cfg.MinDensity {
 			rep.S = res.S

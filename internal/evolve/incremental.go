@@ -168,7 +168,7 @@ func (t *Tracker) mineRegion(rs *runstate.State, mt *graph.Maintainer, region, p
 	prior := localize(region, prevS)
 	rep.Mode = ModeIncremental
 	if t.cfg.GA {
-		res, hit := core.NewSEAWarm(rs, ind, prior, t.cfg.Opt)
+		res, hit := core.NewSEAWarm(rs, ind, prior)
 		rep.Interrupted = res.Interrupted
 		rep.WarmHit = hit
 		solved = mapBack(orig, res.S)

@@ -15,14 +15,13 @@ import "fmt"
 // instead of calling VisitNeighbors per vertex: row u is ids[off[u]:off[u+1]]
 // with weights ws[off[u]:off[u+1]], sorted by neighbor id, over the base
 // storage. An entry (to, w) of row u is visible iff drop is nil or neither
-// drop[u] nor drop[to] is set, and posOnly is false or w > 0 — the masks of a
-// view, returned as they are. On a plain graph (Compact) the arrays are the
-// visible graph, each undirected edge once per direction: dumping them
-// verbatim round-trips the graph byte-exactly, which is what the binary
-// codec (internal/dataio) does. The slices are g's own storage, possibly a
+// drop[u] nor drop[to] is set — the vertex mask of a view, returned as it
+// is. On a plain graph (Compact) the arrays are the visible graph, each
+// undirected edge once per direction: dumping them verbatim round-trips the
+// graph byte-exactly, which is what the binary codec (internal/dataio) does. The slices are g's own storage, possibly a
 // read-only mapping, and must not be modified.
-func (g *Graph) CSR() (off []int, ids []int32, ws []float64, drop []bool, posOnly bool) {
-	return g.off, g.ids, g.ws, g.drop, g.posOnly
+func (g *Graph) CSR() (off []int, ids []int32, ws []float64, drop []bool) {
+	return g.off, g.ids, g.ws, g.drop
 }
 
 // FromCSR builds a Graph over CSR arrays, the import counterpart of CSR:

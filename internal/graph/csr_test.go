@@ -10,7 +10,7 @@ import (
 // to FromCSR with release, as dataio's mmap open path does with a mapping.
 func adopt(t *testing.T, g *Graph, release func()) *Graph {
 	t.Helper()
-	off, ids, ws, _, _ := g.Compact().CSR()
+	off, ids, ws, _ := g.Compact().CSR()
 	b, err := FromCSR(g.N(), append([]int(nil), off...), append([]int32(nil), ids...),
 		append([]float64(nil), ws...), release)
 	if err != nil {
@@ -69,9 +69,8 @@ func TestBackedEquivalence(t *testing.T) {
 		sameAsHeap(t, "base", b, h)
 		sameBits(t, "base arrays", b, h)
 
-		// Views over adopted storage.
-		sameAsHeap(t, "pos view", b.PositivePart(), h.PositivePart())
-		sameAsHeap(t, "pos compact", b.PositivePartCompact(), h.PositivePartCompact())
+		// GD+ and views over adopted storage.
+		sameAsHeap(t, "pos", b.PositivePart(), h.PositivePart())
 		if n > 3 {
 			S := []int{0, 2, n - 1}
 			sameAsHeap(t, "without", b.WithoutVertices(S), h.WithoutVertices(S))
@@ -202,23 +201,37 @@ func TestFromCSRBackedRejectsCorruptInput(t *testing.T) {
 	}
 }
 
-// TestPositivePartCompactMemoized asserts the plain-graph memoization: two
-// calls return the same materialization, and views still get correct (fresh)
+// TestPositivePartMemoized asserts the plain-graph memoization: two calls
+// return the same materialization, and views still get correct (fresh)
 // results.
-func TestPositivePartCompactMemoized(t *testing.T) {
+func TestPositivePartMemoized(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	g := randomTestGraph(rng, 40, 0.2)
-	p1, p2 := g.PositivePartCompact(), g.PositivePartCompact()
+	p1, p2 := g.PositivePart(), g.PositivePart()
 	if p1 != p2 {
-		t.Fatal("PositivePartCompact not memoized on a plain graph")
+		t.Fatal("PositivePart not memoized on a plain graph")
 	}
-	sameAsHeap(t, "memoized pos", p1, g.PositivePart().Compact())
+	sameAsHeap(t, "memoized pos", p1, rebuildPositive(g))
 	v := g.WithoutVertices([]int{1, 2})
-	vp := v.PositivePartCompact()
+	vp := v.PositivePart()
 	if vp.IsView() {
-		t.Fatal("PositivePartCompact on a view returned a view")
+		t.Fatal("PositivePart on a view returned a view")
 	}
-	sameAsHeap(t, "view pos", vp, v.PositivePart().Compact())
+	sameAsHeap(t, "view pos", vp, rebuildPositive(v))
+	if v.PositivePart() == vp {
+		t.Fatal("PositivePart memoized on a view")
+	}
+}
+
+// rebuildPositive builds g's positive edges afresh with a Builder.
+func rebuildPositive(g *Graph) *Graph {
+	b := NewBuilder(g.N())
+	g.VisitEdges(func(u, v int, w float64) {
+		if w > 0 {
+			b.AddEdge(u, v, w)
+		}
+	})
+	return b.Build()
 }
 
 // fuzzWeights is the weight alphabet of FuzzFromCSR: a few repeated finite
@@ -259,7 +272,7 @@ func csrFromBytes(data []byte) (n int, off []int, ids []int32, ws []float64) {
 
 // csrBytes is csrFromBytes's inverse on graphs it can express, for seeds.
 func csrBytes(g *Graph) []byte {
-	off, ids, ws, _, _ := g.CSR()
+	off, ids, ws, _ := g.CSR()
 	b := []byte{byte(g.N()), byte(len(ids)), 0}
 	for _, o := range off {
 		b = append(b, byte(o))

@@ -19,23 +19,24 @@
 // graphs and graphs over a read-only file mapping (FromCSR) differ only in
 // who owns the arrays.
 //
-// # Views: masked graphs without rebuilding
+// # Views: vertex-masked graphs without rebuilding
 //
-// Derived graphs that only *hide* parts of their base — PositivePart (hide
-// non-positive edges) and WithoutVertices (hide all edges incident to a
-// vertex set) — do not copy the CSR arrays. They return a view: a Graph that
-// shares the backing storage and carries a vertex mask and/or a sign filter.
-// Constructing a view costs O(n) for the mask plus a recount of the visible
-// edges (O(Σ deg(v) over newly dropped v) for WithoutVertices, one O(n+m)
-// scan for PositivePart) and performs no per-vertex row allocations, which is
-// what makes iterated top-k mining and the dcsd difference-graph cache cheap.
-// Views compose: a PositivePart of a WithoutVertices view masks both.
+// WithoutVertices (hide all edges incident to a vertex set) does not copy the
+// CSR arrays. It returns a view: a Graph that shares the backing storage and
+// carries a vertex mask. Constructing a view costs O(n) for the mask plus
+// O(Σ deg(v)) over the newly dropped vertices to update the edge counts, and
+// performs no per-vertex row allocations, which is what makes iterated top-k
+// mining cheap. Views compose: WithoutVertices of a view masks both sets.
 //
 // Every method is mask-aware and views satisfy exactly the same contracts as
 // plain graphs. Neighbors returns a freshly allocated copy; hot loops use
 // VisitNeighbors, which is allocation-free on plain graphs and views alike,
 // or walk the CSR arrays directly. Compact flattens a view into a plain graph
 // when one is needed.
+//
+// GD+, the positive part that the affinity solvers and the Greedy(GD+)
+// candidate run on, is not a view: PositivePart materializes it in one pass
+// and memoizes it on plain graphs.
 package graph
 
 import (
@@ -83,14 +84,13 @@ type Graph struct {
 	// heap graphs and on views. See Release.
 	release func()
 
-	// pos memoizes PositivePartCompact on plain graphs, so the several
-	// solver entry points deriving GD+ from one difference graph share a
-	// single materialization. Views never populate it.
+	// pos memoizes PositivePart on plain graphs, so the several solver
+	// entry points deriving GD+ from one difference graph share a single
+	// materialization. Views never populate it.
 	pos atomic.Pointer[Graph]
 
-	// View state. A plain graph has drop == nil and posOnly == false.
-	drop    []bool // drop[v] hides every edge incident to v; nil = none
-	posOnly bool   // hide edges with W ≤ 0
+	// drop[v] hides every edge incident to v; nil on a plain graph.
+	drop []bool
 
 	// reused marks a graph living in caller-owned storage that the next
 	// ...Into call overwrites (PositivePartInto, Union.DifferenceAlphaInto);
@@ -102,19 +102,11 @@ type Graph struct {
 // entry returns base entry i: its neighbor id and weight.
 func (g *Graph) entry(i int) (to int, w float64) { return int(g.ids[i]), g.ws[i] }
 
-// plain reports whether g has no masks (storage = visible graph).
-func (g *Graph) plain() bool { return g.drop == nil && !g.posOnly }
+// plain reports whether g has no mask (storage = visible graph).
+func (g *Graph) plain() bool { return g.drop == nil }
 
 // dropped reports whether vertex u is hidden by the vertex mask.
 func (g *Graph) dropped(u int) bool { return g.drop != nil && g.drop[u] }
-
-// hides reports whether the sign filter hides an edge of weight w.
-func (g *Graph) hides(w float64) bool { return g.posOnly && w <= 0 }
-
-// visibleTo reports whether the entry (to, w) survives both masks.
-func (g *Graph) visibleTo(to int, w float64) bool {
-	return !g.hides(w) && !g.dropped(to)
-}
 
 // N returns the number of vertices.
 func (g *Graph) N() int { return g.n }
@@ -129,7 +121,7 @@ func (g *Graph) TotalWeight() float64 { return g.totalW }
 // IsView reports whether g is a masked view sharing another graph's storage.
 func (g *Graph) IsView() bool { return !g.plain() }
 
-// Compact materializes g into a plain CSR graph with no masks. It returns g
+// Compact materializes g into a plain CSR graph with no mask. It returns g
 // itself when g is already plain; otherwise it copies the visible entries
 // into fresh heap arrays (three allocations), keeping the view's edge count
 // and total weight.
@@ -151,7 +143,7 @@ func (g *Graph) Neighbors(u int) []Neighbor {
 	}
 	out := make([]Neighbor, 0, g.off[u+1]-g.off[u])
 	for i := g.off[u]; i < g.off[u+1]; i++ {
-		if to, w := g.entry(i); g.visibleTo(to, w) {
+		if to, w := g.entry(i); !g.dropped(to) {
 			out = append(out, Neighbor{To: to, W: w})
 		}
 	}
@@ -175,7 +167,7 @@ func (g *Graph) VisitNeighbors(u int, fn func(v int, w float64)) {
 		return
 	}
 	for i, to := range ids {
-		if g.visibleTo(int(to), ws[i]) {
+		if !g.dropped(int(to)) {
 			fn(int(to), ws[i])
 		}
 	}
@@ -191,8 +183,8 @@ func (g *Graph) OutDegree(u int) int {
 		return 0
 	}
 	d := 0
-	for i := g.off[u]; i < g.off[u+1]; i++ {
-		if g.visibleTo(g.entry(i)) {
+	for _, to := range g.ids[g.off[u]:g.off[u+1]] {
+		if !g.dropped(int(to)) {
 			d++
 		}
 	}
@@ -216,7 +208,7 @@ func (g *Graph) Weight(u, v int) float64 {
 	lo, hi := g.off[u], g.off[u+1]
 	ids := g.ids[lo:hi]
 	i := sort.Search(len(ids), func(i int) bool { return int(ids[i]) >= v })
-	if i < len(ids) && int(ids[i]) == v && !g.hides(g.ws[lo+i]) {
+	if i < len(ids) && int(ids[i]) == v {
 		return g.ws[lo+i]
 	}
 	return 0
@@ -255,7 +247,7 @@ func (g *Graph) VisitEdges(fn func(u, v int, w float64)) {
 			continue
 		}
 		for i := g.off[u]; i < g.off[u+1]; i++ {
-			if to, w := g.entry(i); to > u && g.visibleTo(to, w) {
+			if to, w := g.entry(i); to > u && !g.dropped(to) {
 				fn(u, to, w)
 			}
 		}
@@ -377,44 +369,15 @@ func (g *Graph) MaxEdge() (Edge, bool) {
 	return best, found
 }
 
-// recount recomputes m and totalW from the visible edges. Used by view
-// constructors that cannot derive the counts incrementally.
-func (g *Graph) recount() {
-	m := 0
-	var tw float64
-	g.VisitEdges(func(u, v int, w float64) {
-		m++
-		tw += w
-	})
-	g.m, g.totalW = m, tw
-}
-
 // PositivePart returns GD+: the graph over the same vertex set containing
-// exactly the edges of g with strictly positive weight. The result is a view
-// sharing g's storage — construction is one counting scan with no row
-// allocations, and iteration filters by sign on the fly. Suited to one-shot
-// consumers (counts, stats, a single edge scan); the iteration-heavy solvers
-// use PositivePartCompact instead, which materializes GD+ in the same single
-// pass.
-func (g *Graph) PositivePart() *Graph {
-	if g.posOnly {
-		return g
-	}
-	v := &Graph{n: g.n, off: g.off, ids: g.ids, ws: g.ws, drop: g.drop, posOnly: true}
-	v.recount()
-	return v
-}
-
-// PositivePartCompact returns GD+ as a plain materialized graph in a single
-// pass — equivalent to PositivePart().Compact() but without the intermediate
-// view's counting scan. This is what the solvers call at their entry: they
-// make many passes over GD+, so the two flat allocations amortize
+// exactly the visible edges of g with strictly positive weight, as a plain
+// materialized graph built in a single pass. The solvers call it at their
+// entry: they make many passes over GD+, so the flat allocations amortize
 // immediately. On plain graphs the result is memoized, so the several solver
 // entry points (and repeated dcsd requests against a cached difference
 // graph) that derive GD+ from the same graph share one materialization; the
-// memo is safe because graphs are immutable. Use PositivePart when only
-// counts or a single scan of GD+ are needed.
-func (g *Graph) PositivePartCompact() *Graph {
+// memo is safe because graphs are immutable.
+func (g *Graph) PositivePart() *Graph {
 	if p := g.pos.Load(); p != nil {
 		return p
 	}
@@ -425,14 +388,14 @@ func (g *Graph) PositivePartCompact() *Graph {
 	return p
 }
 
-// PositivePartInto is PositivePartCompact for callers that derive GD+ once
-// per iteration of a loop. A plain graph returns its shared memo, exactly as
-// PositivePartCompact does. A view or a graph in reused storage (whose GD+
-// cannot be memoized) has GD+ materialized into dst's arrays, grown only
-// when too small; the result is dst, valid until dst is next overwritten.
+// PositivePartInto is PositivePart for callers that derive GD+ once per
+// iteration of a loop. A plain graph returns its shared memo, exactly as
+// PositivePart does. A view or a graph in reused storage (whose GD+ cannot
+// be memoized) has GD+ materialized into dst's arrays, grown only when too
+// small; the result is dst, valid until dst is next overwritten.
 func (g *Graph) PositivePartInto(dst *Graph) *Graph {
 	if g.plain() && !g.reused {
-		return g.PositivePartCompact()
+		return g.PositivePart()
 	}
 	dst.reused = true
 	return g.mapWeightsInto(dst, positiveWeight)
@@ -465,15 +428,14 @@ func (g *Graph) WithoutVertices(S []int) *Graph {
 			newly = append(newly, v)
 		}
 	}
-	v := &Graph{n: g.n, m: g.m, totalW: g.totalW, off: g.off, ids: g.ids, ws: g.ws,
-		drop: drop, posOnly: g.posOnly}
+	v := &Graph{n: g.n, m: g.m, totalW: g.totalW, off: g.off, ids: g.ids, ws: g.ws, drop: drop}
 	// Subtract every edge that just became invisible: edges visible in g with
 	// at least one endpoint newly dropped. An edge between two newly dropped
 	// vertices is walked from both rows; the smaller endpoint counts it.
 	for _, u := range newly {
 		for i := g.off[u]; i < g.off[u+1]; i++ {
 			to, w := g.entry(i)
-			if g.hides(w) || g.dropped(to) {
+			if g.dropped(to) {
 				continue // was not visible in g
 			}
 			if to < u && drop[to] && !g.dropped(to) {
@@ -494,7 +456,7 @@ func (g *Graph) Negate() *Graph {
 
 // Scale returns the graph with every edge weight multiplied by c. A zero c
 // yields an edgeless graph. The result is a plain (materialized) graph even
-// when g is a view: scaling changes weights, which masks cannot express.
+// when g is a view: scaling changes weights, which a mask cannot express.
 func (g *Graph) Scale(c float64) *Graph {
 	if c == 0 {
 		return &Graph{n: g.n, off: make([]int, g.n+1)}
@@ -526,7 +488,7 @@ func (g *Graph) mapWeightsInto(dst *Graph, f func(w float64) float64) *Graph {
 		}
 		for i := g.off[u]; i < g.off[u+1]; i++ {
 			to, bw := g.entry(i)
-			if !g.visibleTo(to, bw) {
+			if g.dropped(to) {
 				continue
 			}
 			w := f(bw)

@@ -142,25 +142,19 @@ func TestPositivePartViewEquivalence(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		g := randomSigned(rng, 3+rng.Intn(30), 60)
 		gp := g.PositivePart()
-		if !gp.IsView() {
-			t.Fatal("PositivePart should be a view")
+		if gp.IsView() {
+			t.Fatal("PositivePart must return a plain graph")
 		}
 		checkInvariants(t, gp)
 		sameGraph(t, gp, rebuildPositive(g))
-		// Compact flattens the view into an equivalent plain graph.
-		c := gp.Compact()
-		if c.IsView() {
-			t.Fatal("Compact must return a plain graph")
+		// GD+ of a view is plain too, and matches GD+ of the rebuilt graph.
+		S := []int{0, 2}
+		wp := g.WithoutVertices(S).PositivePart()
+		if wp.IsView() {
+			t.Fatal("PositivePart of a view must return a plain graph")
 		}
-		checkInvariants(t, c)
-		sameGraph(t, c, gp)
-		// The one-pass solver entry is equivalent to view + compact.
-		pc := g.PositivePartCompact()
-		if pc.IsView() {
-			t.Fatal("PositivePartCompact must return a plain graph")
-		}
-		checkInvariants(t, pc)
-		sameGraph(t, pc, c)
+		checkInvariants(t, wp)
+		sameGraph(t, wp, rebuildPositive(rebuildWithout(g, S)))
 	}
 }
 
@@ -189,8 +183,8 @@ func TestWithoutVerticesViewEquivalence(t *testing.T) {
 }
 
 // TestViewComposition layers masks the way TopKAverageDegree and the affinity
-// pipeline do: repeated WithoutVertices (accumulating drops) and PositivePart
-// of a masked graph, in both orders.
+// pipeline do: repeated WithoutVertices (accumulating drops), and
+// PositivePart and WithoutVertices applied in both orders.
 func TestViewComposition(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 15; trial++ {
@@ -270,10 +264,10 @@ func TestViewMetricsMatchRebuilt(t *testing.T) {
 func TestTransformsOnViews(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	g := randomSigned(rng, 20, 70)
-	v := g.WithoutVertices([]int{2, 4}).PositivePart()
+	v := g.PositivePart().WithoutVertices([]int{2, 4})
 	want := rebuildPositive(rebuildWithout(g, []int{2, 4}))
 
-	sameGraph(t, g.WithoutVertices([]int{2, 4}).PositivePartCompact(), want)
+	sameGraph(t, g.WithoutVertices([]int{2, 4}).PositivePart(), want)
 	sameGraph(t, v.Scale(2.5), want.Scale(2.5))
 	sameGraph(t, v.Negate(), want.Negate())
 	sameGraph(t, v.CapWeights(2), want.CapWeights(2))

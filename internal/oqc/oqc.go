@@ -28,15 +28,11 @@ type Result struct {
 // LocalSearch runs add/remove hill climbing on f_α from the given seed
 // vertex: repeatedly add the outside vertex with the largest positive gain,
 // then drop inside vertices with negative gain, until neither move improves.
-// Each move strictly increases f_α, so termination is guaranteed; maxMoves
-// (≤ 0 means 4n) caps pathological cases. A climb interrupted through rs
-// stops between moves and returns the current (always valid) set, whose
-// surplus is at least the seed's.
-func LocalSearch(rs *runstate.State, g *graph.Graph, alpha float64, seed, maxMoves int) Result {
-	n := g.N()
-	if maxMoves <= 0 {
-		maxMoves = 4 * n
-	}
+// Each move strictly increases f_α, so termination is guaranteed; 4n moves
+// cap pathological cases. A climb interrupted through rs stops between moves
+// and returns the current (always valid) set, whose surplus is at least the
+// seed's.
+func LocalSearch(rs *runstate.State, g *graph.Graph, alpha float64, seed int) Result {
 	in := map[int]bool{seed: true}
 	size := 1
 	// addGain(v) = W(v;S)/1 … joining v adds its in-set weight minus α·|S|.
@@ -49,7 +45,7 @@ func LocalSearch(rs *runstate.State, g *graph.Graph, alpha float64, seed, maxMov
 		})
 		return s
 	}
-	for move := 0; move < maxMoves; move++ {
+	for move := 0; move < 4*g.N(); move++ {
 		if rs.Checkpoint() {
 			break // hand back the current set: every prefix of moves is valid
 		}
@@ -110,17 +106,16 @@ func LocalSearch(rs *runstate.State, g *graph.Graph, alpha float64, seed, maxMov
 	return describe(g, alpha, S)
 }
 
-// Best runs LocalSearch from the k highest-positive-degree seeds (k ≤ 0
-// means 16) and keeps the largest surplus. An interrupted run returns the
-// best result over the seeds finished so far (Surplus: -1e300 sentinel if
-// none completed).
-func Best(rs *runstate.State, g *graph.Graph, alpha float64, k int) Result {
+// bestSeeds is the number of seeds Best climbs from.
+const bestSeeds = 16
+
+// Best runs LocalSearch from the bestSeeds highest-positive-degree seeds and
+// keeps the largest surplus. An interrupted run returns the best result over
+// the seeds finished so far (Surplus: -1e300 sentinel if none completed).
+func Best(rs *runstate.State, g *graph.Graph, alpha float64) Result {
 	n := g.N()
 	if n == 0 {
 		return Result{}
-	}
-	if k <= 0 {
-		k = 16
 	}
 	deg := make([]float64, n)
 	for v := 0; v < n; v++ {
@@ -143,15 +138,12 @@ func Best(rs *runstate.State, g *graph.Graph, alpha float64, k int) Result {
 		}
 		return seeds[i] < seeds[j]
 	})
-	if k > n {
-		k = n
-	}
 	best := Result{Surplus: -1e300}
-	for _, s := range seeds[:k] {
+	for _, s := range seeds[:min(bestSeeds, n)] {
 		if rs.Checkpoint() {
 			break // best over the seeds finished so far
 		}
-		if r := LocalSearch(rs, g, alpha, s, 0); r.Surplus > best.Surplus {
+		if r := LocalSearch(rs, g, alpha, s); r.Surplus > best.Surplus {
 			best = r
 		}
 	}

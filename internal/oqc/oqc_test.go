@@ -24,7 +24,7 @@ func TestLocalSearchFindsPlantedClique(t *testing.T) {
 	b.AddEdge(6, 7, 1)
 	b.AddEdge(8, 9, 1)
 	g := b.Build()
-	res := Best(runstate.New(nil), g, 0.9, 0)
+	res := Best(runstate.New(nil), g, 0.9)
 	if len(res.S) != 6 {
 		t.Fatalf("S = %v, want the planted K6", res.S)
 	}
@@ -58,8 +58,8 @@ func TestAlphaControlsSize(t *testing.T) {
 		}
 	}
 	g := b.Build()
-	loose := Best(runstate.New(nil), g, 0.1, 0)
-	tight := Best(runstate.New(nil), g, 0.95, 0)
+	loose := Best(runstate.New(nil), g, 0.1)
+	tight := Best(runstate.New(nil), g, 0.95)
 	if len(loose.S) <= len(tight.S) {
 		t.Fatalf("α=0.1 gave %d vertices, α=0.95 gave %d — want loose > tight",
 			len(loose.S), len(tight.S))
@@ -83,7 +83,7 @@ func TestLocalSearchInvariants(t *testing.T) {
 		g := b.Build()
 		alpha := rng.Float64() * 1.5
 		s := rng.Intn(n)
-		res := LocalSearch(runstate.New(nil), g, alpha, s, 0)
+		res := LocalSearch(runstate.New(nil), g, alpha, s)
 		if len(res.S) == 0 {
 			return false
 		}
@@ -109,14 +109,14 @@ func TestOnSignedDifferenceGraph(t *testing.T) {
 	b.AddEdge(4, 5, -3)
 	b.AddEdge(5, 6, -3)
 	g := b.Build()
-	res := Best(runstate.New(nil), g, 0.5, 0)
+	res := Best(runstate.New(nil), g, 0.5)
 	if len(res.S) != 4 || res.Surplus <= 0 {
 		t.Fatalf("signed OQC failed: %+v", res)
 	}
 }
 
 func TestBestEmptyGraph(t *testing.T) {
-	if res := Best(runstate.New(nil), graph.NewBuilder(0).Build(), 0.5, 0); len(res.S) != 0 {
+	if res := Best(runstate.New(nil), graph.NewBuilder(0).Build(), 0.5); len(res.S) != 0 {
 		t.Fatalf("empty graph: %+v", res)
 	}
 }
@@ -127,14 +127,14 @@ func TestLocalSearchRSCancelled(t *testing.T) {
 	g := graph.Complete(6, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := LocalSearch(runstate.New(ctx), g, 0.9, 2, 0)
+	res := LocalSearch(runstate.New(ctx), g, 0.9, 2)
 	if len(res.S) != 1 || res.S[0] != 2 {
 		t.Fatalf("cancelled LocalSearch returned S = %v, want just the seed [2]", res.S)
 	}
 
 	// A live State reproduces the uncancelled search exactly.
-	want := LocalSearch(runstate.New(nil), g, 0.9, 2, 0)
-	got := LocalSearch(runstate.New(context.Background()), g, 0.9, 2, 0)
+	want := LocalSearch(runstate.New(nil), g, 0.9, 2)
+	got := LocalSearch(runstate.New(context.Background()), g, 0.9, 2)
 	if len(got.S) != len(want.S) {
 		t.Fatalf("live LocalSearch S = %v, want %v", got.S, want.S)
 	}
@@ -151,7 +151,7 @@ func TestBestRSCancelled(t *testing.T) {
 	g := graph.Complete(6, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	res := Best(runstate.New(ctx), g, 0.9, 4)
+	res := Best(runstate.New(ctx), g, 0.9)
 	if len(res.S) != 0 {
 		t.Fatalf("cancelled Best returned S = %v, want no set", res.S)
 	}

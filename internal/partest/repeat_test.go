@@ -66,8 +66,8 @@ func (d *digest) u64(x uint64) {
 
 func (d *digest) value(v reflect.Value) {
 	if v.Type() == graphType && !v.IsNil() {
-		off, ids, ws, drop, posOnly := v.Interface().(*graph.Graph).CSR()
-		for _, part := range []any{off, ids, ws, drop, posOnly} {
+		off, ids, ws, drop := v.Interface().(*graph.Graph).CSR()
+		for _, part := range []any{off, ids, ws, drop} {
 			d.value(reflect.ValueOf(part))
 		}
 		return
@@ -248,7 +248,7 @@ func repeatCases() []repeatCase {
 				res, _ := core.TopKAverageDegree(run(), g, 4, 1)
 				return res
 			}},
-			{"core/NewSEA/" + fx.name, 0, func(t *testing.T) any { return core.NewSEA(run(), g, ga) }},
+			{"core/NewSEA/" + fx.name, 0, func(t *testing.T) any { return core.NewSEA(run(), g) }},
 			{"core/SEACDRefineFull/" + fx.name, 0, func(t *testing.T) any { return core.SEACDRefineFull(run(), g, gaPar) }},
 			{"core/CollectCliques/" + fx.name, 0, func(t *testing.T) any {
 				cl, _ := core.CollectCliques(run(), g, gaPar)
@@ -259,10 +259,10 @@ func repeatCases() []repeatCase {
 				return res
 			}},
 			{"densest/Greedy/" + fx.name, 0, func(t *testing.T) any { return densest.Greedy(run(), g, 1) }},
-			{"densest/LocalImprove/" + fx.name, 0, func(t *testing.T) any { return densest.LocalImprove(run(), g, half, 0) }},
+			{"densest/LocalImprove/" + fx.name, 0, func(t *testing.T) any { return densest.LocalImprove(run(), g, half) }},
 			{"egoscan/" + fx.name, 0, func(t *testing.T) any { return egoscan.Scan(run(), g) }},
-			{"oqc/Best/" + fx.name, 0, func(t *testing.T) any { return oqc.Best(run(), g, 1.0/3, 0) }},
-			{"oqc/LocalSearch/" + fx.name, 0, func(t *testing.T) any { return oqc.LocalSearch(run(), g, 0.5, 0, 0) }},
+			{"oqc/Best/" + fx.name, 0, func(t *testing.T) any { return oqc.Best(run(), g, 1.0/3) }},
+			{"oqc/LocalSearch/" + fx.name, 0, func(t *testing.T) any { return oqc.LocalSearch(run(), g, 0.5, 0) }},
 			{"simplex/" + fx.name, 0, func(t *testing.T) any {
 				x := simplex.Uniform(g.N(), half)
 				return []any{simplex.GradientMap(g, x), simplex.KKTViolation(g, x), simplex.Affinity(g, x)}

@@ -43,8 +43,6 @@ type Options struct {
 	MinDocFreq int
 	// MinWordLen drops shorter tokens; default 2.
 	MinWordLen int
-	// Solver options for the mining calls.
-	GA core.GAOptions
 }
 
 func (o Options) withDefaults() Options {
@@ -193,7 +191,7 @@ func (m *Model) TopOfEra(era, k int) []Topic {
 }
 
 func (m *Model) top(gd *graph.Graph, k int) []Topic {
-	cliques, _ := core.CollectCliques(runstate.New(nil), gd, m.opt.GA)
+	cliques, _ := core.CollectCliques(runstate.New(nil), gd, core.GAOptions{})
 	var out []Topic
 	for i, c := range cliques {
 		if i >= k {

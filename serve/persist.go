@@ -574,9 +574,8 @@ func (p *persister) flush() {
 
 // recoverWatches rebuilds every checkpointed watch: the EWMA expectation
 // and step resume via evolve.Restore, the delta base and report ring come
-// back verbatim. opt is the server's solver options (not persisted — they
-// are operator configuration).
-func (p *persister) recoverWatches(opt dcs.Options) []*watch {
+// back verbatim.
+func (p *persister) recoverWatches() []*watch {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	entries, err := os.ReadDir(p.watchDir)
@@ -612,7 +611,7 @@ func (p *persister) recoverWatches(opt dcs.Options) []*watch {
 		}
 		keep[m.ExpectFile] = true
 		keep[m.LastFile] = true
-		w, err := p.restoreWatch(&m, opt)
+		w, err := p.restoreWatch(&m)
 		if err != nil {
 			p.noteRestoreError()
 			continue
@@ -633,7 +632,7 @@ func (p *persister) recoverWatches(opt dcs.Options) []*watch {
 // restoreWatch rebuilds one watch from a manifest that recoverWatches has
 // checked: its files are the key's own and its configuration passes
 // checkWatchConfig.
-func (p *persister) restoreWatch(m *watchManifest, opt dcs.Options) (*watch, error) {
+func (p *persister) restoreWatch(m *watchManifest) (*watch, error) {
 	expect, err := readGraphFileBinary(filepath.Join(p.watchDir, m.ExpectFile))
 	if err != nil {
 		return nil, err
@@ -647,7 +646,6 @@ func (p *persister) restoreWatch(m *watchManifest, opt dcs.Options) (*watch, err
 		Lambda:      m.Lambda,
 		MinDensity:  m.MinDensity,
 		GA:          m.Measure == "affinity",
-		Opt:         opt,
 		ResyncEvery: resync,
 	}, expect, last, m.Step)
 	if err != nil {

@@ -69,9 +69,6 @@ type Config struct {
 	// deleted. Each watch pins two O(m) graphs (expectation and last
 	// observation). 0 means the default 64; negative disables registration.
 	MaxWatches int
-	// WatchReports is the default per-watch report-ring capacity; each
-	// watch may override it at registration (capped at 4096). Default 32.
-	WatchReports int
 	// WatchResync is the default scratch re-solve interval for delta-fed
 	// watches: every K-th delta tick mines the full difference graph from
 	// scratch instead of incrementally. Each watch may override it at
@@ -124,12 +121,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxWatches == 0 {
 		c.MaxWatches = 64
-	}
-	if c.WatchReports < 1 {
-		c.WatchReports = 32
-	}
-	if c.WatchReports > maxWatchReports {
-		c.WatchReports = maxWatchReports
 	}
 	if c.WatchResync < 0 {
 		c.WatchResync = 0 // fall back to the evolve default
@@ -211,7 +202,7 @@ func Open(cfg Config, dataDir string) (*Server, error) {
 	s.mem = newMemoryManager(s.cfg.MemLimit)
 	s.store.mem = s.mem
 	p.recoverSnapshots(s.store)
-	for _, w := range p.recoverWatches(*s.defaultOptions()) {
+	for _, w := range p.recoverWatches() {
 		s.watches.restore(w)
 	}
 	// Hooks attach only after recovery: restoring must not rewrite what it
@@ -321,16 +312,6 @@ func (s *Server) effectiveParallelism(requested int) int {
 		p = 1
 	}
 	return p
-}
-
-func (s *Server) options(parallelism int) *dcs.Options {
-	return &dcs.Options{Parallelism: parallelism}
-}
-
-// defaultOptions are the solver options for paths without a per-request
-// degree (watch evaluation, /v1/topics): the server default, clamped.
-func (s *Server) defaultOptions() *dcs.Options {
-	return s.options(s.effectiveParallelism(0))
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
@@ -666,14 +647,14 @@ func (s *Server) solve(ctx context.Context, req *DCSRequest, g1, g2 *dcs.Graph, 
 	case "affinity":
 		gd := s.differenceGraph(g1, g2, r1, r2, alpha)
 		if k == 1 {
-			res := dcs.FindGraphAffinityDCSOnCtx(ctx, gd, s.options(par))
+			res := dcs.FindGraphAffinityDCSOnCtx(ctx, gd, nil)
 			resp.Interrupted = res.Interrupted
 			if err := dcs.ValidateGraphAffinityResult(gd, res); err != nil {
 				return nil, fmt.Errorf("result failed validation: %s", err)
 			}
 			resp.Results = append(resp.Results, gaSubgraph(gd, res.S, res.Affinity, weightsOf(res.X, res.S)))
 		} else {
-			cliques, interrupted := dcs.TopKGraphAffinityDCSOnCtx(ctx, gd, k, s.options(par))
+			cliques, interrupted := dcs.TopKGraphAffinityDCSOnCtx(ctx, gd, k, &dcs.Options{Parallelism: par})
 			resp.Interrupted = interrupted
 			for _, c := range cliques {
 				resp.Results = append(resp.Results, gaSubgraph(gd, c.S, c.Affinity, weightsOf(c.X, c.S)))
@@ -787,7 +768,9 @@ func (s *Server) handleTopics(w http.ResponseWriter, r *http.Request) {
 	} else {
 		gd = s.differenceGraph(g1, g2, r1, r2, 1)
 	}
-	cliques, interrupted := dcs.TopContrastCliquesOnCtx(ctx, gd, s.defaultOptions())
+	// /v1/topics takes no per-request degree: the server default, clamped.
+	opt := &dcs.Options{Parallelism: s.effectiveParallelism(0)}
+	cliques, interrupted := dcs.TopContrastCliquesOnCtx(ctx, gd, opt)
 	resp := TopicsResponse{G1: r1, G2: r2, Direction: direction, Interrupted: interrupted}
 	for i, c := range cliques {
 		if i >= k {

@@ -267,8 +267,8 @@ type WatchRequest struct {
 	// 0 falls back to the server's -timeout. When both are set the smaller
 	// wins.
 	SolveTimeoutMS float64 `json:"solve_timeout_ms,omitempty"`
-	// Reports overrides the per-watch report-ring capacity
-	// (Config.WatchReports); 0 means the server default.
+	// Reports sets the watch's report-ring capacity, in [1, 4096]; 0 means
+	// the default of 32.
 	Reports int `json:"reports,omitempty"`
 	// ResyncEvery overrides the scratch re-solve interval for delta
 	// observations: every K-th delta tick mines the full difference graph

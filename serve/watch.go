@@ -17,6 +17,10 @@ import (
 // unbounded (or absurd) retention demand.
 const maxWatchReports = 4096
 
+// defaultWatchReports is the report-ring capacity of a watch registered
+// without one.
+const defaultWatchReports = 32
+
 // maxSolveTimeoutMS caps a watch's per-observation solve budget (~31 years).
 // Beyond roughly 9.2e12 ms the float64→time.Duration conversion would
 // overflow int64 and silently disable the timeout.
@@ -355,7 +359,7 @@ func (s *Server) registerWatch(req *WatchRequest) (*watch, *httpError) {
 	}
 	ringCap := req.Reports
 	if ringCap == 0 {
-		ringCap = s.cfg.WatchReports
+		ringCap = defaultWatchReports
 	}
 	if herr := checkWatchConfig(req.Name, req.N, measure, req.SolveTimeoutMS, ringCap, req.ResyncEvery); herr != nil {
 		return nil, herr
@@ -376,7 +380,6 @@ func (s *Server) registerWatch(req *WatchRequest) (*watch, *httpError) {
 		Lambda:      req.Lambda,
 		MinDensity:  req.MinDensity,
 		GA:          measure == "affinity",
-		Opt:         *s.defaultOptions(),
 		ResyncEvery: resync,
 	})
 	if err != nil {
