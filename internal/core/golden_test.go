@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/dcslib/dcs/internal/datagen"
@@ -71,6 +72,7 @@ var goldenDigests = map[string]string{
 	"seed3/ga-seacd-full": "f10acc743fb81860a865456ab99280eeaa3ee8da9896328489aecf9f49f60316",
 	"seed3/ga-cliques":    "0ca2a069e25c86b6bc18014bc42b54ba68745367a680d4d28b7c5880ce6b97bd",
 	"seed3/ga-topk":       "7add225ab972f15b56235e7f01a2d4f1aec65093b12a840c31a2e3247e06c15e",
+	"peel/random":         "2298ae176084b8f7786689203452c6e67bb80940f12a89da8e19003cf5ea38dc",
 }
 
 type goldenHash struct{ hash.Hash }
@@ -197,6 +199,39 @@ func goldenLocal(gd *graph.Graph, seed int, priors ...[]int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// goldenPeel digests the raw peel on 400 seeded small graphs with Gaussian
+// float weights, every other one a WithoutVertices view. Float sums depend on
+// their association, so this pins the order in which the peel sums W(V) —
+// which integer-weighted or single-component inputs cannot see — and the
+// views pin how masked vertices leave the peel.
+func goldenPeel() string {
+	h := goldenHash{sha256.New()}
+	rng := rand.New(rand.NewSource(30))
+	for i := 0; i < 400; i++ {
+		n := 2 + rng.Intn(39)
+		b := graph.NewBuilder(n)
+		for k := rng.Intn(3 * n); k > 0; k-- {
+			if u, v := rng.Intn(n), rng.Intn(n); u != v {
+				b.AddEdge(u, v, rng.NormFloat64())
+			}
+		}
+		g := b.Build()
+		if i%2 == 1 {
+			var drop []int
+			for v := 0; v < n; v++ {
+				if rng.Intn(4) == 0 {
+					drop = append(drop, v)
+				}
+			}
+			g = g.WithoutVertices(drop)
+		}
+		res := densest.Greedy(runstate.New(nil), g, 1)
+		h.ints(res.S)
+		h.floats(res.Density)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
 func goldenRatio(g1, g2 *graph.Graph) string {
 	h := goldenHash{sha256.New()}
 	h.ratio(MaxRatioContrast(runstate.New(nil), g1, g2, 1))
@@ -287,6 +322,7 @@ func TestGoldenBits(t *testing.T) {
 		got[p+"local"] = goldenLocal(gd, prior[0], prior, drifted)
 		goldenAffinity(got, p, gd, prior, drifted)
 	}
+	got["peel/random"] = goldenPeel()
 	for name, want := range goldenDigests {
 		if got[name] != want {
 			t.Errorf("%s: digest %s, want %s", name, got[name], want)
