@@ -64,9 +64,9 @@
 // path and degrees above GOMAXPROCS are capped.
 // Parallel solves are bitwise-deterministic: for a fixed input the result is
 // identical at every parallelism degree, including degree 1 — the engines
-// only parallelize steps whose reduction order is fixed (per-component peels
-// with a deterministic merge, concurrent candidate peels compared in a fixed
-// order, independent initializations collected in start order).
+// only parallelize steps whose reduction order is fixed (concurrent candidate
+// peels compared in a fixed order, independent initializations collected in
+// start order).
 // Cancellation composes: a cancelled parallel solve still returns its
 // best-so-far partial.
 package dcs

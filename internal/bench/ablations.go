@@ -47,7 +47,7 @@ func (s *Suite) Ablations(w io.Writer) []AblationRow {
 		row.ExactUBTime = timed(func() {
 			row.ExactRatio = core.ExactUpperBoundRatio(d.GD, res)
 		})
-		row.HeapTime = timed(func() { densest.Greedy(runstate.New(nil), d.GD, 1) })
+		row.HeapTime = timed(func() { densest.Greedy(runstate.New(nil), d.GD) })
 		row.SegTreeTime = timed(func() { densest.GreedySegTree(d.GD) })
 		o := oqc.Best(runstate.New(nil), d.GD, 1.0/3)
 		row.OQCSize = len(o.S)

@@ -64,14 +64,13 @@ func newADResult(gd *graph.Graph, S []int, ratio float64) ADResult {
 //
 // Total cost is O((m+n) log n).
 //
-// The expensive parts are spread over at most workers goroutines: the
-// Greedy(GD) and Greedy(GD+) peels run concurrently, and each peel fans its
-// connected components out on the worker pool (see densest.Peeler). The
-// candidate comparison, component refinement and certificate arithmetic stay
-// sequential, so the result is bitwise identical at every degree. When rs is
-// cancelled the peeling stops within one checkpoint interval and the best
-// subgraph assembled from the completed peel prefixes is returned, tagged
-// Interrupted (with no approximation certificate).
+// At workers > 1 the Greedy(GD) and Greedy(GD+) peels run concurrently, each
+// on its own densest.Peeler; everything else — the candidate comparison,
+// component refinement and certificate arithmetic — stays sequential, so the
+// result is bitwise identical at every degree. When rs is cancelled the
+// peels stop within one checkpoint interval, each keeping the best prefix it
+// evaluated, and the best candidate is returned, tagged Interrupted (with no
+// approximation certificate).
 func DCSGreedy(rs *runstate.State, gd *graph.Graph, workers int) ADResult {
 	return dcsGreedy(rs, gd, nil, workers, new(adScratch))
 }
@@ -122,8 +121,8 @@ func (ws *adScratch) pick(gd, gdp *graph.Graph, maxEdge graph.Edge, rs *runstate
 	var s1, s2 densest.Result
 	workers = par.Workers(workers)
 	if workers <= 1 {
-		s1 = ws.peel[0].Peel(rs, gd, 1, ws.s1)
-		s2 = ws.peel[0].Peel(rs, gdp, 1, ws.s2)
+		s1 = ws.peel[0].Peel(rs, gd, ws.s1)
+		s2 = ws.peel[0].Peel(rs, gdp, ws.s2)
 	} else {
 		graphs := [2]*graph.Graph{gd, gdp}
 		bufs := [2][]int{ws.s1, ws.s2}
@@ -131,7 +130,7 @@ func (ws *adScratch) pick(gd, gdp *graph.Graph, maxEdge graph.Edge, rs *runstate
 		var cut [2]bool
 		par.Run(2, 2, func(i int) {
 			wrs := rs.Fork()
-			out[i] = ws.peel[i].Peel(wrs, graphs[i], workers, bufs[i])
+			out[i] = ws.peel[i].Peel(wrs, graphs[i], bufs[i])
 			cut[i] = wrs.Interrupted()
 		})
 		if cut[0] || cut[1] {
@@ -164,14 +163,14 @@ func (ws *adScratch) pick(gd, gdp *graph.Graph, maxEdge graph.Edge, rs *runstate
 // GreedyGDOnly runs plain greedy peeling (Algorithm 1) on GD alone and
 // evaluates the result in GD — the "GD only" column of Tables X and XII.
 func GreedyGDOnly(rs *runstate.State, gd *graph.Graph) ADResult {
-	res := densest.Greedy(rs, gd, 1)
+	res := densest.Greedy(rs, gd)
 	return newADResult(gd, res.S, 0)
 }
 
 // GreedyGDPlusOnly runs greedy peeling on GD+ and evaluates the resulting set
 // in GD — the "GD+ only" column of Tables X and XII.
 func GreedyGDPlusOnly(rs *runstate.State, gd *graph.Graph) ADResult {
-	res := densest.Greedy(rs, gd.PositivePart(), 1)
+	res := densest.Greedy(rs, gd.PositivePart())
 	return newADResult(gd, res.S, 0)
 }
 

@@ -155,7 +155,7 @@ func goldenBacked(t *testing.T, g *graph.Graph) *graph.Graph {
 
 // goldenAvgDeg digests every average-degree entry point on one difference
 // graph: DCSGreedy, top-5 (sequential and at 4 workers), the warm start from
-// a planted prior, and the raw peel at 1 and 4 workers.
+// a planted prior, and the raw peel.
 func goldenAvgDeg(gd *graph.Graph, prior []int) string {
 	h := goldenHash{sha256.New()}
 	h.ad(DCSGreedy(runstate.New(nil), gd, 1))
@@ -171,8 +171,10 @@ func goldenAvgDeg(gd *graph.Graph, prior []int) string {
 	warm, hit := DCSGreedyWarm(runstate.New(nil), gd, prior)
 	h.ad(warm)
 	h.bools(hit)
-	for _, workers := range []int{1, 4} {
-		res := densest.Greedy(runstate.New(nil), gd, workers)
+	// The raw peel is hashed twice: the digests were taken when it ran at 1
+	// and 4 workers, and two runs of the one peel keep their bytes.
+	for range 2 {
+		res := densest.Greedy(runstate.New(nil), gd)
 		h.ints(res.S)
 		h.floats(res.Density)
 	}
@@ -225,7 +227,7 @@ func goldenPeel() string {
 			}
 			g = g.WithoutVertices(drop)
 		}
-		res := densest.Greedy(runstate.New(nil), g, 1)
+		res := densest.Greedy(runstate.New(nil), g)
 		h.ints(res.S)
 		h.floats(res.Density)
 	}

@@ -36,8 +36,8 @@ func componentsGraph(c int) *graph.Graph {
 // call, never per component — 20× the components, the same allocations.
 func TestGreedyAllocsFlatInComponents(t *testing.T) {
 	few, many := componentsGraph(10), componentsGraph(200)
-	a := testing.AllocsPerRun(20, func() { Greedy(runstate.New(nil), few, 1) })
-	b := testing.AllocsPerRun(20, func() { Greedy(runstate.New(nil), many, 1) })
+	a := testing.AllocsPerRun(20, func() { Greedy(runstate.New(nil), few) })
+	b := testing.AllocsPerRun(20, func() { Greedy(runstate.New(nil), many) })
 	if b > a {
 		t.Fatalf("Greedy allocates %v times on 200 components, %v on 10: allocation grows with components", b, a)
 	}
@@ -49,8 +49,8 @@ func TestPeelerReuseZeroAllocs(t *testing.T) {
 	g := componentsGraph(50)
 	var p Peeler
 	rs := runstate.New(nil)
-	S := p.Peel(rs, g, 1, nil).S
-	if a := testing.AllocsPerRun(20, func() { S = p.Peel(rs, g, 1, S).S }); a != 0 {
+	S := p.Peel(rs, g, nil).S
+	if a := testing.AllocsPerRun(20, func() { S = p.Peel(rs, g, S).S }); a != 0 {
 		t.Fatalf("warm Peeler allocates %v times per peel, want 0", a)
 	}
 }

@@ -19,7 +19,6 @@ import (
 
 	"github.com/dcslib/dcs/internal/graph"
 	"github.com/dcslib/dcs/internal/maxflow"
-	"github.com/dcslib/dcs/internal/par"
 	"github.com/dcslib/dcs/internal/runstate"
 	"github.com/dcslib/dcs/internal/vheap"
 )
@@ -37,305 +36,114 @@ type Result struct {
 // average degree. Runs in O((m+n) log n) using an indexed heap.
 //
 // The empty graph yields an empty result; an edgeless graph yields a single
-// vertex with density 0. The peel runs on a fresh Peeler over at most
-// workers goroutines; see Peeler.Peel for the engine, its parallel round
-// design and cancellation. Results are bitwise identical at every degree.
-func Greedy(rs *runstate.State, g *graph.Graph, workers int) Result {
+// vertex with density 0. The peel runs on a fresh Peeler; see Peeler.Peel
+// for the loop and its cancellation.
+func Greedy(rs *runstate.State, g *graph.Graph) Result {
 	var p Peeler
-	return p.Peel(rs, g, workers, nil)
+	return p.Peel(rs, g, nil)
 }
 
-// Peeler is the peel engine with its workspace: component arenas, the
-// per-component removal records, one indexed heap and the merge buffers. A
-// solver that peels many graphs in a row (G_D then G_D⁺, every top-k pick,
-// every ratio probe) keeps one Peeler and allocates the arrays once, growing
-// them only for a larger graph. The zero value is ready to use; a Peeler is
-// not safe for concurrent use.
+// Peeler is the peel engine with its workspace: one indexed heap and the
+// per-vertex arrays of a peel. A solver that peels many graphs in a row (G_D
+// then G_D⁺, every top-k pick, every ratio probe) keeps one Peeler and
+// allocates the arrays once, growing them only for a larger graph. The zero
+// value is ready to use; a Peeler is not safe for concurrent use.
 type Peeler struct {
-	// The graph of the current (or last) peel, as graph.CSR returned it.
-	off  []int
-	ids  []int32
-	ws   []float64
-	drop []bool
-
-	heap  vheap.Heap
-	cid   []int32   // component id per vertex
-	stack []int32   // discovery stack
-	start []int32   // component c is verts[start[c]:start[c+1]]
-	verts []int32   // vertices grouped by component, ascending in each
-	loc   []int32   // loc[v] = index of v within its component
-	deg   []float64 // initial weighted degree per vertex
-
-	// Each component's recorded peel lives in the slots of order/popDeg
-	// that its vertices occupy in verts: the removal order, the weighted
-	// degree at each pop, the number of pops (short of the component size
-	// when cancelled) and the initial total degree.
-	order  []int32
-	popDeg []float64
-	popped []int32
-	td     []float64
-
-	next    []int32 // merge cursor: each component's next pop in order
-	removed []int32 // global removal order
+	heap    vheap.Heap
+	deg     []float64 // initial weighted degree per vertex
+	cid     []int32   // connected-component id per vertex
+	stack   []int32   // discovery stack
+	td      []float64 // total degree per component
+	removed []int32   // removal order
 	keep    []bool
 }
 
 // Peel runs the greedy peel of g and returns the best prefix, with S built
-// in S's storage when its capacity suffices (nil allocates). Results are
-// bitwise identical at every worker count.
+// in S's storage when its capacity suffices (nil allocates).
 //
-// A single global heap peel looks inherently sequential, but it decomposes
-// exactly along connected components: edges never cross components, so a
-// component's degrees change only when its own vertices are removed, and the
-// subsequence of the global removal order restricted to a component C equals
-// C's standalone peel order (the global minimum is always some component's
-// front, and within a component both peels break degree ties by ascending
-// vertex id). The engine therefore
-//
-//  1. partitions the graph into connected components (one O(n+m) sweep over
-//     the CSR rows);
-//  2. peels each component independently over local indices with the
-//     indexed heap — these are the expensive O((m_C+n_C) log n_C) parts and
-//     run on the worker pool when workers > 1 — recording each component's
-//     removal order, pop-time degrees and initial total degree; a singleton
-//     has no visible edge, so it is recorded as one pop at degree 0 without
-//     a heap;
-//  3. replays the global peel as a k-way merge of the per-component pop
-//     sequences on the same heap, which holds each component's next pop
-//     keyed by (pop-time degree, vertex id) — the exact priority the global
-//     heap would use — evaluating the density of every global prefix with
-//     the same floating-point operations in the same order.
-//
-// Every arithmetic step is either per-component-sequential or performed in
-// the deterministic merge, so the result is the same at every parallelism
-// degree; degree 1 runs the same kernel inline on p's single heap, while
-// parallel workers each take a heap of their own. Rows are read straight
+// One depth-first sweep over the CSR rows numbers the connected components
+// (in order of smallest member) and sums each vertex's initial weighted
+// degree; W(V) is then summed per component in ascending vertex order, and
+// over the components in order. That association is part of the output
+// bits: the density of every prefix derives from it. The loop pops the
+// vertex of minimum (degree, id) from one heap over all n vertices, drops
+// 2·degree from W and lowers each visible neighbour still in the heap by
+// the edge weight, keeping the best prefix seen. Rows are read straight
 // from the CSR arrays with the view mask applied inline (see graph.CSR),
-// whoever owns them — the heap or a file mapping. Cancellation is
-// cooperative: each peel checkpoints once per pop, and a cancelled peel
-// merges whatever prefixes completed — still a valid subgraph with an exact
-// density, never empty on a non-empty graph.
-func (p *Peeler) Peel(rs *runstate.State, g *graph.Graph, workers int, S []int) Result {
+// whoever owns them — the heap or a file mapping; a masked vertex has no
+// visible edge, so it pops at degree 0 without its row being walked.
+//
+// Cancellation is cooperative: the sweep checkpoints once per component
+// root and the loop once per pop. A sweep cut short returns the single
+// vertex 0 (density 0); a loop cut short keeps the best prefix evaluated so
+// far — a valid subgraph with an exact density, never empty.
+func (p *Peeler) Peel(rs *runstate.State, g *graph.Graph, S []int) Result {
 	n := g.N()
 	if n == 0 {
 		return Result{S: S[:0]}
 	}
-	p.off, p.ids, p.ws, p.drop = g.CSR()
-	nc, ok := p.components(n, rs)
-	if !ok {
-		// Cancelled during component discovery: fall back to the degenerate
-		// single-vertex answer of Algorithm 2 (density 0), never empty.
-		return Result{S: append(S[:0], 0)}
-	}
-	workers = par.Workers(workers)
-	if workers <= 1 || nc < 2 {
-		// Inline: rs is used directly, preserving its amortization counter and
-		// latching interruption on the caller's state.
-		for c := 0; c < nc; c++ {
-			p.peelComponent(c, &p.heap, rs)
-		}
-	} else {
-		// One heap per worker: tasks borrow one for the component's peel.
-		spare := make([]vheap.Heap, workers-1)
-		heaps := make(chan *vheap.Heap, workers)
-		heaps <- &p.heap
-		for i := range spare {
-			heaps <- &spare[i]
-		}
-		cut := make([]bool, nc)
-		par.Run(workers, nc, func(c int) {
-			// A State is single-goroutine; fork one per task. Fork only reads
-			// the immutable done channel, so concurrent forks are safe.
-			wrs := rs.Fork()
-			h := <-heaps
-			p.peelComponent(c, h, wrs)
-			heaps <- h
-			cut[c] = wrs.Interrupted()
-		})
-		for _, c := range cut {
-			if c {
-				// A worker can only observe cancellation after the context is
-				// done, so this poll latches the caller's state too.
-				rs.Cancelled()
-				break
-			}
-		}
-	}
-	return p.merge(n, nc, rs, S)
-}
-
-// visible reports whether a row entry to vertex to survives the view mask.
-func (p *Peeler) visible(to int32) bool {
-	return p.drop == nil || !p.drop[to]
-}
-
-// grow returns s resliced to length n, reallocated only when too small.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// components partitions all vertices (masked and isolated ones form
-// singleton components) into connected components, returning their count,
-// and records each vertex's initial weighted degree from the same row walk.
-// Components are ordered by smallest member and list their vertices in
-// ascending order, and loc maps each vertex to its index within its
-// component — both facts the peel and merge rely on for deterministic
-// tie-breaking. A run cancelled mid-search reports !ok: a partial partition
-// would mis-route the peel.
-func (p *Peeler) components(n int, rs *runstate.State) (nc int, ok bool) {
+	off, ids, ws, drop := g.CSR()
 	cid := grow(p.cid, n)
 	for i := range cid {
 		cid[i] = -1
 	}
-	p.cid = cid
-	p.deg = grow(p.deg, n)
-	clear(p.deg)
-	p.stack = p.stack[:0]
-	for v := 0; v < n; v++ {
-		if rs.Checkpoint() {
-			return 0, false
-		}
+	deg := grow(p.deg, n)
+	clear(deg)
+	p.cid, p.deg = cid, deg
+	nc := int32(0)
+	for v := range cid {
 		if cid[v] >= 0 {
 			continue
 		}
-		id := int32(nc)
+		if rs.Checkpoint() {
+			// A partial sweep leaves degrees unset: fall back to the
+			// degenerate single-vertex answer of Algorithm 2 (density 0).
+			return Result{S: append(S[:0], 0)}
+		}
+		cid[v] = nc
 		nc++
-		cid[v] = id
-		if p.drop != nil && p.drop[v] {
+		if drop != nil && drop[v] {
 			continue // a masked vertex has no visible edge
 		}
-		p.stack = append(p.stack, int32(v))
+		p.stack = append(p.stack[:0], int32(v))
 		for len(p.stack) > 0 {
 			u := p.stack[len(p.stack)-1]
 			p.stack = p.stack[:len(p.stack)-1]
 			var d float64
-			lo, hi := p.off[u], p.off[u+1]
-			ws := p.ws[lo:hi]
-			for i, to := range p.ids[lo:hi] {
-				if !p.visible(to) {
+			lo, hi := off[u], off[u+1]
+			row := ws[lo:hi]
+			for i, to := range ids[lo:hi] {
+				if drop != nil && drop[to] {
 					continue
 				}
-				d += ws[i]
+				d += row[i]
 				if cid[to] < 0 {
-					cid[to] = id
+					cid[to] = cid[v]
 					p.stack = append(p.stack, to)
 				}
 			}
-			p.deg[u] = d
+			deg[u] = d
 		}
 	}
-	// Counting sort by component id; popped serves as the fill cursor and
-	// ends holding each component's size.
-	p.start = grow(p.start, nc+1)
-	p.popped = grow(p.popped, nc)
-	p.td = grow(p.td, nc)
-	clear(p.start)
-	clear(p.popped)
-	for _, id := range cid {
-		p.start[id+1]++
+	// W(S) in the paper convention is the sum of in-subgraph weighted degrees.
+	td := grow(p.td, n)[:nc]
+	clear(td)
+	p.td = td
+	for v, c := range cid {
+		td[c] += deg[v]
 	}
-	for c := 0; c < nc; c++ {
-		p.start[c+1] += p.start[c]
-	}
-	p.verts = grow(p.verts, n)
-	p.loc = grow(p.loc, n)
-	p.order = grow(p.order, n)
-	p.popDeg = grow(p.popDeg, n)
-	for v, id := range cid {
-		i := p.popped[id]
-		p.popped[id]++
-		p.verts[p.start[id]+i] = int32(v)
-		p.loc[v] = i
-	}
-	return nc, true
-}
-
-// peelComponent runs the heap peel restricted to component c, over local
-// indices (the heap's tie-break by local index matches ascending global id,
-// since the component's vertices are sorted). One checkpoint per pop,
-// exactly like the classic single-heap loop.
-func (p *Peeler) peelComponent(c int, h *vheap.Heap, rs *runstate.State) {
-	lo, hi := p.start[c], p.start[c+1]
-	verts, order, popDeg := p.verts[lo:hi], p.order[lo:hi], p.popDeg[lo:hi]
-	if len(verts) == 1 {
-		// No visible edge: one pop at degree 0, total degree 0.
-		p.td[c], p.popped[c] = 0, 0
-		if !rs.Checkpoint() {
-			order[0], popDeg[0], p.popped[c] = verts[0], 0, 1
-		}
-		return
-	}
-	// The local degrees are staged in popDeg: Reset copies them into the
-	// heap before the first pop overwrites a slot.
-	var td float64
-	for i, v := range verts {
-		d := p.deg[v]
-		popDeg[i] = d
-		td += d
-	}
-	h.Reset(popDeg)
-	k := 0
-	for h.Len() > 0 {
-		if rs.Checkpoint() {
-			break
-		}
-		i, di := h.PopMin()
-		v := verts[i]
-		order[k], popDeg[k] = v, di
-		k++
-		lo, hi := p.off[v], p.off[v+1]
-		ws := p.ws[lo:hi]
-		for i, to := range p.ids[lo:hi] {
-			if !p.visible(to) {
-				continue
-			}
-			if j := int(p.loc[to]); h.Contains(j) {
-				h.Add(j, -ws[i])
-			}
-		}
-	}
-	p.popped[c], p.td[c] = int32(k), td
-}
-
-// merge replays the global peel from the per-component records: a k-way
-// merge by (pop-time degree, vertex id) — the global heap's priority — while
-// tracking W(S) and the best prefix density exactly as the classic loop did.
-// Cancellation stops the replay and keeps the best prefix evaluated so far —
-// the same contract as a peel cut short.
-func (p *Peeler) merge(n, nc int, rs *runstate.State, S []int) Result {
-	// W(S) in the paper convention is the sum of in-subgraph weighted degrees;
-	// summed in component order, deterministically at every degree.
 	var totalDeg float64
-	for _, td := range p.td[:nc] {
-		totalDeg += td
-	}
-	// The heap, keyed by vertex id, holds each component's next pop at its
-	// pop-time degree: PopMin yields the global peel's next removal.
-	h := &p.heap
-	h.Clear(n)
-	p.next = grow(p.next, nc)
-	for c := 0; c < nc; c++ {
-		if rs.Checkpoint() {
-			// Any interleaving of component prefixes is a valid partial
-			// replay; the loop below stops at its first checkpoint.
-			break
-		}
-		if p.popped[c] > 0 {
-			lo := p.start[c]
-			p.next[c] = lo
-			h.Push(int(p.order[lo]), p.popDeg[lo])
-		}
+	for _, d := range td {
+		totalDeg += d
 	}
 
+	h := &p.heap
+	h.Reset(deg)
 	bestDensity := math.Inf(-1)
 	bestSize := 0
-	p.removed = grow(p.removed, n)
-	removed := p.removed[:0]
-	size := n
-	for size >= 1 {
+	removed := grow(p.removed, n)[:0]
+	p.removed = removed
+	for size := n; size >= 1; size-- {
 		// ≥ so that ties prefer the smaller prefix: on a graph with no positive
 		// edge the result is then a single vertex (density 0), matching the
 		// degenerate case of Algorithm 2.
@@ -343,29 +151,29 @@ func (p *Peeler) merge(n, nc int, rs *runstate.State, S []int) Result {
 			bestDensity = rho
 			bestSize = size
 		}
-		if h.Len() == 0 {
-			break // cancelled peels exhausted; keep the best evaluated prefix
-		}
 		if rs.Checkpoint() {
 			break // after ≥1 evaluation, so bestSize is set and the keep slice is consistent
 		}
-		v, dv := h.Min()
+		v, dv := h.PopMin()
 		removed = append(removed, int32(v))
 		// Removing v: v's degree leaves W once, and every remaining neighbor
 		// loses w(u,v) from its degree — so W(S) drops by 2·dv in total.
 		totalDeg -= 2 * dv
-		if c := p.cid[v]; p.next[c]+1 < p.start[c]+p.popped[c] {
-			p.next[c]++
-			h.ReplaceMin(int(p.order[p.next[c]]), p.popDeg[p.next[c]])
-		} else {
-			h.PopMin()
+		if drop != nil && drop[v] {
+			continue
 		}
-		size--
+		lo, hi := off[v], off[v+1]
+		row := ws[lo:hi]
+		for i, to := range ids[lo:hi] {
+			if (drop == nil || !drop[to]) && h.Contains(int(to)) {
+				h.Add(int(to), -row[i])
+			}
+		}
 	}
 	// The best prefix keeps the vertices *not yet removed* when |S| == bestSize,
 	// i.e. everything except the first n-bestSize removals.
-	p.keep = grow(p.keep, n)
-	keep := p.keep
+	keep := grow(p.keep, n)
+	p.keep = keep
 	for v := range keep {
 		keep[v] = true
 	}
@@ -382,6 +190,14 @@ func (p *Peeler) merge(n, nc int, rs *runstate.State, S []int) Result {
 		}
 	}
 	return Result{S: S, Density: bestDensity}
+}
+
+// grow returns s resliced to length n, reallocated only when too small.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Exact computes the maximum-average-degree subgraph of a graph with

@@ -40,7 +40,7 @@ func TestGreedyOnCliquePlusTail(t *testing.T) {
 	b.AddEdge(4, 5, 0.1)
 	b.AddEdge(5, 6, 0.1)
 	g := b.Build()
-	res := Greedy(runstate.New(nil), g, 1)
+	res := Greedy(runstate.New(nil), g)
 	if !almostEqual(res.Density, 3) {
 		t.Fatalf("greedy density = %v, want 3", res.Density)
 	}
@@ -50,10 +50,10 @@ func TestGreedyOnCliquePlusTail(t *testing.T) {
 }
 
 func TestGreedyEmptyAndEdgeless(t *testing.T) {
-	if res := Greedy(runstate.New(nil), graph.NewBuilder(0).Build(), 1); len(res.S) != 0 {
+	if res := Greedy(runstate.New(nil), graph.NewBuilder(0).Build()); len(res.S) != 0 {
 		t.Errorf("empty graph: %+v", res)
 	}
-	res := Greedy(runstate.New(nil), graph.NewBuilder(3).Build(), 1)
+	res := Greedy(runstate.New(nil), graph.NewBuilder(3).Build())
 	if len(res.S) != 1 || res.Density != 0 {
 		t.Errorf("edgeless graph: %+v, want single vertex density 0", res)
 	}
@@ -67,7 +67,7 @@ func TestGreedyNegativeWeights(t *testing.T) {
 	b.AddEdge(1, 2, -3)
 	b.AddEdge(2, 3, -3)
 	b.AddEdge(3, 4, -3)
-	res := Greedy(runstate.New(nil), b.Build(), 1)
+	res := Greedy(runstate.New(nil), b.Build())
 	if !almostEqual(res.Density, 5) { // W({0,1}) = 10, ρ = 5
 		t.Fatalf("density = %v S=%v, want 5 on {0,1}", res.Density, res.S)
 	}
@@ -144,7 +144,7 @@ func TestGreedyTwoApproxProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := 2 + rng.Intn(10)
 		g := randomPositiveGraph(rng, n, 0.4)
-		gr := Greedy(runstate.New(nil), g, 1)
+		gr := Greedy(runstate.New(nil), g)
 		bf := BruteForce(g)
 		// 2·ρ_greedy ≥ ρ_opt.
 		return 2*gr.Density+1e-9 >= bf.Density
@@ -170,7 +170,7 @@ func TestGreedyDensityConsistency(t *testing.T) {
 			}
 		}
 		g := b.Build()
-		res := Greedy(runstate.New(nil), g, 1)
+		res := Greedy(runstate.New(nil), g)
 		if len(res.S) == 0 {
 			return n == 0
 		}
@@ -185,7 +185,7 @@ func TestExactLargerRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	g := randomPositiveGraph(rng, 60, 0.1)
 	ex := Exact(g)
-	gr := Greedy(runstate.New(nil), g, 1)
+	gr := Greedy(runstate.New(nil), g)
 	if gr.Density > ex.Density+1e-6 {
 		t.Fatalf("greedy (%v) beat exact (%v)", gr.Density, ex.Density)
 	}

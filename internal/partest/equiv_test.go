@@ -5,11 +5,9 @@ import (
 	"os"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"github.com/dcslib/dcs/internal/core"
-	"github.com/dcslib/dcs/internal/densest"
 	"github.com/dcslib/dcs/internal/graph"
 	"github.com/dcslib/dcs/internal/runstate"
 )
@@ -52,26 +50,23 @@ func adFixtures(rng *rand.Rand) []fixture {
 // solves the layout's copy, and unchanged checks after each solver call that
 // no graph was written.
 
+// TestGreedyParMatchesSequential: DCSGreedy on many-component graphs of
+// random shape, where its concurrent G_D and G_D⁺ peels each sweep dozens of
+// components, returns the same bits at every degree and on every layout.
 func TestGreedyParMatchesSequential(t *testing.T) {
 	forEachLayout(t, func(t *testing.T, load func(*graph.Graph) *graph.Graph) {
 		rng := rand.New(rand.NewSource(41))
 		for round := 0; round < 8; round++ {
-			for _, fx := range adFixtures(rng) {
-				g := load(fx.g)
-				check := unchanged(t, fx.g, g)
-				seq := densest.Greedy(runstate.New(nil), fx.g, 1)
-				check("%s round %d: Greedy", fx.name, round)
-				for _, deg := range Degrees {
-					got := densest.Greedy(runstate.New(nil), g, deg)
-					check("%s round %d: Greedy degree %d", fx.name, round, deg)
-					if got.Density != seq.Density {
-						t.Fatalf("%s round %d degree %d: density %v, sequential %v",
-							fx.name, round, deg, got.Density, seq.Density)
-					}
-					if !slices.Equal(got.S, seq.S) {
-						t.Fatalf("%s round %d degree %d: S %v, sequential %v",
-							fx.name, round, deg, got.S, seq.S)
-					}
+			fx := Disconnected(rng, 2+rng.Intn(20), rng.Intn(30), 1+rng.Intn(6))
+			g := load(fx)
+			check := unchanged(t, fx, g)
+			seq := core.DCSGreedy(runstate.New(nil), fx, 1)
+			check("round %d: DCSGreedy", round)
+			for _, deg := range Degrees {
+				got := core.DCSGreedy(runstate.New(nil), g, deg)
+				check("round %d: DCSGreedy degree %d", round, deg)
+				if !reflect.DeepEqual(got, seq) {
+					t.Fatalf("round %d degree %d:\n got %+v\nwant %+v", round, deg, got, seq)
 				}
 			}
 		}

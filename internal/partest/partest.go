@@ -21,8 +21,8 @@ import (
 
 // Degrees is the parallelism ladder the equivalence tests assert over. 1
 // runs every task inline, the path each degree is compared against; 2
-// exercises the minimal fork/merge; 8 exceeds the component count of the
-// small fixtures so worker starvation and task claiming are on the path.
+// exercises the minimal fork/merge; 8 exceeds the task count of the small
+// fixtures so worker starvation and task claiming are on the path.
 // TestMain raises GOMAXPROCS so 8 is a real degree even on small CI
 // machines.
 var Degrees = []int{1, 2, 8}
@@ -67,9 +67,9 @@ func HostileWeights(rng *rand.Rand, n int, p float64) *graph.Graph {
 
 // Disconnected builds a graph of `blocks` mutually disconnected random
 // blobs of skewed sizes (block i has i+2 vertices), plus `isolated` extra
-// degree-zero vertices. This is the worst case for the per-component
-// fan-out: many components, none dominant, with singleton components
-// interleaved throughout the id space.
+// degree-zero vertices, which take the lowest ids: many components, none
+// dominant — the shape where the peel's per-component W(V) sums and the
+// top-k masks do the most work.
 func Disconnected(rng *rand.Rand, blocks, isolated int, wmax int) *graph.Graph {
 	n := isolated
 	starts := make([]int, blocks)

@@ -258,7 +258,7 @@ func repeatCases() []repeatCase {
 				res, _ := core.TopKGraphAffinity(run(), g, 3, ga)
 				return res
 			}},
-			{"densest/Greedy/" + fx.name, 0, func(t *testing.T) any { return densest.Greedy(run(), g, 1) }},
+			{"densest/Greedy/" + fx.name, 0, func(t *testing.T) any { return densest.Greedy(run(), g) }},
 			{"densest/LocalImprove/" + fx.name, 0, func(t *testing.T) any { return densest.LocalImprove(run(), g, half) }},
 			{"egoscan/" + fx.name, 0, func(t *testing.T) any { return egoscan.Scan(run(), g) }},
 			{"oqc/Best/" + fx.name, 0, func(t *testing.T) any { return oqc.Best(run(), g, 1.0/3) }},

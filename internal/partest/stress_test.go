@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/dcslib/dcs/internal/core"
-	"github.com/dcslib/dcs/internal/densest"
 	"github.com/dcslib/dcs/internal/runstate"
 )
 
@@ -115,15 +114,15 @@ func TestCancelMidRound(t *testing.T) {
 	}
 }
 
-// TestGreedyParManyComponentsStress hammers the component fan-out with far
-// more components than workers, under every degree concurrently — the shape
-// where task claiming, the shared loc map and the merge heap all work
-// hardest. Run under -race this doubles as the data-race check for the
-// peel's shared read-only state.
+// TestGreedyParManyComponentsStress runs DCSGreedy on one graph of far more
+// components than workers, at every degree from concurrent goroutines — the
+// shape where the concurrent candidate peels each sweep the most components.
+// Run under -race this doubles as the data-race check for the peels' shared
+// read-only graph state.
 func TestGreedyParManyComponentsStress(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
 	g := Disconnected(rng, 25, 40, 6)
-	want := densest.Greedy(runstate.New(nil), g, 1)
+	want := core.DCSGreedy(runstate.New(nil), g, 1)
 	var wg sync.WaitGroup
 	for i := 0; i < 6; i++ {
 		deg := Degrees[i%len(Degrees)]
@@ -131,8 +130,7 @@ func TestGreedyParManyComponentsStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for r := 0; r < 10; r++ {
-				got := densest.Greedy(runstate.New(nil), g, deg)
-				if got.Density != want.Density || !reflect.DeepEqual(got.S, want.S) {
+				if got := core.DCSGreedy(runstate.New(nil), g, deg); !reflect.DeepEqual(got, want) {
 					t.Errorf("degree %d: diverged from sequential", deg)
 					return
 				}

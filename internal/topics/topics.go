@@ -20,7 +20,8 @@ import (
 	"github.com/dcslib/dcs/internal/runstate"
 )
 
-// DefaultStopwords is a compact English stopword list adequate for titles.
+// DefaultStopwords is the compact English stopword list Tokenize drops,
+// adequate for titles.
 var DefaultStopwords = map[string]bool{
 	"a": true, "an": true, "and": true, "are": true, "as": true, "at": true,
 	"be": true, "by": true, "for": true, "from": true, "has": true, "have": true,
@@ -31,43 +32,27 @@ var DefaultStopwords = map[string]bool{
 	"do": true, "does": true, "how": true, "what": true, "when": true,
 	"where": true, "which": true, "who": true, "why": true, "new": true,
 	"based": true, "approach": true, "method": true, "methods": true,
-	"towardss": false,
 }
+
+// minWordLen is the shortest token Tokenize keeps.
+const minWordLen = 2
 
 // Options configures the pipeline.
 type Options struct {
-	// Stopwords to drop; nil means DefaultStopwords.
-	Stopwords map[string]bool
 	// MinDocFreq drops keywords appearing in fewer documents (per corpus
-	// union); default 1 (keep everything).
+	// union); 0 and 1 keep everything.
 	MinDocFreq int
-	// MinWordLen drops shorter tokens; default 2.
-	MinWordLen int
 }
 
-func (o Options) withDefaults() Options {
-	if o.Stopwords == nil {
-		o.Stopwords = DefaultStopwords
-	}
-	if o.MinDocFreq == 0 {
-		o.MinDocFreq = 1
-	}
-	if o.MinWordLen == 0 {
-		o.MinWordLen = 2
-	}
-	return o
-}
-
-// Tokenize lowercases, splits on non-letter/digit runs, and drops stopwords
-// and short tokens.
-func Tokenize(title string, opt Options) []string {
-	opt = opt.withDefaults()
+// Tokenize lowercases, splits on non-letter/digit runs, and drops
+// DefaultStopwords and tokens shorter than two bytes.
+func Tokenize(title string) []string {
 	fields := strings.FieldsFunc(strings.ToLower(title), func(r rune) bool {
 		return !unicode.IsLetter(r) && !unicode.IsDigit(r)
 	})
 	out := fields[:0]
 	for _, w := range fields {
-		if len(w) >= opt.MinWordLen && !opt.Stopwords[w] {
+		if len(w) >= minWordLen && !DefaultStopwords[w] {
 			out = append(out, w)
 		}
 	}
@@ -85,12 +70,10 @@ type Model struct {
 	Vocab  map[string]int // keyword → vertex id
 	Words  []string       // vertex id → keyword
 	G1, G2 *graph.Graph
-	opt    Options
 }
 
 // Build constructs the model from two corpora of titles.
 func Build(era1, era2 []string, opt Options) *Model {
-	opt = opt.withDefaults()
 	vocab := make(map[string]int)
 	var words []string
 	docFreq := make(map[int]int)
@@ -98,7 +81,7 @@ func Build(era1, era2 []string, opt Options) *Model {
 		sets := make([]map[int]bool, len(titles))
 		for i, t := range titles {
 			set := make(map[int]bool)
-			for _, w := range Tokenize(t, opt) {
+			for _, w := range Tokenize(t) {
 				id, ok := vocab[w]
 				if !ok {
 					id = len(words)
@@ -130,7 +113,7 @@ func Build(era1, era2 []string, opt Options) *Model {
 			}
 		}
 	}
-	m := &Model{Vocab: vocab, Words: words, opt: opt}
+	m := &Model{Vocab: vocab, Words: words}
 	m.G1 = association(len(words), s1)
 	m.G2 = association(len(words), s2)
 	return m

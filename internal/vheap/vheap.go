@@ -10,8 +10,7 @@
 // Each heap slot stores its priority and vertex inline, so a comparison
 // reads one slot rather than chasing a vertex id into a side array, and
 // sifts move a hole instead of swapping. Reset refills a heap in place, so
-// a peel loop over many components reuses one set of arrays; Clear, Push
-// and ReplaceMin serve a k-way merge keyed by vertex id on the same arrays.
+// a solver that peels many graphs in a row reuses one set of arrays.
 package vheap
 
 // arity is the heap's branching factor. Four children per slot halve the
@@ -41,14 +40,6 @@ type Heap struct {
 	pos   []int32 // pos[v] = slot of v, or -1 if removed
 }
 
-// New builds a heap containing all vertices 0..len(prio)−1 with the given
-// priorities, in O(n).
-func New(prio []float64) *Heap {
-	h := &Heap{}
-	h.Reset(prio)
-	return h
-}
-
 // Reset refills h with all vertices 0..len(prio)−1 at the given priorities,
 // in O(n), reusing h's storage when it is large enough.
 func (h *Heap) Reset(prio []float64) {
@@ -70,64 +61,27 @@ func (h *Heap) Reset(prio []float64) {
 	}
 }
 
-// Clear empties h, ready to Push vertices in [0, n), reusing h's storage
-// when it is large enough.
-func (h *Heap) Clear(n int) {
-	if cap(h.slots) < n {
-		h.slots = make([]entry, 0, n)
-		h.pos = make([]int32, n)
-	}
-	h.slots, h.pos = h.slots[:0], h.pos[:n]
-	for v := range h.pos {
-		h.pos[v] = -1
-	}
-}
-
-// Push inserts v, which must not be in the heap, at priority p.
-func (h *Heap) Push(v int, p float64) {
-	i := len(h.slots)
-	h.slots = append(h.slots, entry{prio: p, v: int32(v)})
-	h.pos[v] = int32(i)
-	h.siftUp(i)
-}
-
-// ReplaceMin removes the vertex with minimum priority and inserts v, which
-// must not be in the heap, at priority p — a PopMin and Push in one sift.
-// The heap must be non-empty.
-func (h *Heap) ReplaceMin(v int, p float64) {
-	h.pos[h.slots[0].v] = -1
-	h.slots[0] = entry{prio: p, v: int32(v)}
-	h.pos[v] = 0
-	h.siftDown(0)
-}
-
 // Len returns the number of vertices still in the heap.
 func (h *Heap) Len() int { return len(h.slots) }
 
 // Contains reports whether v is still in the heap.
 func (h *Heap) Contains(v int) bool { return h.pos[v] >= 0 }
 
-// Priority returns the current priority of v. It must still be in the heap.
-func (h *Heap) Priority(v int) float64 { return h.slots[h.pos[v]].prio }
-
-// Min returns the vertex with minimum priority without removing it. The heap
-// must be non-empty.
-func (h *Heap) Min() (v int, prio float64) {
-	e := h.slots[0]
-	return int(e.v), e.prio
-}
-
 // PopMin removes and returns the vertex with minimum priority. The heap must
 // be non-empty.
 func (h *Heap) PopMin() (v int, prio float64) {
 	e := h.slots[0]
-	h.removeAt(0)
+	h.pos[e.v] = -1
+	last := len(h.slots) - 1
+	if last > 0 {
+		// The last entry fills the root and sinks to its place.
+		h.slots[0] = h.slots[last]
+		h.slots = h.slots[:last]
+		h.siftDown(0)
+	} else {
+		h.slots = h.slots[:0]
+	}
 	return int(e.v), e.prio
-}
-
-// Remove deletes vertex v from the heap. It must still be in the heap.
-func (h *Heap) Remove(v int) {
-	h.removeAt(int(h.pos[v]))
 }
 
 // Update sets v's priority to p, restoring heap order in O(log n). v must
@@ -146,21 +100,6 @@ func (h *Heap) Update(v int, p float64) {
 // Add increments v's priority by delta. v must still be in the heap.
 func (h *Heap) Add(v int, delta float64) {
 	h.Update(v, h.slots[h.pos[v]].prio+delta)
-}
-
-func (h *Heap) removeAt(i int) {
-	last := len(h.slots) - 1
-	h.pos[h.slots[i].v] = -1
-	if i < last {
-		// The last entry fills slot i and may need to go either way.
-		h.slots[i] = h.slots[last]
-		h.pos[h.slots[i].v] = int32(i)
-		h.slots = h.slots[:last]
-		h.siftDown(i)
-		h.siftUp(i)
-		return
-	}
-	h.slots = h.slots[:last]
 }
 
 // siftUp moves the entry at slot i toward the root, shifting each larger

@@ -9,7 +9,8 @@ import (
 
 func TestPopOrder(t *testing.T) {
 	prio := []float64{5, 1, 4, 2, 3}
-	h := New(prio)
+	var h Heap
+	h.Reset(prio)
 	want := []int{1, 3, 4, 2, 0}
 	for i, w := range want {
 		v, p := h.PopMin()
@@ -22,30 +23,27 @@ func TestPopOrder(t *testing.T) {
 	}
 }
 
+// TestUpdateAndRemove: Update and Add reorder the heap, and each popped
+// vertex is removed from it.
 func TestUpdateAndRemove(t *testing.T) {
-	h := New([]float64{10, 20, 30, 40})
-	h.Update(3, 5) // 3 becomes min
-	if v, _ := h.Min(); v != 3 {
-		t.Fatalf("min = %d, want 3", v)
+	var h Heap
+	h.Reset([]float64{10, 20, 30, 40})
+	h.Update(3, 5)  // 3 becomes the min
+	h.Update(0, 25) // 0 sinks below 1
+	h.Add(2, -10)   // 2 ties 1 at 20 and pops after it
+	for i, w := range []int{3, 1, 2, 0} {
+		if v, p := h.PopMin(); v != w {
+			t.Fatalf("pop %d: got vertex %d (prio %v), want %d", i, v, p, w)
+		}
 	}
-	h.Add(3, 100) // 3 back to the bottom
-	if v, _ := h.Min(); v != 0 {
-		t.Fatalf("min = %d, want 0", v)
-	}
-	h.Remove(0)
-	if h.Contains(0) {
-		t.Fatal("0 should be removed")
-	}
-	if v, _ := h.Min(); v != 1 {
-		t.Fatalf("min = %d, want 1", v)
-	}
-	if h.Len() != 3 {
-		t.Fatalf("len = %d, want 3", h.Len())
+	if h.Contains(0) || h.Len() != 0 {
+		t.Fatal("heap should be empty")
 	}
 }
 
 func TestTieBreakDeterministic(t *testing.T) {
-	h := New([]float64{1, 1, 1})
+	var h Heap
+	h.Reset([]float64{1, 1, 1})
 	var got []int
 	for h.Len() > 0 {
 		v, _ := h.PopMin()
@@ -58,7 +56,7 @@ func TestTieBreakDeterministic(t *testing.T) {
 	}
 }
 
-// Property: after an arbitrary sequence of updates and removals, popping
+// Property: after an arbitrary sequence of updates and pops, popping
 // everything yields priorities in non-decreasing order and matches a sorted
 // reference.
 func TestHeapSortProperty(t *testing.T) {
@@ -69,7 +67,8 @@ func TestHeapSortProperty(t *testing.T) {
 		for i := range prio {
 			prio[i] = rng.NormFloat64() * 10
 		}
-		h := New(prio)
+		var h Heap
+		h.Reset(prio)
 		cur := make(map[int]float64, n)
 		for v, p := range prio {
 			cur[v] = p
@@ -90,8 +89,8 @@ func TestHeapSortProperty(t *testing.T) {
 				h.Add(v, d)
 				cur[v] += d
 			case 2:
-				h.Remove(v)
-				delete(cur, v)
+				u, _ := h.PopMin()
+				delete(cur, u)
 			}
 		}
 		var want []float64
@@ -120,7 +119,8 @@ func TestHeapSortProperty(t *testing.T) {
 }
 
 func TestEmptyHeap(t *testing.T) {
-	h := New(nil)
+	var h Heap
+	h.Reset(nil)
 	if h.Len() != 0 {
 		t.Fatal("empty heap must have length 0")
 	}
@@ -134,8 +134,9 @@ func BenchmarkPeelSequence(b *testing.B) {
 		prio[i] = rng.Float64()
 	}
 	b.ResetTimer()
+	var h Heap
 	for i := 0; i < b.N; i++ {
-		h := New(prio)
+		h.Reset(prio)
 		for h.Len() > 0 {
 			v, _ := h.PopMin()
 			// Touch a few pseudo-neighbors like peeling would.
@@ -177,53 +178,6 @@ func TestResetReuse(t *testing.T) {
 		for _, w := range want {
 			if v, p := h.PopMin(); v != w || p != prio[w] {
 				t.Fatalf("n=%d: popped (%d, %v), want (%d, %v)", n, v, p, w, prio[w])
-			}
-		}
-	}
-}
-
-// TestPushReplaceMin: a heap filled by Push after Clear, with ReplaceMin
-// swapping in new vertices at arbitrary priorities — the k-way merge
-// pattern of the component peel — always yields the (priority, id) minimum
-// of its current contents.
-func TestPushReplaceMin(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	var h Heap
-	for trial := 0; trial < 50; trial++ {
-		n := 1 + rng.Intn(80)
-		h.Clear(n)
-		prio := make([]float64, n)
-		in := map[int]bool{}
-		ids := rng.Perm(n)
-		half := (n + 1) / 2
-		for _, v := range ids[:half] {
-			prio[v] = float64(rng.Intn(6))
-			h.Push(v, prio[v])
-			in[v] = true
-		}
-		rest := ids[half:]
-		for h.Len() > 0 {
-			want := -1
-			for v := range in {
-				if want < 0 || prio[v] < prio[want] || (prio[v] == prio[want] && v < want) {
-					want = v
-				}
-			}
-			if v, p := h.Min(); v != want || p != prio[want] {
-				t.Fatalf("Min = (%d, %v), want (%d, %v)", v, p, want, prio[want])
-			}
-			delete(in, want)
-			if len(rest) > 0 && rng.Intn(2) == 0 {
-				w := rest[0]
-				rest = rest[1:]
-				prio[w] = float64(rng.Intn(6))
-				h.ReplaceMin(w, prio[w])
-				in[w] = true
-			} else {
-				h.PopMin()
-			}
-			if h.Contains(want) || h.Len() != len(in) {
-				t.Fatalf("after removing %d: Contains %v, Len %d, want %d", want, h.Contains(want), h.Len(), len(in))
 			}
 		}
 	}

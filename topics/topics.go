@@ -15,7 +15,7 @@ import (
 	itopics "github.com/dcslib/dcs/internal/topics"
 )
 
-// Options configures the pipeline (stopwords, frequency cut-offs, solver).
+// Options configures the pipeline: the document-frequency cut-off.
 type Options = itopics.Options
 
 // Model holds the shared vocabulary and the per-era association graphs.
@@ -33,6 +33,6 @@ func Build(era1, era2 []string, opt Options) *Model {
 }
 
 // Tokenize lowercases, splits, and strips stopwords/short tokens.
-func Tokenize(title string, opt Options) []string {
-	return itopics.Tokenize(title, opt)
+func Tokenize(title string) []string {
+	return itopics.Tokenize(title)
 }

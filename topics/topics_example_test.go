@@ -29,7 +29,7 @@ func Example() {
 }
 
 func ExampleTokenize() {
-	fmt.Println(topics.Tokenize("The Large-Scale Mining of Graphs", topics.Options{}))
+	fmt.Println(topics.Tokenize("The Large-Scale Mining of Graphs"))
 	// Output:
 	// [large scale mining graphs]
 }
