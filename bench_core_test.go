@@ -70,7 +70,7 @@ func BenchmarkCore(b *testing.B) {
 	// A copy of GD served from a read-only mapping of a .dcsg v2 file, as
 	// dcsd serves a snapshot under -memlimit.
 	path := filepath.Join(b.TempDir(), "gd.dcsg")
-	if err := dataio.WriteBinaryV2File(path, f.gd, false); err != nil {
+	if err := dataio.WriteBinaryV2File(path, f.gd); err != nil {
 		b.Fatal(err)
 	}
 	mapped, err := dataio.OpenMapped(path)

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	dcsgen -out DIR [-seed N] [-scale 1] [-binary [-compress]] [dataset ...]
+//	dcsgen -out DIR [-seed N] [-scale 1] [-binary] [dataset ...]
 //
 // Datasets: dblp, dm, wiki, movie, book, dblpc, actor (default: all). Each
 // dataset produces <name>-g1.tsv, <name>-g2.tsv and <name>-labels.txt
@@ -13,9 +13,7 @@
 // page-aligned layout dcsd memory-maps and serves in place (see dcsd
 // -memlimit). Files are streamed to disk row by row — the encoder never
 // materializes a second copy of the CSR, so generating graphs much larger
-// than memory headroom works. -compress adds varint-delta neighbor ids and
-// palette weights for 2–4× smaller files (a compressed file is decoded on
-// open rather than aliased in place).
+// than memory headroom works.
 package main
 
 import (
@@ -38,15 +36,10 @@ func main() {
 	scale := flag.Float64("scale", 1, "size multiplier for all datasets")
 	binary := flag.Bool("binary", false,
 		"write graphs in the binary "+dataio.BinaryExt+" format (v2, streamed row-by-row) instead of TSV")
-	compress := flag.Bool("compress", false,
-		"with -binary: varint-delta ids and palette weights (2-4x smaller, decoded on open)")
 	flag.Parse()
 	if *out == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *compress && !*binary {
-		log.Fatal("-compress requires -binary")
 	}
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		log.Fatal(err)
@@ -71,7 +64,7 @@ func main() {
 	// copy of the CSR is built, however large the generated graph.
 	writeGraph := func(path string, g *graph.Graph) error {
 		if *binary {
-			return dataio.WriteBinaryV2File(path, g, *compress)
+			return dataio.WriteBinaryV2File(path, g)
 		}
 		return dataio.WriteGraphFile(path, g)
 	}

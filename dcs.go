@@ -73,6 +73,7 @@ package dcs
 
 import (
 	"context"
+	"errors"
 	"io"
 
 	"github.com/dcslib/dcs/internal/core"
@@ -130,8 +131,8 @@ func ApplyDelta(base *Graph, delta []Edge) *Graph {
 
 // ReadGraphBinary reads a binary-format graph, verifying the checksums and
 // every structural CSR invariant; corrupt or truncated input yields an
-// error, never a malformed graph. Both format versions are accepted: v1
-// files, written by earlier releases, stay readable.
+// error, never a malformed graph. Only version 2 is read: version-1 and
+// compressed files written by earlier releases are rejected with an error.
 func ReadGraphBinary(r io.Reader) (*Graph, error) { return dataio.ReadBinary(r) }
 
 // WriteGraphBinaryV2 writes g in the binary graph format, version 2 — the
@@ -139,32 +140,33 @@ func ReadGraphBinary(r io.Reader) (*Graph, error) { return dataio.ReadBinary(r) 
 // layer and of .dcsg files: page-aligned sections (offsets, neighbor ids,
 // weights) with per-section CRC32-C checksums, designed to be memory-mapped
 // and served in place by OpenGraphMapped, and loading an order of magnitude
-// faster than the text formats with byte-exact round trips. With compress
-// set, sorted neighbor ids are varint-delta encoded and repetitive weights
-// are palette-encoded, typically shrinking files 2–4× at the cost of
-// decoding those sections to the heap on open. When w is an io.WriteSeeker
-// (an *os.File is) the encoder streams; otherwise it assembles the file in
-// memory first.
+// faster than the text formats with byte-exact round trips. When w is an
+// io.WriteSeeker (an *os.File is) the encoder streams; otherwise it
+// assembles the file in memory first. Compressed files are no longer
+// written: compress must be false, and true returns an error without
+// writing anything.
 func WriteGraphBinaryV2(w io.Writer, g *Graph, compress bool) error {
-	return dataio.WriteBinaryV2(w, g, compress)
+	if compress {
+		return errors.New("dcs: compressed binary graph files are no longer written")
+	}
+	return dataio.WriteBinaryV2(w, g)
 }
 
 // MappedGraph is an open binary graph file serving its CSR arrays straight
-// from a read-only file mapping (or from a heap buffer on platforms and
-// formats that cannot map). See OpenGraphMapped.
+// from a read-only file mapping (or from a heap buffer on platforms that
+// cannot map). See OpenGraphMapped.
 type MappedGraph = dataio.Mapped
 
-// OpenGraphMapped opens a binary graph file for out-of-core serving.
-// Version-2 files are memory-mapped: after one CRC + invariant verification
-// pass, the O(e) adjacency stays in the kernel page cache and is paged in
-// on demand, so a snapshot set larger than RAM can be served within a fixed
-// heap budget. The returned graph is valid until Close; v1 files are
-// heap-loaded through the same handle.
+// OpenGraphMapped opens a binary graph file for out-of-core serving. The
+// file is memory-mapped: after one CRC + invariant verification pass, the
+// O(e) adjacency stays in the kernel page cache and is paged in on demand,
+// so a snapshot set larger than RAM can be served within a fixed heap
+// budget. The returned graph is valid until Close.
 func OpenGraphMapped(path string) (*MappedGraph, error) { return dataio.OpenMapped(path) }
 
-// VerifyGraphFile checksums a binary graph file (either version) with one
-// sequential read and O(1) memory, without building the graph. It is how
-// the dcsd store validates snapshots at boot before lazily mapping them.
+// VerifyGraphFile checksums a binary graph file with one sequential read
+// and O(1) memory, without building the graph. It is how the dcsd store
+// validates snapshots at boot before lazily mapping them.
 func VerifyGraphFile(path string) error { return dataio.VerifyGraphFile(path) }
 
 // AverageDegreeResult is a DCS under the average-degree measure.

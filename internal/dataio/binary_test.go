@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
@@ -81,24 +82,22 @@ func TestBinaryRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 7, 50, 301} {
 		g := randomGraph(rng, n)
 		before := adjacency(g)
-		for _, compress := range []bool{false, true} {
-			var buf bytes.Buffer
-			if err := WriteBinaryV2(&buf, g, compress); err != nil {
-				t.Fatalf("n=%d compress=%v: write: %v", n, compress, err)
-			}
-			if !slices.Equal(adjacency(g), before) {
-				t.Fatalf("n=%d compress=%v: writing changed the source graph", n, compress)
-			}
-			if v := binaryVersionOf(buf.Bytes()); v != binaryVersion2 {
-				t.Fatalf("n=%d compress=%v: wrote version %d", n, compress, v)
-			}
-			g2, err := ReadBinary(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatalf("n=%d compress=%v: read: %v", n, compress, err)
-			}
-			if !sameGraph(g, g2) {
-				t.Fatalf("n=%d compress=%v: round trip changed the graph", n, compress)
-			}
+		var buf bytes.Buffer
+		if err := WriteBinaryV2(&buf, g); err != nil {
+			t.Fatalf("n=%d: write: %v", n, err)
+		}
+		if !slices.Equal(adjacency(g), before) {
+			t.Fatalf("n=%d: writing changed the source graph", n)
+		}
+		if v := binaryVersionOf(buf.Bytes()); v != binaryVersion2 {
+			t.Fatalf("n=%d: wrote version %d", n, v)
+		}
+		g2, err := ReadBinary(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("n=%d: read: %v", n, err)
+		}
+		if !sameGraph(g, g2) {
+			t.Fatalf("n=%d: round trip changed the graph", n)
 		}
 	}
 }
@@ -106,7 +105,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 func TestBinaryRoundTripView(t *testing.T) {
 	// Views must serialize as their visible (compacted) graph.
 	var buf bytes.Buffer
-	if err := WriteBinaryV2(&buf, fixtureView(), false); err != nil {
+	if err := WriteBinaryV2(&buf, fixtureView()); err != nil {
 		t.Fatal(err)
 	}
 	g2, err := ReadBinary(&buf)
@@ -118,22 +117,6 @@ func TestBinaryRoundTripView(t *testing.T) {
 	}
 }
 
-// The v1 writer is gone; these version-1 files were written by it and are
-// kept so the read-only v1 path stays covered. Each fixture's source graph
-// is rebuilt below for comparison.
-const (
-	fixtureV1Empty  = "testdata/v1_empty.dcsg"  // graph.NewBuilder(0).Build()
-	fixtureV1View   = "testdata/v1_view.dcsg"   // fixtureView()
-	fixtureV1Random = "testdata/v1_random.dcsg" // randomGraph(seed 3, n=40)
-	// randomGraph(seed 3, n=301): 1778 entries, so the reader's entry loop
-	// runs over several v1ChunkBytes chunks.
-	fixtureV1Large = "testdata/v1_large.dcsg"
-)
-
-// v1ChunkBytes is the size of the chunks readBinaryV1 decodes offsets and
-// entries in.
-const v1ChunkBytes = 24 * 256
-
 // fixtureView is a WithoutVertices view of the positive part of a 5-vertex
 // graph; it encodes as its compacted visible graph (n=5, one edge 0–1).
 func fixtureView() *graph.Graph {
@@ -141,95 +124,103 @@ func fixtureView() *graph.Graph {
 	return g.PositivePart().WithoutVertices([]int{4})
 }
 
-// v1Fixtures maps each v1 fixture to the graph it encodes.
-func v1Fixtures() map[string]*graph.Graph {
-	return map[string]*graph.Graph{
-		fixtureV1Empty:  graph.NewBuilder(0).Build(),
-		fixtureV1View:   fixtureView(),
-		fixtureV1Random: randomGraph(rand.New(rand.NewSource(3)), 40),
-		fixtureV1Large:  randomGraph(rand.New(rand.NewSource(3)), 301),
-	}
+// encodeRandom returns the v2 encoding of randomGraph(seed 3, n): n=40 is
+// small, n=301 has 1778 entries, so its ids and weights sections each
+// span several pages.
+func encodeRandom(t *testing.T, n int) []byte {
+	return encodeV2(t, randomGraph(rand.New(rand.NewSource(3)), n))
 }
 
-// readFixture returns a fixture's bytes, failing the test if it is not a
-// version-1 file.
-func readFixture(tb testing.TB, path string) []byte {
-	tb.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		tb.Fatal(err)
+// readerRejects fails t unless ReadBinary, OpenMapped and VerifyGraphFile
+// all reject data with an error containing want.
+func readerRejects(t *testing.T, label string, data []byte, want string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bad"+BinaryExt)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if v := binaryVersionOf(data); v != binaryVersion1 {
-		tb.Fatalf("%s: version %d, want %d", path, v, binaryVersion1)
-	}
-	return data
-}
-
-// TestBinaryV1Fixtures is the v1 compatibility contract: every fixture
-// reads back as its source graph bitwise, through ReadBinary and through
-// OpenMapped's heap fallback, passes VerifyGraphFile, and re-encodes to v2
-// unchanged.
-func TestBinaryV1Fixtures(t *testing.T) {
-	for path, want := range v1Fixtures() {
-		g, err := ReadBinary(bytes.NewReader(readFixture(t, path)))
-		if err != nil {
-			t.Fatalf("%s: ReadBinary: %v", path, err)
-		}
-		if !sameGraph(g, want) {
-			t.Fatalf("%s: decoded graph differs from its source", path)
-		}
-		m, err := OpenMapped(path)
-		if err != nil {
-			t.Fatalf("%s: OpenMapped: %v", path, err)
-		}
-		if m.MappedBytes() != 0 {
-			t.Fatalf("%s: v1 fallback must not report a mapping", path)
-		}
-		if !sameGraph(m.Graph(), g) {
-			t.Fatalf("%s: OpenMapped and ReadBinary disagree", path)
-		}
+	_, errRead := ReadBinary(bytes.NewReader(data))
+	m, errMap := OpenMapped(path)
+	if errMap == nil {
 		m.Close()
-		if err := VerifyGraphFile(path); err != nil {
-			t.Fatalf("%s: VerifyGraphFile: %v", path, err)
-		}
-		for _, compress := range []bool{false, true} {
-			var buf bytes.Buffer
-			if err := WriteBinaryV2(&buf, g, compress); err != nil {
-				t.Fatal(err)
-			}
-			g2, err := ReadBinary(&buf)
-			if err != nil {
-				t.Fatalf("%s: v2 re-encode (compress=%v): %v", path, compress, err)
-			}
-			if !sameGraph(g2, want) {
-				t.Fatalf("%s: v1→v2 (compress=%v) changed the graph", path, compress)
-			}
+	}
+	errVerify := VerifyGraphFile(path)
+	for name, err := range map[string]error{"ReadBinary": errRead, "OpenMapped": errMap, "VerifyGraphFile": errVerify} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: %s returned %v, want an error containing %q", label, name, err, want)
 		}
 	}
+}
+
+// TestBinaryRejectsRetiredEncodings covers the encodings earlier releases
+// wrote and this one no longer reads — a version-1 file and v2 files with
+// the varint-delta or palette flag set (header checksum valid) — and an
+// unknown version: every reader must refuse each with a clear error.
+func TestBinaryRejectsRetiredEncodings(t *testing.T) {
+	for _, n := range []int{40, 301} {
+		raw := encodeRandom(t, n)
+		v1 := encodeV1(t, randomGraph(rand.New(rand.NewSource(3)), n))
+		readerRejects(t, fmt.Sprintf("n=%d version 1", n), v1, "version 1")
+		for _, flags := range []uint16{1, 2, 3, 1 << 7} {
+			d := append([]byte{}, raw...)
+			binary.LittleEndian.PutUint16(d[6:8], flags)
+			rechecksum(d)
+			readerRejects(t, fmt.Sprintf("n=%d flags %#x", n, flags), d, "compressed v2 files are no longer read")
+		}
+		future := append([]byte{}, raw...)
+		binary.LittleEndian.PutUint16(future[4:6], 99)
+		readerRejects(t, fmt.Sprintf("n=%d version 99", n), future, "version 99")
+	}
+}
+
+// encodeV1 writes g in the retired version-1 layout: a 24-byte header
+// (magic, version 1, reserved, n, e), the offsets as uint64s, each entry as
+// a uint32 id and float64 weight bits, and a trailing CRC32-C of all
+// preceding bytes.
+func encodeV1(tb testing.TB, g *graph.Graph) []byte {
+	tb.Helper()
+	off, ids, ws, _ := g.CSR()
+	b := binary.LittleEndian.AppendUint16([]byte(binaryMagic), 1)
+	b = binary.LittleEndian.AppendUint16(b, 0)
+	b = binary.LittleEndian.AppendUint64(b, uint64(g.N()))
+	b = binary.LittleEndian.AppendUint64(b, uint64(len(ids)))
+	for _, o := range off {
+		b = binary.LittleEndian.AppendUint64(b, uint64(o))
+	}
+	for i, v := range ids {
+		b = binary.LittleEndian.AppendUint32(b, uint32(v))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(ws[i]))
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
 }
 
 func TestBinaryTruncation(t *testing.T) {
-	for _, path := range []string{fixtureV1Random, fixtureV1Large} {
-		full := readFixture(t, path)
-		n := int(binary.LittleEndian.Uint64(full[8:16]))
-		entries := 24 + 8*(n+1) // first byte of the entries section
+	for _, n := range []int{40, 301} {
+		full := encodeRandom(t, n)
+		h, err := parseV2Header(full)
+		if err != nil {
+			t.Fatal(err)
+		}
 		// Every proper prefix must be rejected; step through representative
-		// cuts in each region (header, offsets, entries, checksum), including
-		// both sides of every chunk boundary in the entries section.
-		cuts := []int{0, 3, 8, 23, 24, 30, entries - 1, entries, entries + 5, len(full) / 2, len(full) - 5, len(full) - 1}
-		for c := entries + v1ChunkBytes; c < len(full)-4; c += v1ChunkBytes {
-			cuts = append(cuts, c-1, c, c+1)
+		// cuts in each region (header fields, padding, each section and its
+		// boundaries).
+		cuts := []int64{0, 3, 6, 8, 23, 24, v2CRCEnd, v2HeaderLen, v2Page - 1, int64(len(full)) / 2, int64(len(full)) - 5, int64(len(full)) - 1}
+		for _, s := range h.sect {
+			cuts = append(cuts, s.off-1, s.off, s.off+1, s.off+s.len/2)
 		}
 		for _, cut := range cuts {
+			if cut < 0 || cut >= int64(len(full)) {
+				continue
+			}
 			if _, err := ReadBinary(bytes.NewReader(full[:cut])); err == nil {
-				t.Errorf("%s: truncation at %d of %d accepted", path, cut, len(full))
+				t.Errorf("n=%d: truncation at %d of %d accepted", n, cut, len(full))
 			}
 		}
 	}
 }
 
 func TestBinaryBadMagic(t *testing.T) {
-	data := readFixture(t, fixtureV1Random)
+	data := encodeRandom(t, 40)
 	data[0] = 'X'
 	_, err := ReadBinary(bytes.NewReader(data))
 	if err == nil || !strings.Contains(err.Error(), "magic") {
@@ -238,24 +229,24 @@ func TestBinaryBadMagic(t *testing.T) {
 }
 
 func TestBinaryChecksumMismatch(t *testing.T) {
-	for _, path := range []string{fixtureV1Random, fixtureV1Large} {
-		data := readFixture(t, path)
-		// Flip one payload bit near the end (in the last entries chunk of the
-		// large fixture): the checksum, not a structural check, must be what
+	for _, n := range []int{40, 301} {
+		data := encodeRandom(t, n)
+		// Flip one payload bit near the end (in the last page of the weights
+		// section): the checksum, not a structural check, must be what
 		// rejects it (weights are opaque bits).
 		data[len(data)-20] ^= 0x01
 		_, err := ReadBinary(bytes.NewReader(data))
 		if err == nil {
-			t.Fatalf("%s: bit flip accepted", path)
+			t.Fatalf("n=%d: bit flip accepted", n)
 		}
-		if !strings.Contains(err.Error(), "checksum") && !strings.Contains(err.Error(), "corrupt") {
-			t.Fatalf("%s: unexpected error for bit flip: %v", path, err)
+		if !strings.Contains(err.Error(), "checksum") {
+			t.Fatalf("n=%d: unexpected error for bit flip: %v", n, err)
 		}
 	}
 }
 
 func TestBinaryVersionRejected(t *testing.T) {
-	data := readFixture(t, fixtureV1Random)
+	data := encodeRandom(t, 40)
 	data[4] = 99
 	if _, err := ReadBinary(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "version") {
 		t.Fatalf("future version: got %v", err)
@@ -267,7 +258,7 @@ func TestBinaryFileAndAutoDispatch(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(8)), 25)
 
 	binPath := filepath.Join(dir, "g"+BinaryExt)
-	if err := WriteBinaryV2File(binPath, g, false); err != nil {
+	if err := WriteBinaryV2File(binPath, g); err != nil {
 		t.Fatal(err)
 	}
 	head, err := os.ReadFile(binPath)
@@ -317,7 +308,7 @@ func TestBinaryFileAndAutoDispatch(t *testing.T) {
 func BenchmarkReadBinary(b *testing.B) {
 	g := randomGraph(rand.New(rand.NewSource(9)), 5000)
 	var buf bytes.Buffer
-	if err := WriteBinaryV2(&buf, g, false); err != nil {
+	if err := WriteBinaryV2(&buf, g); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -350,26 +341,22 @@ func BenchmarkReadTSV(b *testing.B) {
 
 func BenchmarkOpenMappedV2(b *testing.B) {
 	g := randomGraph(rand.New(rand.NewSource(9)), 5000)
-	for _, compress := range []bool{false, true} {
-		b.Run(fmt.Sprintf("compress=%v", compress), func(b *testing.B) {
-			path := filepath.Join(b.TempDir(), "g"+BinaryExt)
-			if err := WriteBinaryV2File(path, g, compress); err != nil {
-				b.Fatal(err)
-			}
-			fi, err := os.Stat(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.SetBytes(fi.Size())
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m, err := OpenMapped(path)
-				if err != nil {
-					b.Fatal(err)
-				}
-				m.Close()
-			}
-		})
+	path := filepath.Join(b.TempDir(), "g"+BinaryExt)
+	if err := WriteBinaryV2File(path, g); err != nil {
+		b.Fatal(err)
+	}
+	fi, err := os.Stat(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(fi.Size())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := OpenMapped(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Close()
 	}
 }

@@ -41,11 +41,11 @@ func TestBinaryV2BytesPinned(t *testing.T) {
 	for _, p := range v2Pins {
 		g := p.graph()
 		var buf bytes.Buffer
-		if err := WriteBinaryV2(&buf, g, false); err != nil {
+		if err := WriteBinaryV2(&buf, g); err != nil {
 			t.Fatalf("%s: WriteBinaryV2: %v", p.name, err)
 		}
 		path := filepath.Join(dir, p.name+BinaryExt)
-		if err := WriteBinaryV2File(path, g, false); err != nil {
+		if err := WriteBinaryV2File(path, g); err != nil {
 			t.Fatalf("%s: WriteBinaryV2File: %v", p.name, err)
 		}
 		onDisk, err := os.ReadFile(path)

@@ -76,7 +76,7 @@ func TestRoundTripPropertyBinary(t *testing.T) {
 	f := func(seed int64) bool {
 		return identicalRoundTrip(t, seed,
 			func(b *bytes.Buffer, g *graph.Graph) error {
-				if err := WriteBinaryV2(b, g, false); err != nil {
+				if err := WriteBinaryV2(b, g); err != nil {
 					return err
 				}
 				if v := binaryVersionOf(b.Bytes()); v != binaryVersion2 {

@@ -23,10 +23,9 @@ import (
 //   - on the heap, each graph's adjacency is recorded bit for bit before
 //     every solver call and compared after it;
 //   - through dataio.OpenMapped, the same suite runs again over .dcsg v2
-//     copies. Uncompressed files alias ids and weights to the read-only
-//     mapping, so a stray write faults and crashes the run; compressed
-//     files decode them into heap shadow buffers, which the record catches,
-//     and re-encoding every graph afterwards must give the file's bytes.
+//     copies, whose ids and weights alias the read-only mapping, so a stray
+//     write faults and crashes the run; re-encoding every graph afterwards
+//     must give the file's bytes.
 
 // adjacency records every row entry of g in row order as (u, v, weight
 // bits) triples: a write into any row, through any accessor, changes it.
@@ -59,29 +58,28 @@ func unchanged(t *testing.T, gs ...*graph.Graph) func(format string, args ...any
 	}
 }
 
-// forEachLayout runs body once per storage layout, as subtests "heap",
-// "mapped" and "mapped_compressed". load turns a fixture built on the heap
+// forEachLayout runs body once per storage layout, as subtests "heap" and
+// "mapped". load turns a fixture built on the heap
 // into the graph the subtest solves on.
 func forEachLayout(t *testing.T, body func(t *testing.T, load func(*graph.Graph) *graph.Graph)) {
 	t.Run("heap", func(t *testing.T) {
 		body(t, func(g *graph.Graph) *graph.Graph { return g })
 	})
-	t.Run("mapped", func(t *testing.T) { body(t, mappedLoader(t, false)) })
-	t.Run("mapped_compressed", func(t *testing.T) { body(t, mappedLoader(t, true)) })
+	t.Run("mapped", func(t *testing.T) { body(t, mappedLoader(t)) })
 }
 
 // mappedLoader returns a load function that writes each fixture as a .dcsg
 // v2 file under a temporary directory and opens it with dataio.OpenMapped.
 // When t finishes, every graph is re-encoded and compared with its file,
 // then closed.
-func mappedLoader(t *testing.T, compress bool) func(*graph.Graph) *graph.Graph {
+func mappedLoader(t *testing.T) func(*graph.Graph) *graph.Graph {
 	dir := t.TempDir()
 	files := 0
 	return func(g *graph.Graph) *graph.Graph {
 		t.Helper()
 		files++
 		path := filepath.Join(dir, fmt.Sprintf("g%d.dcsg", files))
-		if err := dataio.WriteBinaryV2File(path, g, compress); err != nil {
+		if err := dataio.WriteBinaryV2File(path, g); err != nil {
 			t.Fatal(err)
 		}
 		m, err := dataio.OpenMapped(path)
@@ -91,7 +89,7 @@ func mappedLoader(t *testing.T, compress bool) func(*graph.Graph) *graph.Graph {
 		// Where the sections can alias the mapping, make sure they do: a
 		// heap fallback would turn the faulting guard into a no-op.
 		if aliasesMapping() && g.M() > 0 {
-			if m.MappedBytes() == 0 || (!compress && m.ShadowBytes() != 0) {
+			if m.MappedBytes() == 0 || m.ShadowBytes() != 0 {
 				t.Fatalf("%s: mapped %d bytes, shadow %d: want the sections served from the mapping",
 					path, m.MappedBytes(), m.ShadowBytes())
 			}
@@ -103,7 +101,7 @@ func mappedLoader(t *testing.T, compress bool) func(*graph.Graph) *graph.Graph {
 				t.Fatal(err)
 			}
 			var got bytes.Buffer
-			if err := dataio.WriteBinaryV2(&got, m.Graph(), compress); err != nil {
+			if err := dataio.WriteBinaryV2(&got, m.Graph()); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got.Bytes(), want) {
@@ -114,8 +112,7 @@ func mappedLoader(t *testing.T, compress bool) func(*graph.Graph) *graph.Graph {
 	}
 }
 
-// aliasesMapping reports whether OpenMapped serves uncompressed sections
-// straight from a read-only mapping here: a unix mmap on a 64-bit
+// aliasesMapping reports whether OpenMapped serves the sections straight from a read-only mapping here: a unix mmap on a 64-bit
 // little-endian host.
 func aliasesMapping() bool {
 	return runtime.GOOS == "linux" && (runtime.GOARCH == "amd64" || runtime.GOARCH == "arm64")

@@ -256,7 +256,7 @@ func watchCheckpoints(s *PersistStats) *int { return &s.WatchCheckpoints }
 
 // saveSnapshot implements persistHook: graph file first, then the manifest
 // referencing it, then removal of the replaced graph file. The graph is
-// written in the v2 (mmap-friendly, uncompressed) binary layout so the store
+// written in the v2 (mmap-friendly) binary layout so the store
 // can demote the snapshot and serve it from the mapping; the committed
 // file's path is returned for that registration ("" on a stale delivery).
 // Removing the replaced version's file is safe even while a solve still

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"net/http"
 	"os"
@@ -480,12 +481,6 @@ func TestHealthzReportsPersistence(t *testing.T) {
 	}
 }
 
-// v1Fixture is a version-1 graph file committed with the dataio tests;
-// the v1 writer is gone, so these are the only v1 files there are.
-func v1Fixture(name string) string {
-	return filepath.Join("..", "internal", "dataio", "testdata", name)
-}
-
 // binaryVersion returns the format version field of a .dcsg file.
 func binaryVersion(t *testing.T, path string) uint16 {
 	t.Helper()
@@ -499,47 +494,49 @@ func binaryVersion(t *testing.T, path string) uint16 {
 	return binary.LittleEndian.Uint16(data[4:6])
 }
 
+// legacySnapshot and legacyWatchGraph are the graphs of the data directory
+// writeLegacyDataDir lays out.
+func legacySnapshot() *dcs.Graph {
+	return dcs.FromEdges(6, []dcs.Edge{{U: 0, V: 1, W: 2}, {U: 0, V: 2, W: 1.5}, {U: 1, V: 2, W: 3}, {U: 3, V: 4, W: -1}, {U: 4, V: 5, W: 0.25}})
+}
+
+func legacyWatchGraph() *dcs.Graph {
+	return dcs.FromEdges(5, []dcs.Edge{{U: 0, V: 1, W: 2}})
+}
+
 // writeLegacyDataDir lays out a data directory as an earlier build left
 // it: a pre-metadata snapshot manifest (no Meta) for "legacy" and a watch
-// "w" checkpointed at step 2, whose graph files are copies of the v1
-// fixtures. With reencode set, every graph file is rewritten as v2 instead,
-// giving the twin the v1 directory must answer identically to.
-func writeLegacyDataDir(t *testing.T, dir string, reencode bool) {
+// "w" checkpointed at step 2, over v2 graph files. edit, when non-nil,
+// rewrites the bytes of each graph file before it is written.
+func writeLegacyDataDir(t *testing.T, dir string, edit func([]byte) []byte) {
 	t.Helper()
 	for _, d := range []string{"snapshots", "watches"} {
 		if err := os.MkdirAll(filepath.Join(dir, d), 0o755); err != nil {
 			t.Fatal(err)
 		}
 	}
-	copyGraph := func(src, dst string) {
-		data, err := os.ReadFile(v1Fixture(src))
-		if err != nil {
+	writeGraph := func(g *dcs.Graph, dst string) {
+		var buf bytes.Buffer
+		if err := dcs.WriteGraphBinaryV2(&buf, g, false); err != nil {
 			t.Fatal(err)
 		}
-		if reencode {
-			g, err := dcs.ReadGraphBinary(bytes.NewReader(data))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := dcs.WriteGraphBinaryV2(&buf, g, false); err != nil {
-				t.Fatal(err)
-			}
-			data = buf.Bytes()
+		data := buf.Bytes()
+		if edit != nil {
+			data = edit(data)
 		}
 		if err := os.WriteFile(filepath.Join(dir, dst), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	created := time.Date(2024, 1, 2, 3, 4, 5, 0, time.UTC)
-	copyGraph("v1_random.dcsg", "snapshots/legacy.v3.dcsg")
+	writeGraph(legacySnapshot(), "snapshots/legacy.v3.dcsg")
 	if err := writeJSONFile(filepath.Join(dir, "snapshots", "legacy.json"), snapManifest{
 		Name: "legacy", Version: 3, UpdatedAt: created, File: "legacy.v3.dcsg",
 	}); err != nil {
 		t.Fatal(err)
 	}
-	copyGraph("v1_view.dcsg", "watches/w.v1.expect.dcsg")
-	copyGraph("v1_view.dcsg", "watches/w.v1.last.dcsg")
+	writeGraph(legacyWatchGraph(), "watches/w.v1.expect.dcsg")
+	writeGraph(legacyWatchGraph(), "watches/w.v1.last.dcsg")
 	if err := writeJSONFile(filepath.Join(dir, "watches", "w.json"), watchManifest{
 		Name: "w", N: 5, Lambda: 0.5, Measure: "avgdeg", MinDensity: 1,
 		ReportCap: 8, CreatedAt: created, Step: 2, Seq: 1,
@@ -549,104 +546,129 @@ func writeLegacyDataDir(t *testing.T, dir string, reencode bool) {
 	}
 }
 
-// TestPersistRestoresV1Files boots a data directory whose snapshot and
-// watch checkpoint are v1 graph files, as written by earlier builds: both
-// must restore and answer exactly as the same directory re-encoded as v2
-// does, and the next checkpoint must write v2.
-func TestPersistRestoresV1Files(t *testing.T) {
-	oldDir, twinDir := t.TempDir(), t.TempDir()
-	writeLegacyDataDir(t, oldDir, false)
-	writeLegacyDataDir(t, twinDir, true)
-	for _, f := range []string{"snapshots/legacy.v3.dcsg", "watches/w.v1.expect.dcsg", "watches/w.v1.last.dcsg"} {
-		if v := binaryVersion(t, filepath.Join(oldDir, f)); v != 1 {
-			t.Fatalf("%s: version %d, the test needs a v1 file", f, v)
-		}
+// TestPersistRestoresLegacyManifests boots a data directory with a
+// pre-metadata snapshot manifest and a watch checkpoint: both must restore
+// and answer exactly as the same graphs do on a fresh server, and the next
+// checkpoint must write new files.
+func TestPersistRestoresLegacyManifests(t *testing.T) {
+	dir := t.TempDir()
+	writeLegacyDataDir(t, dir, nil)
+	s := openTest(t, dir)
+	if st := s.PersistStats(); st.SnapshotsRestored != 1 || st.WatchesRestored != 1 || st.RestoreErrors != 0 {
+		t.Fatalf("restore stats %+v", st)
 	}
-	old, twin := openTest(t, oldDir), openTest(t, twinDir)
-	defer old.Close()
-	defer twin.Close()
-	for _, s := range []*Server{old, twin} {
-		if st := s.PersistStats(); st.SnapshotsRestored != 1 || st.WatchesRestored != 1 || st.RestoreErrors != 0 {
-			t.Fatalf("restore stats %+v", st)
-		}
-	}
-	snap, ok := old.Store().Get("legacy")
+	snap, ok := s.Store().Get("legacy")
 	if !ok || snap.Version != 3 {
 		t.Fatalf("legacy snapshot restored as %+v", snap)
 	}
-	want, err := os.Open(v1Fixture("v1_random.dcsg"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer want.Close()
-	wantG, err := dcs.ReadGraphBinary(want)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantG := legacySnapshot()
 	if g := snapGraph(t, snap); g.N() != wantG.N() || g.M() != wantG.M() ||
 		math.Float64bits(g.TotalWeight()) != math.Float64bits(wantG.TotalWeight()) {
 		t.Fatalf("legacy snapshot: n=%d m=%d tw=%v, want n=%d m=%d tw=%v",
 			g.N(), g.M(), g.TotalWeight(), wantG.N(), wantG.M(), wantG.TotalWeight())
 	}
 
-	// The snapshot mines identically: GD = G2 (alpha 0) over the v1 graph.
+	// The snapshot mines as the same graph put on a fresh server does:
+	// GD = G2 (alpha 0).
+	fresh := New(Config{})
+	defer fresh.Close()
+	if _, err := fresh.Store().Put("legacy", wantG); err != nil {
+		t.Fatal(err)
+	}
 	alpha := 0.0
 	for _, measure := range []string{"avgdeg", "affinity"} {
 		req := DCSRequest{Measure: measure, G1: "legacy", G2: "legacy", Alpha: &alpha}
 		var got, exp DCSResponse
-		if code := doJSON(t, old, http.MethodPost, "/v1/dcs", req, &got); code != http.StatusOK {
-			t.Fatalf("%s on v1 snapshot: status %d", measure, code)
+		if code := doJSON(t, s, http.MethodPost, "/v1/dcs", req, &got); code != http.StatusOK {
+			t.Fatalf("%s on the restored snapshot: status %d", measure, code)
 		}
-		if code := doJSON(t, twin, http.MethodPost, "/v1/dcs", req, &exp); code != http.StatusOK {
-			t.Fatalf("%s on v2 twin: status %d", measure, code)
+		if code := doJSON(t, fresh, http.MethodPost, "/v1/dcs", req, &exp); code != http.StatusOK {
+			t.Fatalf("%s on the fresh server: status %d", measure, code)
 		}
-		got.ElapsedMS, exp.ElapsedMS = 0, 0
-		if len(got.Results) == 0 || !reflect.DeepEqual(got, exp) {
-			t.Fatalf("%s: v1 snapshot answered %+v, v2 twin %+v", measure, got, exp)
+		if len(got.Results) == 0 || !reflect.DeepEqual(got.Results, exp.Results) {
+			t.Fatalf("%s: restored snapshot answered %+v, fresh server %+v", measure, got.Results, exp.Results)
 		}
 	}
 
-	// The watch resumes at step 2 from the v1 expectation and delta base:
-	// a delta observation (applied to the restored last graph) and a full
-	// one report identically on both.
-	obs := []WatchObserveRequest{
-		{Delta: []EdgeJSON{{U: 2, V: 3, W: 6}, {U: 2, V: 4, W: 6}, {U: 3, V: 4, W: 6}}},
-		{Graph: &GraphJSON{N: 5, Edges: []EdgeJSON{{U: 0, V: 1, W: 2}, {U: 1, V: 3, W: 1}}}},
+	// The watch resumes at step 2: a delta observation applies to the
+	// restored last graph, and a planted clique stands out against the
+	// restored expectation.
+	rep := observeWatch(t, s, "w", WatchObserveRequest{
+		Delta: []EdgeJSON{{U: 2, V: 3, W: 6}, {U: 2, V: 4, W: 6}, {U: 3, V: 4, W: 6}},
+	})
+	if rep.Step != 3 || !rep.Anomalous || !slices.Equal(rep.S, []int{2, 3, 4}) {
+		t.Fatalf("first observation after restore: %+v", rep)
 	}
-	for i, o := range obs {
-		got, exp := observeWatch(t, old, "w", o), observeWatch(t, twin, "w", o)
-		if got.Step != 3+i || got.Step != exp.Step || got.Anomalous != exp.Anomalous ||
-			!slices.Equal(got.S, exp.S) || math.Float64bits(got.Contrast) != math.Float64bits(exp.Contrast) ||
-			got.Mode != exp.Mode {
-			t.Fatalf("observation %d: v1 watch reported %+v, v2 twin %+v", i, got, exp)
-		}
-	}
-	if first := observeWatch(t, old, "w", obs[0]); first.Step != 5 {
-		t.Fatalf("step after restore: %d", first.Step)
+	if rep := observeWatch(t, s, "w", WatchObserveRequest{
+		Graph: &GraphJSON{N: 5, Edges: []EdgeJSON{{U: 0, V: 1, W: 2}, {U: 1, V: 3, W: 1}}},
+	}); rep.Step != 4 {
+		t.Fatalf("step after restore: %d", rep.Step)
 	}
 
-	// The next checkpoint replaces the v1 files with v2 ones.
-	old.Flush()
-	man := old.persist.readWatchManifest("w")
-	if man == nil || man.Seq != 2 || man.Step != 5 {
+	// The next checkpoint replaces the restored files.
+	s.Flush()
+	man := s.persist.readWatchManifest("w")
+	if man == nil || man.Seq != 2 || man.Step != 4 {
 		t.Fatalf("checkpoint manifest %+v", man)
 	}
 	for _, f := range []string{man.ExpectFile, man.LastFile} {
-		if v := binaryVersion(t, filepath.Join(oldDir, "watches", f)); v != 2 {
+		if v := binaryVersion(t, filepath.Join(dir, "watches", f)); v != 2 {
 			t.Fatalf("checkpoint wrote %s as version %d, want 2", f, v)
 		}
 	}
 	for _, f := range []string{"w.v1.expect.dcsg", "w.v1.last.dcsg"} {
-		if _, err := os.Stat(filepath.Join(oldDir, "watches", f)); !os.IsNotExist(err) {
-			t.Fatalf("superseded v1 checkpoint file %s still present (%v)", f, err)
+		if _, err := os.Stat(filepath.Join(dir, "watches", f)); !os.IsNotExist(err) {
+			t.Fatalf("superseded checkpoint file %s still present (%v)", f, err)
 		}
 	}
-	// So does the snapshot's next version.
-	if _, err := old.Store().Put("legacy", testGraph(1, 2)); err != nil {
+	if _, err := s.Store().Put("legacy", testGraph(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	if v := binaryVersion(t, filepath.Join(oldDir, "snapshots", "legacy.v4.dcsg")); v != 2 {
+	if v := binaryVersion(t, filepath.Join(dir, "snapshots", "legacy.v4.dcsg")); v != 2 {
 		t.Fatalf("snapshot v4 written as version %d, want 2", v)
+	}
+}
+
+// TestPersistSkipsRetiredGraphFiles boots data directories whose graph
+// files use encodings earlier releases wrote and this one no longer reads:
+// a version-1 header, or a v2 header with the compression flags set (header
+// checksum recomputed). The server must boot, count one restore error per
+// entry, serve neither entry, and still restore the directory's good one.
+func TestPersistSkipsRetiredGraphFiles(t *testing.T) {
+	retired := map[string]func([]byte) []byte{
+		"version 1": func(d []byte) []byte {
+			binary.LittleEndian.PutUint16(d[4:6], 1)
+			return d
+		},
+		"compressed v2": func(d []byte) []byte {
+			binary.LittleEndian.PutUint16(d[6:8], 3)
+			binary.LittleEndian.PutUint32(d[84:88], crc32.Checksum(d[:84], crc32.MakeTable(crc32.Castagnoli)))
+			return d
+		},
+	}
+	for name, edit := range retired {
+		dir := t.TempDir()
+		writeLegacyDataDir(t, dir, edit)
+		// A good snapshot written by a live server beside the retired files.
+		s := openTest(t, dir)
+		if _, err := s.Store().Put("ok", testGraph(1, 2)); err != nil {
+			t.Fatal(err)
+		}
+		s.Close()
+
+		s = openTest(t, dir)
+		if st := s.PersistStats(); st.SnapshotsRestored != 1 || st.WatchesRestored != 0 || st.RestoreErrors != 2 {
+			t.Fatalf("%s: restore stats %+v, want 1 snapshot restored and 2 restore errors", name, st)
+		}
+		if _, ok := s.Store().Get("legacy"); ok {
+			t.Fatalf("%s: the retired snapshot is served", name)
+		}
+		if code := doJSON(t, s, http.MethodGet, "/v1/watches/w", nil, nil); code != http.StatusNotFound {
+			t.Fatalf("%s: the retired watch answers status %d, want 404", name, code)
+		}
+		if snap, ok := s.Store().Get("ok"); !ok || snapGraph(t, snap).M() != 2 {
+			t.Fatalf("%s: the good snapshot did not restore", name)
+		}
 	}
 }
 

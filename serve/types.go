@@ -398,8 +398,8 @@ type MemoryStats struct {
 	// MappedBytes is the total size of open snapshot file mappings.
 	MappedBytes int64 `json:"mapped_bytes"`
 	// ShadowBytes counts heap bytes held by open snapshots beyond their
-	// mapping: resident offset indexes, decoded compressed sections, and
-	// whole graphs on platforms that cannot map.
+	// mapping: sections decoded by copy on hosts that cannot alias them
+	// (32-bit or big-endian), and whole files on platforms that cannot map.
 	ShadowBytes int64 `json:"shadow_bytes"`
 	// LazySnapshots counts registered on-disk snapshot versions (open or
 	// not); OpenSnapshots the ones currently mapped; PinnedSnapshots the
