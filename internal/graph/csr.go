@@ -155,19 +155,3 @@ func (g *Graph) Release() {
 		r()
 	}
 }
-
-// StorageBytes estimates the bytes of CSR storage reachable from g: offsets
-// plus the id and weight arrays, plus the memoized positive part when one
-// has been computed. Views report their base storage; the figure is the
-// byte-accounting input of the dcsd memory budget, not an exact heap
-// measurement.
-func (g *Graph) StorageBytes() int64 {
-	b := int64(len(g.off))*8 + int64(len(g.ids))*4 + int64(len(g.ws))*8
-	if g.drop != nil {
-		b += int64(len(g.drop))
-	}
-	if p := g.pos.Load(); p != nil {
-		b += p.StorageBytes()
-	}
-	return b
-}

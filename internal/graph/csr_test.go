@@ -115,9 +115,6 @@ func TestBackedRelease(t *testing.T) {
 	if released != 1 {
 		t.Fatalf("Release must run the hook at most once; ran %d times", released)
 	}
-	if adopt(t, randomTestGraph(rng, 5, 0.5), nil).StorageBytes() == 0 {
-		t.Fatal("StorageBytes() = 0 on a non-empty adopted graph")
-	}
 }
 
 // TestFromCSRBackedRejectsCorruptInput is the rejection table of FromCSR,
